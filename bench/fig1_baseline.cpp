@@ -33,7 +33,7 @@ int main() {
 
   std::printf("\nPaper-vs-measured checks:\n");
   bool ok = true;
-  ok &= bench::check("100%% writes (paper: 100%%)", s.mix.write_pct > 99.0,
+  ok &= bench::check("100% writes (paper: 100%)", s.mix.write_pct > 99.0,
                      bench::fmt("measured %.1f%%", s.mix.write_pct));
   ok &= bench::check("~0.9 req/s (order)", s.mix.requests_per_sec > 0.3 &&
                                                s.mix.requests_per_sec < 2.0,

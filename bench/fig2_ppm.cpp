@@ -30,7 +30,7 @@ int main() {
 
   std::printf("\nPaper-vs-measured checks:\n");
   bool ok = true;
-  ok &= bench::check("write dominated (paper: 96%% writes)",
+  ok &= bench::check("write dominated (paper: 96% writes)",
                      s.mix.write_pct > 85.0,
                      bench::fmt("measured %.1f%%", s.mix.write_pct));
   ok &= bench::check("1 KB prevalent", s.pct_1k > 50.0,

@@ -57,7 +57,7 @@ int main() {
                          bench::fmt("%.1f%%", s_ppm.pct_4k));
   // At ESS_FAST's 4 steps the read-heavy startup weighs more; writes still
   // hold the majority, just not the full-scale 87%.
-  ok &= bench::check("write dominated (paper: 87%%)",
+  ok &= bench::check("write dominated (paper: 87%)",
                      s.mix.write_pct > (bench::fast_mode() ? 50.0 : 60.0),
                      bench::fmt("measured %.1f%%", s.mix.write_pct));
   ok &= bench::check("much less activity than wavelet",

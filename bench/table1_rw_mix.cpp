@@ -46,7 +46,7 @@ int main() {
                      rows[2].mix.requests_per_sec >
                          3 * rows[1].mix.requests_per_sec,
                      "");
-  ok &= bench::check("read%% ordering: baseline < PPM <= N-Body < wavelet",
+  ok &= bench::check("read% ordering: baseline < PPM <= N-Body < wavelet",
                      rows[0].mix.read_pct < rows[1].mix.read_pct + 0.1 &&
                          rows[1].mix.read_pct <= rows[3].mix.read_pct + 2 &&
                          rows[3].mix.read_pct < rows[2].mix.read_pct,

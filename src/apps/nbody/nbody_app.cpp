@@ -3,15 +3,34 @@
 #include <cmath>
 
 #include "apps/nbody/octree.hpp"
+#include "exec/thread_pool.hpp"
 #include "workload/builder.hpp"
 
 namespace ess::apps::nbody {
 
-NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
-                         Rng& rng) {
-  NBodySim sim(cfg.bodies, cfg.seed);
-  const Vec3 p0 = sim.stats().momentum;
+NBodyNumericsInput numerics_input(const NBodyConfig& cfg) {
+  return {cfg.bodies, cfg.steps, cfg.dt, cfg.theta, cfg.softening, cfg.seed};
+}
 
+NBodyNumerics compute_numerics(const NBodyNumericsInput& in,
+                               exec::ThreadPool* pool) {
+  NBodySim sim(in.bodies, in.seed, pool);
+  const Vec3 p0 = sim.stats().momentum;
+  NBodyNumerics n;
+  n.step_interactions.reserve(static_cast<std::size_t>(in.steps));
+  for (int s = 0; s < in.steps; ++s) {
+    n.step_interactions.push_back(sim.step(in.dt, in.theta, in.softening));
+  }
+  const SystemStats st = sim.stats();
+  n.total_interactions = sim.total_interactions();
+  n.final_kinetic = st.kinetic;
+  const Vec3 drift = st.momentum - p0;
+  n.momentum_drift = std::sqrt(drift.norm2());
+  return n;
+}
+
+NBodyRunResult build_run(const NBodyConfig& cfg, const NBodyNumerics& numerics,
+                         double cpu_mflops, Rng& rng) {
   workload::OpTraceBuilder b("nbody");
   b.set_image_bytes(cfg.image_bytes);
   b.set_image_warm_fraction(cfg.image_warm_fraction);
@@ -35,7 +54,7 @@ NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
   NBodyRunResult result;
   const std::uint64_t anon_pages = anon / 4096;
   for (int s = 0; s < cfg.steps; ++s) {
-    const std::uint64_t inter = sim.step(cfg.dt, cfg.theta, cfg.softening);
+    const std::uint64_t inter = numerics.step_interactions[s];
     // Tree build ~ 60 flops/body-level, force evaluation dominated by the
     // interaction count.
     const double step_flops =
@@ -59,17 +78,22 @@ NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
     }
   }
 
-  const SystemStats st = sim.stats();
-  result.total_interactions = sim.total_interactions();
-  result.final_kinetic = st.kinetic;
-  const Vec3 drift = st.momentum - p0;
-  result.momentum_drift = std::sqrt(drift.norm2());
+  result.total_interactions = numerics.total_interactions;
+  result.final_kinetic = numerics.final_kinetic;
+  result.momentum_drift = numerics.momentum_drift;
 
   // Final particle snapshot summary (~16 KB: positions of a subsample).
   b.append(out, 16 * 1024);
   result.trace = std::move(b).build();
   result.modelled_compute = result.trace.total_compute();
   return result;
+}
+
+NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
+                         Rng& rng) {
+  exec::ThreadPool pool(exec::default_workers());
+  return build_run(cfg, compute_numerics(numerics_input(cfg), &pool),
+                   cpu_mflops, rng);
 }
 
 }  // namespace ess::apps::nbody

@@ -7,11 +7,17 @@
 // processor, ~303 M interactions over the run.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/op.hpp"
+
+namespace ess::exec {
+class ThreadPool;
+}
 
 namespace ess::apps::nbody {
 
@@ -42,6 +48,40 @@ struct NBodyRunResult {
   workload::OpTrace trace;
 };
 
+/// Every NBodyConfig field the simulation reads: a complete key for its
+/// results.
+struct NBodyNumericsInput {
+  int bodies = 0;
+  int steps = 0;
+  double dt = 0;
+  double theta = 0;
+  double softening = 0;
+  std::uint64_t seed = 0;
+
+  auto operator<=>(const NBodyNumericsInput&) const = default;
+};
+
+/// The simulation's RNG-free results: what build_run() consumes.
+struct NBodyNumerics {
+  std::vector<std::uint64_t> step_interactions;  // returned by each step
+  std::uint64_t total_interactions = 0;  // + the initial force pass
+  double final_kinetic = 0;
+  double momentum_drift = 0;
+};
+
+NBodyNumericsInput numerics_input(const NBodyConfig& cfg);
+
+/// Run the simulation for in.steps; `pool` (null = serial) runs the force
+/// pass's body blocks, with bit-identical results at any worker count.
+NBodyNumerics compute_numerics(const NBodyNumericsInput& in,
+                               exec::ThreadPool* pool = nullptr);
+
+/// Build the workload trace from numerics computed for
+/// numerics_input(cfg).
+NBodyRunResult build_run(const NBodyConfig& cfg, const NBodyNumerics& numerics,
+                         double cpu_mflops, Rng& rng);
+
+/// compute_numerics() on an exec::default_workers() pool, then build_run().
 NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops, Rng& rng);
 
 }  // namespace ess::apps::nbody

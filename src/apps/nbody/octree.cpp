@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+
+#include "exec/thread_pool.hpp"
 
 namespace ess::apps::nbody {
 
@@ -147,7 +150,8 @@ Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
   return acc;
 }
 
-NBodySim::NBodySim(int n_bodies, std::uint64_t seed) {
+NBodySim::NBodySim(int n_bodies, std::uint64_t seed, exec::ThreadPool* pool)
+    : pool_(pool) {
   Rng rng(seed);
   bodies_.resize(n_bodies);
   // Plummer-like sphere with isotropic velocities.
@@ -167,16 +171,30 @@ NBodySim::NBodySim(int n_bodies, std::uint64_t seed) {
 void NBodySim::compute_forces(double theta, double softening) {
   tree_.build(bodies_);
   // COM of leaf nodes is the body itself; the traversal reads bodies_
-  // directly for leaves, so only internal nodes needed finalize().
-  std::uint64_t inter = 0;
-  std::vector<int> stack;
-  stack.reserve(256);
-  for (int i = 0; i < static_cast<int>(bodies_.size()); ++i) {
-    bodies_[i].acc =
-        tree_.acceleration(bodies_, i, theta, softening, inter, stack);
+  // directly for leaves, so only internal nodes needed finalize(). Blocks
+  // read positions and masses and write only their own bodies' acc.
+  const std::size_t n = bodies_.size();
+  const std::size_t block = (n + kForceBlocks - 1) / kForceBlocks;
+  std::array<std::uint64_t, kForceBlocks> inter{};
+  const auto force_block = [&](std::size_t k) {
+    std::vector<int> stack;
+    stack.reserve(256);
+    std::uint64_t count = 0;  // local: inter[] shares cache lines
+    const std::size_t end = std::min(n, (k + 1) * block);
+    for (std::size_t i = k * block; i < end; ++i) {
+      bodies_[i].acc = tree_.acceleration(bodies_, static_cast<int>(i), theta,
+                                          softening, count, stack);
+    }
+    inter[k] = count;
+  };
+  if (pool_ != nullptr) {
+    exec::parallel_for(*pool_, kForceBlocks, force_block);
+  } else {
+    for (std::size_t k = 0; k < kForceBlocks; ++k) force_block(k);
   }
-  total_interactions_ += inter;
-  last_step_interactions_ = inter;
+  last_step_interactions_ =
+      std::accumulate(inter.begin(), inter.end(), std::uint64_t{0});
+  total_interactions_ += last_step_interactions_;
 }
 
 std::uint64_t NBodySim::step(double dt, double theta, double softening) {

@@ -6,6 +6,13 @@
 // centre-of-mass computation, force evaluation with the theta opening
 // criterion and Plummer softening, leapfrog (KDK) integration, and exact
 // interaction counting.
+//
+// The force pass runs over kForceBlocks fixed blocks of bodies, on an
+// optional exec::ThreadPool. The partition does not depend on the worker
+// count, each body's acceleration is written by exactly one block, and the
+// per-block interaction counts are summed as integers, so positions,
+// velocities, accelerations and counts are bit-identical at any worker
+// count, serial included.
 #pragma once
 
 #include <array>
@@ -13,6 +20,10 @@
 #include <vector>
 
 #include "util/rng.hpp"
+
+namespace ess::exec {
+class ThreadPool;
+}
 
 namespace ess::apps::nbody {
 
@@ -82,7 +93,12 @@ struct SystemStats {
 
 class NBodySim {
  public:
-  NBodySim(int n_bodies, std::uint64_t seed);
+  /// Body blocks of the force pass (the last may be short or empty).
+  static constexpr int kForceBlocks = 64;
+
+  /// `pool` (not owned; null = serial) runs the force pass's blocks.
+  NBodySim(int n_bodies, std::uint64_t seed,
+           exec::ThreadPool* pool = nullptr);
 
   /// One leapfrog step; returns interactions evaluated.
   std::uint64_t step(double dt, double theta, double softening);
@@ -97,6 +113,7 @@ class NBodySim {
 
   std::vector<Body> bodies_;
   Octree tree_;
+  exec::ThreadPool* pool_ = nullptr;
   std::uint64_t total_interactions_ = 0;
   std::uint64_t last_step_interactions_ = 0;
   bool first_step_ = true;

@@ -5,14 +5,32 @@
 
 namespace ess::apps::ppm {
 
-PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng) {
-  PpmSolver solver(cfg.nx, cfg.ny, 1.0 / cfg.nx, 1.0 / cfg.nx);
-  solver.init_blast(0.1, 10.0, 0.1);
+PpmNumericsInput numerics_input(const PpmConfig& cfg) {
+  return {cfg.nx, cfg.ny, cfg.steps, cfg.cfl};
+}
 
+PpmNumerics compute_numerics(const PpmNumericsInput& in) {
+  PpmSolver solver(in.nx, in.ny, 1.0 / in.nx, 1.0 / in.nx);
+  solver.init_blast(0.1, 10.0, 0.1);
+  PpmNumerics n;
+  n.memory_bytes = solver.memory_bytes();
+  n.step_flops.reserve(static_cast<std::size_t>(in.steps));
+  for (int s = 0; s < in.steps; ++s) {
+    n.step_flops.push_back(solver.step(in.cfl).flops);
+  }
+  const Totals t = solver.totals();
+  n.final_mass = t.mass;
+  n.final_energy = t.energy;
+  n.max_density = t.max_density;
+  return n;
+}
+
+PpmRunResult build_run(const PpmConfig& cfg, const PpmNumerics& numerics,
+                       double cpu_mflops, Rng& rng) {
   workload::OpTraceBuilder b("ppm");
   b.set_image_bytes(cfg.image_bytes);
   b.set_image_warm_fraction(cfg.image_warm_fraction);
-  const std::uint64_t anon = solver.memory_bytes() + 256 * 1024;  // + heap
+  const std::uint64_t anon = numerics.memory_bytes + 256 * 1024;  // + heap
   b.set_anon_bytes(anon);
   const auto out = b.output_file(cfg.output_path);
   const auto chk = cfg.checkpoint_every > 0
@@ -30,14 +48,14 @@ PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng) {
   const std::uint64_t grid_pages = anon / 4096;
   PpmRunResult result;
   for (int s = 0; s < cfg.steps; ++s) {
-    const StepStats st = solver.step(cfg.cfl);
-    result.native_flops += st.flops;
+    const std::uint64_t flops = numerics.step_flops[s];
+    result.native_flops += flops;
 
     // Model the step's CPU time and its memory sweep. The solver walks all
     // four field arrays each sweep — the working set is the whole grid, so
     // touch a sample of its pages spread across the step.
     const auto model_flops =
-        static_cast<double>(st.flops) * cfg.model_flops_per_flop;
+        static_cast<double>(flops) * cfg.model_flops_per_flop;
     const auto step_time =
         static_cast<SimTime>(model_flops / cpu_mflops);  // us
     b.compute_with_working_set(step_time, b.anon_first_page(), grid_pages,
@@ -60,16 +78,20 @@ PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng) {
     }
   }
 
-  const Totals t = solver.totals();
-  result.final_mass = t.mass;
-  result.final_energy = t.energy;
-  result.max_density = t.max_density;
+  result.final_mass = numerics.final_mass;
+  result.final_energy = numerics.final_energy;
+  result.max_density = numerics.max_density;
 
   // Final results: conserved-variable summary, ~2 KB.
   b.append(out, 2048);
   result.trace = std::move(b).build();
   result.modelled_compute = result.trace.total_compute();
   return result;
+}
+
+PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng) {
+  return build_run(cfg, compute_numerics(numerics_input(cfg)), cpu_mflops,
+                   rng);
 }
 
 }  // namespace ess::apps::ppm

@@ -1,14 +1,21 @@
 // The PPM application workload: runs the real solver (phase A) and records
 // the OpTrace the kernel will execute (phase B).
 //
+// Phase A is split in two so it can be computed once and shared:
+// compute_numerics() runs the solver from a PpmNumericsInput (the only
+// config fields it reads) and keeps what the trace needs; build_run()
+// turns that into the OpTrace with the caller's Rng and CPU speed.
+//
 // Paper behaviour to reproduce (Fig. 2, Table 1): very low I/O, almost all
 // 1 KB requests, a single 4 KB paging event near the end of the ~250 s run,
 // 4% reads / 96% writes. PPM is "a simulation with no input data, and only
 // short statistical summaries being written".
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/op.hpp"
@@ -42,8 +49,36 @@ struct PpmRunResult {
   workload::OpTrace trace;
 };
 
-/// Run the solver for cfg.steps and build the workload trace.
-/// `cpu_mflops` converts counted work to DX4 time.
+/// Every PpmConfig field the solver reads: a complete key for its results.
+struct PpmNumericsInput {
+  int nx = 0;
+  int ny = 0;
+  int steps = 0;
+  double cfl = 0;
+
+  auto operator<=>(const PpmNumericsInput&) const = default;
+};
+
+/// The solver's RNG-free results: what build_run() consumes.
+struct PpmNumerics {
+  std::vector<std::uint64_t> step_flops;  // counted flops of each step
+  std::uint64_t memory_bytes = 0;         // the solver's field arrays
+  double final_mass = 0;
+  double final_energy = 0;
+  double max_density = 0;
+};
+
+PpmNumericsInput numerics_input(const PpmConfig& cfg);
+
+/// Run the solver for in.steps.
+PpmNumerics compute_numerics(const PpmNumericsInput& in);
+
+/// Build the workload trace from numerics computed for
+/// numerics_input(cfg). `cpu_mflops` converts counted work to DX4 time.
+PpmRunResult build_run(const PpmConfig& cfg, const PpmNumerics& numerics,
+                       double cpu_mflops, Rng& rng);
+
+/// compute_numerics() then build_run().
 PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng);
 
 }  // namespace ess::apps::ppm

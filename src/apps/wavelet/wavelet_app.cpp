@@ -33,22 +33,26 @@ double correlate(const Plane& a, const Plane& b, int m, int dr, int dc,
 
 }  // namespace
 
-WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
-                             Rng& rng) {
-  WaveletRunResult result;
+WaveletNumericsInput numerics_input(const WaveletConfig& cfg) {
+  return {cfg.image_size,      cfg.levels,     cfg.seed,
+          cfg.reference_count, cfg.search_coarse, cfg.search_mid,
+          cfg.search_fine};
+}
+
+WaveletNumerics compute_numerics(const WaveletNumericsInput& in) {
+  WaveletNumerics result;
   std::uint64_t flops = 0;
 
-  // ---- phase A: the real numerics ----
-  Plane scene = synthetic_scene(cfg.image_size, cfg.seed);
+  Plane scene = synthetic_scene(in.image_size, in.seed);
   result.input_energy = energy(scene);
   flops += scene.data().size() * 2;
 
   Plane haar = scene;
-  flops += forward2d(haar, cfg.levels, Filter::kHaar).flops;
+  flops += forward2d(haar, in.levels, Filter::kHaar).flops;
   result.haar_energy = energy(haar);
 
   Plane d4 = scene;
-  flops += forward2d(d4, cfg.levels, Filter::kDaub4).flops;
+  flops += forward2d(d4, in.levels, Filter::kDaub4).flops;
   result.d4_energy = energy(d4);
   result.compression_ratio =
       static_cast<double>(near_zero(d4, 1.0)) /
@@ -57,12 +61,12 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   // Pyramid registration against a batch of reference scenes: the same
   // terrain shifted by a known offset, decomposed, then located by a
   // coarse-to-fine shift search over the approximation subbands.
-  const int coarse_m = cfg.image_size >> (cfg.levels - 2);
-  const int mid_m = cfg.image_size >> 2;
-  const int fine_m = cfg.image_size;
+  const int coarse_m = in.image_size >> (in.levels - 2);
+  const int mid_m = in.image_size >> 2;
+  const int fine_m = in.image_size;
   int best_r = 0, best_c = 0;
-  for (int ref = 0; ref < cfg.reference_count; ++ref) {
-    const int n = cfg.image_size;
+  for (int ref = 0; ref < in.reference_count; ++ref) {
+    const int n = in.image_size;
     const int true_sr = 3 + 2 * ref, true_sc = -5 + 3 * ref;
     Plane reference(n);
     for (int r = 0; r < n; ++r) {
@@ -72,7 +76,7 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
       }
     }
     Plane ref_d4 = std::move(reference);
-    flops += forward2d(ref_d4, cfg.levels, Filter::kDaub4).flops;
+    flops += forward2d(ref_d4, in.levels, Filter::kDaub4).flops;
 
     auto search = [&](int m, int grid, int center_r, int center_c) {
       double best = -1e300;
@@ -90,9 +94,9 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
       }
       return std::pair{br, bc};
     };
-    std::tie(best_r, best_c) = search(coarse_m, cfg.search_coarse, 0, 0);
-    std::tie(best_r, best_c) = search(mid_m, cfg.search_mid, best_r, best_c);
-    std::tie(best_r, best_c) = search(fine_m, cfg.search_fine, best_r, best_c);
+    std::tie(best_r, best_c) = search(coarse_m, in.search_coarse, 0, 0);
+    std::tie(best_r, best_c) = search(mid_m, in.search_mid, best_r, best_c);
+    std::tie(best_r, best_c) = search(fine_m, in.search_fine, best_r, best_c);
   }
   result.best_shift_row = best_r;
   result.best_shift_col = best_c;
@@ -100,13 +104,34 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   // The real compression back-end: quantize + Huffman, decode, and check
   // the reconstruction. The achieved payload sizes the output file.
   const CompressionResult comp =
-      compress_roundtrip(scene, cfg.levels, /*step=*/8.0);
+      compress_roundtrip(scene, in.levels, /*step=*/8.0);
   result.bits_per_pixel = comp.bits_per_pixel;
   result.psnr_db = comp.psnr_db;
+  result.payload_bytes = comp.payload_bytes;
   flops += scene.data().size() * 40;  // quantize + entropy-code model
   result.native_flops = flops;
+  return result;
+}
 
-  // ---- phase B: the workload trace ----
+WaveletRunResult build_run(const WaveletConfig& cfg,
+                           const WaveletNumerics& numerics, double cpu_mflops,
+                           Rng& rng) {
+  WaveletRunResult result;
+  result.input_energy = numerics.input_energy;
+  result.haar_energy = numerics.haar_energy;
+  result.d4_energy = numerics.d4_energy;
+  result.compression_ratio = numerics.compression_ratio;
+  result.bits_per_pixel = numerics.bits_per_pixel;
+  result.psnr_db = numerics.psnr_db;
+  result.best_shift_row = numerics.best_shift_row;
+  result.best_shift_col = numerics.best_shift_col;
+  result.native_flops = numerics.native_flops;
+
+  // The registration search's subband sizes (coarse -> fine).
+  const int coarse_m = cfg.image_size >> (cfg.levels - 2);
+  const int mid_m = cfg.image_size >> 2;
+  const int fine_m = cfg.image_size;
+
   workload::OpTraceBuilder b("wavelet");
   b.set_image_bytes(cfg.image_bytes);
   b.set_image_warm_fraction(cfg.image_warm_fraction);
@@ -180,7 +205,7 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   // tail activity). The compressed payload for both filter banks plus a
   // lossless residual band, sized from the measured bitrate.
   const std::uint64_t out_bytes =
-      std::max<std::uint64_t>(comp.payload_bytes * 6, plane_bytes / 4);
+      std::max<std::uint64_t>(numerics.payload_bytes * 6, plane_bytes / 4);
   b.compute_with_working_set(to_time(static_cast<double>(plane_bytes)),
                              scene_first, plane_pages, 8, 32, 0.3, rng);
   for (std::uint64_t off = 0; off < out_bytes; off += 16 * 1024) {
@@ -194,6 +219,12 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   result.trace = std::move(b).build();
   result.modelled_compute = result.trace.total_compute();
   return result;
+}
+
+WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
+                             Rng& rng) {
+  return build_run(cfg, compute_numerics(numerics_input(cfg)), cpu_mflops,
+                   rng);
 }
 
 }  // namespace ess::apps::wavelet

@@ -8,6 +8,7 @@
 // application with significant input data.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -50,6 +51,47 @@ struct WaveletRunResult {
   workload::OpTrace trace;
 };
 
+/// Every WaveletConfig field the transforms, the registration search and
+/// the compression back-end read: a complete key for their results.
+struct WaveletNumericsInput {
+  int image_size = 0;
+  int levels = 0;
+  std::uint64_t seed = 0;
+  int reference_count = 0;
+  int search_coarse = 0;
+  int search_mid = 0;
+  int search_fine = 0;
+
+  auto operator<=>(const WaveletNumericsInput&) const = default;
+};
+
+/// Phase A's RNG-free results: the result scalars plus the compressed
+/// payload size that sizes the output file.
+struct WaveletNumerics {
+  double input_energy = 0;
+  double haar_energy = 0;
+  double d4_energy = 0;
+  double compression_ratio = 0;
+  double bits_per_pixel = 0;
+  double psnr_db = 0;
+  int best_shift_row = 0;
+  int best_shift_col = 0;
+  std::uint64_t native_flops = 0;
+  std::uint64_t payload_bytes = 0;
+};
+
+WaveletNumericsInput numerics_input(const WaveletConfig& cfg);
+
+/// Decompose, register and compress the synthetic scene.
+WaveletNumerics compute_numerics(const WaveletNumericsInput& in);
+
+/// Build the workload trace from numerics computed for
+/// numerics_input(cfg).
+WaveletRunResult build_run(const WaveletConfig& cfg,
+                           const WaveletNumerics& numerics, double cpu_mflops,
+                           Rng& rng);
+
+/// compute_numerics() then build_run().
 WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
                              Rng& rng);
 

@@ -1,0 +1,66 @@
+#include "core/numerics_cache.hpp"
+
+#include "core/study.hpp"
+#include "exec/thread_pool.hpp"
+
+namespace ess::core {
+namespace {
+
+struct Caches {
+  OnceCache<apps::ppm::PpmNumericsInput, apps::ppm::PpmNumerics> ppm;
+  OnceCache<apps::wavelet::WaveletNumericsInput,
+            apps::wavelet::WaveletNumerics>
+      wavelet;
+  OnceCache<apps::nbody::NBodyNumericsInput, apps::nbody::NBodyNumerics>
+      nbody;
+};
+
+Caches& caches() {
+  static Caches c;
+  return c;
+}
+
+}  // namespace
+
+AppNumerics app_numerics(const StudyConfig& cfg) {
+  Caches& c = caches();
+  const auto ppm_in = apps::ppm::numerics_input(cfg.ppm);
+  const auto wavelet_in = apps::wavelet::numerics_input(cfg.wavelet);
+  const auto nbody_in = apps::nbody::numerics_input(cfg.nbody);
+  auto ppm = c.ppm.claim(ppm_in);
+  auto wavelet = c.wavelet.claim(wavelet_in);
+  auto nbody = c.nbody.claim(nbody_in);
+
+  if (ppm.owns() || wavelet.owns() || nbody.owns()) {
+    // No pool job waits on another: the app jobs run to completion, and
+    // only this thread waits, on the force blocks it submitted.
+    exec::ThreadPool pool(exec::default_workers());
+    if (ppm.owns()) {
+      pool.submit([&] {
+        c.ppm.fill(ppm_in, ppm,
+                   [&] { return apps::ppm::compute_numerics(ppm_in); });
+      });
+    }
+    if (wavelet.owns()) {
+      pool.submit([&] {
+        c.wavelet.fill(wavelet_in, wavelet, [&] {
+          return apps::wavelet::compute_numerics(wavelet_in);
+        });
+      });
+    }
+    if (nbody.owns()) {
+      c.nbody.fill(nbody_in, nbody, [&] {
+        return apps::nbody::compute_numerics(nbody_in, &pool);
+      });
+    }
+    pool.wait_idle();
+  }
+  return {ppm.get(), wavelet.get(), nbody.get()};
+}
+
+NumericsCacheStats numerics_cache_stats() {
+  const Caches& c = caches();
+  return {c.ppm.counts(), c.wavelet.counts(), c.nbody.counts()};
+}
+
+}  // namespace ess::core

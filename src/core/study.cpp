@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "core/numerics_cache.hpp"
 #include "kernel/node_kernel.hpp"
 #include "telemetry/consumers.hpp"
 #include "telemetry/snapshot.hpp"
@@ -66,12 +67,16 @@ Study::Study(StudyConfig cfg) : cfg_(std::move(cfg)) {}
 
 const Artifacts& Study::artifacts() {
   if (!artifacts_) {
+    const AppNumerics n = app_numerics(cfg_);
+    // The trace builds draw from one Rng in PPM -> wavelet -> N-body order,
+    // as the apps' run_* entry points would in sequence.
     Artifacts a;
     Rng rng(cfg_.seed);
     const double mflops = cfg_.node.cpu_mflops;
-    a.ppm = apps::ppm::run_ppm(cfg_.ppm, mflops, rng);
-    a.wavelet = apps::wavelet::run_wavelet(cfg_.wavelet, mflops, rng);
-    a.nbody = apps::nbody::run_nbody(cfg_.nbody, mflops, rng);
+    a.ppm = apps::ppm::build_run(cfg_.ppm, *n.ppm, mflops, rng);
+    a.wavelet =
+        apps::wavelet::build_run(cfg_.wavelet, *n.wavelet, mflops, rng);
+    a.nbody = apps::nbody::build_run(cfg_.nbody, *n.nbody, mflops, rng);
     artifacts_ = std::move(a);
   }
   return *artifacts_;

@@ -69,7 +69,7 @@ struct RunResult {
   std::uint64_t events_fired = 0;
 };
 
-/// Cached phase-A outputs (real numerics + op traces).
+/// Phase-A outputs (real numerics + op traces) of one Study.
 struct Artifacts {
   apps::ppm::PpmRunResult ppm;
   apps::wavelet::WaveletRunResult wavelet;
@@ -80,7 +80,11 @@ class Study {
  public:
   explicit Study(StudyConfig cfg);
 
-  /// Phase A on demand; cached for all subsequent runs.
+  /// Phase A on demand, kept for this Study's later runs. The numerics
+  /// come from the process-wide cache (core/numerics_cache.hpp): computed
+  /// at most once per process per numerics key, whichever Study asks
+  /// first. The op traces are built here from this Study's seed and CPU
+  /// speed, identical to calling the apps' run_* entry points in turn.
   const Artifacts& artifacts();
 
   RunResult run_baseline();

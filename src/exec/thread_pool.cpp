@@ -1,6 +1,14 @@
 #include "exec/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -60,12 +68,83 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call's shared state. Helper jobs hold it by shared_ptr:
+/// one that starts after every index was claimed only touches `next`.
+struct ForState {
+  explicit ForState(std::size_t n) : n(n), errors(n) {}
+
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors;  // slot i written by index i only
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::size_t done = 0;  // guarded by mu
+
+  /// Claim and run indices until none are left.
+  void drain(const std::function<void(std::size_t)>& fn) {
+    std::size_t ran = 0;
+    for (std::size_t i; (i = next.fetch_add(1)) < n; ++ran) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done += ran;
+    if (done == n) done_cv.notify_all();
+  }
+};
+
+}  // namespace
+
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  auto state = std::make_shared<ForState>(n);
+  // The caller drains too, so at most n - 1 helpers can find work. `fn`
+  // outlives every claimed index: the caller returns only once all ran.
+  const std::size_t helpers = std::min(pool.workers(), n - 1);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([state, &fn] { state->drain(fn); });
+  }
+  state->drain(fn);
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->done_cv.wait(lock, [&] { return state->done == n; });
+  }
+  for (const auto& e : state->errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
+std::optional<std::size_t> parse_worker_count(const std::string& text) {
+  // Digits only: "-1", "4x", " 8" and "" all fail the same way instead of
+  // whatever strtol salvages. 19 digits cannot overflow stoull.
+  if (text.empty() || text.size() > 19) return std::nullopt;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+  }
+  const unsigned long long v = std::stoull(text);
+  if (v > kMaxWorkers) return std::nullopt;  // a typo, not a request
+  return static_cast<std::size_t>(v);
+}
+
 std::size_t default_workers() {
   if (const char* v = std::getenv("ESS_JOBS")) {
-    char* end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end != v && n >= 0) return static_cast<std::size_t>(n);
+    if (const auto n = parse_worker_count(v)) return *n;
   }
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -16,6 +16,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -53,9 +55,29 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Run fn(0) .. fn(n - 1), each exactly once, across the pool's workers
+/// and the calling thread; returns when every index has finished. Indices
+/// are claimed dynamically, so a fn whose effects depend only on its index
+/// gives the same result at any worker count. The caller never waits on a
+/// queued job, only on indices already running, so it may itself be a pool
+/// worker. If any fn throws, every index still runs and the exception of
+/// the lowest throwing index is rethrown.
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
+/// Upper bound a worker count may take: far above any real machine, low
+/// enough that a mistyped value cannot ask for a million threads.
+inline constexpr std::size_t kMaxWorkers = 4096;
+
+/// Strict parse of a worker count (ESS_JOBS, esstrace's --jobs): decimal
+/// digits only — no sign, whitespace or trailing junk — at most
+/// kMaxWorkers. Anything else is nullopt.
+std::optional<std::size_t> parse_worker_count(const std::string& text);
+
 /// Worker-count default for experiment fan-out: the ESS_JOBS environment
-/// variable when set (0 allowed: inline serial), else the hardware thread
-/// count, else 1.
+/// variable when it parses (0 allowed: inline serial), else the number of
+/// CPUs this process may run on (its affinity mask, so a pinned container
+/// is not oversubscribed), else the hardware thread count, else 1.
 std::size_t default_workers();
 
 }  // namespace ess::exec

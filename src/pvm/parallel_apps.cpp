@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
+#include "apps/nbody/nbody_app.hpp"
 #include "apps/nbody/octree.hpp"
-#include "apps/ppm/euler2d.hpp"
+#include "apps/ppm/ppm_app.hpp"
 #include "workload/builder.hpp"
 
 namespace ess::pvm {
@@ -16,15 +17,14 @@ using workload::OpTraceBuilder;
 
 std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
                                   double cpu_mflops, Rng& rng) {
-  // Run the real solver once to obtain per-step work and final results.
-  apps::ppm::PpmSolver solver(cfg.nx, cfg.ny, 1.0 / cfg.nx, 1.0 / cfg.nx);
-  solver.init_blast(0.1, 10.0, 0.1);
+  // Run the real solver once to obtain per-step work.
+  const auto numerics =
+      apps::ppm::compute_numerics(apps::ppm::numerics_input(cfg));
   std::vector<double> step_flops;
-  step_flops.reserve(static_cast<std::size_t>(cfg.steps));
-  for (int s = 0; s < cfg.steps; ++s) {
-    step_flops.push_back(
-        static_cast<double>(solver.step(cfg.cfl).flops) *
-        cfg.model_flops_per_flop);
+  step_flops.reserve(numerics.step_flops.size());
+  for (const std::uint64_t flops : numerics.step_flops) {
+    step_flops.push_back(static_cast<double>(flops) *
+                         cfg.model_flops_per_flop);
   }
 
   // Ghost row: nx cells x 4 fields x 8 bytes, two rows deep.
@@ -39,7 +39,7 @@ std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
     // Weak scaling: the config is the PER-PROCESSOR problem (the paper's
     // "four 240x480 grids per processor"); the global domain grows with
     // the rank count.
-    const std::uint64_t anon = solver.memory_bytes() + 256 * 1024;
+    const std::uint64_t anon = numerics.memory_bytes + 256 * 1024;
     b.set_anon_bytes(anon);
     const auto out_file =
         r == 0 ? b.output_file(cfg.output_path) : workload::FileRef{0};
@@ -87,10 +87,10 @@ std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
 std::vector<OpTrace> parallel_nbody(const apps::nbody::NBodyConfig& cfg,
                                     int ranks, double cpu_mflops, Rng& rng) {
   // One real run for the interaction counts.
-  apps::nbody::NBodySim sim(cfg.bodies, cfg.seed);
+  const auto numerics =
+      apps::nbody::compute_numerics(apps::nbody::numerics_input(cfg));
   std::vector<double> step_flops;
-  for (int s = 0; s < cfg.steps; ++s) {
-    const auto inter = sim.step(cfg.dt, cfg.theta, cfg.softening);
+  for (const std::uint64_t inter : numerics.step_interactions) {
     step_flops.push_back(static_cast<double>(inter) *
                              cfg.flops_per_interaction +
                          static_cast<double>(cfg.bodies) * 60.0 * 13.0);

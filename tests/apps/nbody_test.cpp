@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
 
 namespace ess::apps::nbody {
 namespace {
@@ -148,6 +152,41 @@ TEST(NBodyApp, TraceHasCheckpointsAndFinalSnapshot) {
 TEST(NBodyApp, DefaultConfigMatchesPaperScale) {
   const NBodyConfig cfg;
   EXPECT_EQ(cfg.bodies, 8192);  // "8K particles per processor"
+}
+
+struct ForceRun {
+  std::vector<Body> bodies;
+  std::vector<std::uint64_t> step_interactions;
+  std::uint64_t total = 0;
+};
+
+ForceRun run_sim(exec::ThreadPool* pool) {
+  NBodySim sim(1536, 11, pool);
+  ForceRun r;
+  for (int s = 0; s < 3; ++s) {
+    r.step_interactions.push_back(sim.step(0.01, 0.6, 0.05));
+  }
+  r.bodies = sim.bodies();
+  r.total = sim.total_interactions();
+  return r;
+}
+
+TEST(NBodySim, ForcePassBitIdenticalAtAnyWorkerCount) {
+  const ForceRun serial = run_sim(nullptr);
+  for (const std::size_t workers : {0u, 1u, 2u, 3u, 8u}) {
+    exec::ThreadPool pool(workers);
+    const ForceRun r = run_sim(&pool);
+    ASSERT_EQ(r.bodies.size(), serial.bodies.size());
+    for (std::size_t i = 0; i < r.bodies.size(); ++i) {
+      const Body& a = r.bodies[i];
+      const Body& b = serial.bodies[i];
+      EXPECT_EQ(std::memcmp(&a.pos, &b.pos, sizeof a.pos), 0) << i;
+      EXPECT_EQ(std::memcmp(&a.vel, &b.vel, sizeof a.vel), 0) << i;
+      EXPECT_EQ(std::memcmp(&a.acc, &b.acc, sizeof a.acc), 0) << i;
+    }
+    EXPECT_EQ(r.step_interactions, serial.step_interactions) << workers;
+    EXPECT_EQ(r.total, serial.total) << workers;
+  }
 }
 
 class ThetaSweep : public ::testing::TestWithParam<double> {};

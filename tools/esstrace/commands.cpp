@@ -93,15 +93,9 @@ void render_result(const telemetry::StreamSummary::Result& r,
 }  // namespace
 
 bool parse_jobs(const std::string& text, std::size_t& jobs) {
-  // Digits only: no sign, no whitespace, no trailing junk — "-1", "4x",
-  // " 8" and "" all fail the same way instead of whatever stoul salvages.
-  if (text.empty() || text.size() > 19) return false;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-  }
-  const unsigned long long v = std::stoull(text);
-  if (v > kMaxJobs) return false;  // absurd counts are typos, not requests
-  jobs = static_cast<std::size_t>(v);
+  const auto v = exec::parse_worker_count(text);
+  if (!v) return false;
+  jobs = *v;
   return true;
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/esst.hpp"
 #include "trace/trace_set.hpp"
@@ -18,10 +19,8 @@ namespace ess::esstrace {
 
 enum class TraceFormat { kEsst, kLegacyBinary, kCsv };
 
-/// Upper bound a `--jobs`/`--shards` value may take: far above any real
-/// machine, low enough that a mistyped value cannot ask for a million
-/// threads.
-inline constexpr std::size_t kMaxJobs = 4096;
+/// Upper bound a `--jobs`/`--shards` value may take (exec::kMaxWorkers).
+inline constexpr std::size_t kMaxJobs = exec::kMaxWorkers;
 
 /// Strict parse of a worker-count option value: decimal digits only (no
 /// sign, no whitespace, no trailing junk), at most kMaxJobs. 0 is valid
