@@ -148,11 +148,10 @@ void BM_OctreeForcePass(benchmark::State& state) {
   apps::nbody::Octree tree;
   tree.build(sim.bodies());
   std::uint64_t inter = 0;
-  std::vector<int> stack;
   int i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        tree.acceleration(sim.bodies(), i, 0.85, 0.05, inter, stack));
+        tree.acceleration(sim.bodies(), i, 0.85, 0.05, inter));
     i = (i + 1) % 2048;
   }
 }

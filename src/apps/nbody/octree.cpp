@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -39,6 +40,9 @@ void Octree::build(const std::vector<Body>& bodies) {
     insert(bodies, 0, i, 0);
   }
   finalize(bodies, 0);
+  walk_.clear();
+  walk_.reserve(nodes_.size());
+  flatten(bodies, 0);
 }
 
 void Octree::insert(const std::vector<Body>& bodies, int node, int body,
@@ -105,46 +109,52 @@ void Octree::finalize(const std::vector<Body>& bodies, int node) {
   if (n.mass > 0) n.com = n.com * (1.0 / n.mass);
 }
 
+void Octree::flatten(const std::vector<Body>& bodies, int node) {
+  const Node& n = nodes_[node];
+  const int at = static_cast<int>(walk_.size());
+  if (n.body >= 0) {
+    // A leaf is always interacted with, at its body's own mass (not the
+    // node's mass x count: coincident bodies merged at the depth limit are
+    // represented by the resident one alone).
+    const Body& b = bodies[n.body];
+    walk_.push_back({b.pos, b.mass, -std::numeric_limits<double>::infinity(),
+                     n.body, at + 1});
+    return;
+  }
+  const double cell = 2.0 * n.half;
+  walk_.push_back({n.com, n.mass, cell * cell, -1, 0});
+  // Children 7..0: the order the sums must keep (see the header).
+  for (int k = 7; k >= 0; --k) {
+    if (n.child[k] >= 0) flatten(bodies, n.child[k]);
+  }
+  walk_[at].skip = static_cast<int>(walk_.size());
+}
+
 Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
                           double theta, double softening,
-                          std::uint64_t& interactions,
-                          std::vector<int>& stack) const {
+                          std::uint64_t& interactions) const {
   const Vec3 pi = bodies[i].pos;
   Vec3 acc;
-  // Explicit stack traversal.
-  stack.clear();
-  stack.push_back(0);
   const double theta2 = theta * theta;
   const double eps2 = softening * softening;
-  while (!stack.empty()) {
-    const int node = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[node];
-    if (n.count == 0) continue;
-    if (n.body >= 0) {
-      if (n.body == i) continue;
-      const Vec3 d = bodies[n.body].pos - pi;
-      const double r2 = d.norm2() + eps2;
-      const double inv_r = 1.0 / std::sqrt(r2);
-      const double f = bodies[n.body].mass * inv_r * inv_r * inv_r;
-      acc += d * f;
-      ++interactions;
-      continue;
-    }
-    const Vec3 d = n.com - pi;
+  const WalkEntry* walk = walk_.data();
+  const int end = static_cast<int>(walk_.size());
+  for (int k = 0; k < end;) {
+    const WalkEntry& e = walk[k];
+    const Vec3 d = e.com - pi;
     const double r2 = d.norm2();
-    const double cell = 2.0 * n.half;
-    if (cell * cell < theta2 * r2) {
-      // Far enough: interact with the cell's COM.
-      const double rr2 = r2 + eps2;
-      const double inv_r = 1.0 / std::sqrt(rr2);
-      const double f = n.mass * inv_r * inv_r * inv_r;
-      acc += d * f;
-      ++interactions;
-    } else {
-      for (const int c : n.child) {
-        if (c >= 0) stack.push_back(c);
+    if (e.cell2 < theta2 * r2) {
+      // Far enough (or a leaf): interact, then skip the subtree.
+      if (e.body != i) {
+        const double rr2 = r2 + eps2;
+        const double inv_r = 1.0 / std::sqrt(rr2);
+        const double f = e.mass * inv_r * inv_r * inv_r;
+        acc += d * f;
+        ++interactions;
       }
+      k = e.skip;
+    } else {
+      ++k;  // open the cell: its children follow it
     }
   }
   return acc;
@@ -170,20 +180,16 @@ NBodySim::NBodySim(int n_bodies, std::uint64_t seed, exec::ThreadPool* pool)
 
 void NBodySim::compute_forces(double theta, double softening) {
   tree_.build(bodies_);
-  // COM of leaf nodes is the body itself; the traversal reads bodies_
-  // directly for leaves, so only internal nodes needed finalize(). Blocks
-  // read positions and masses and write only their own bodies' acc.
+  // Blocks read the tree and write only their own bodies' acc.
   const std::size_t n = bodies_.size();
   const std::size_t block = (n + kForceBlocks - 1) / kForceBlocks;
   std::array<std::uint64_t, kForceBlocks> inter{};
   const auto force_block = [&](std::size_t k) {
-    std::vector<int> stack;
-    stack.reserve(256);
     std::uint64_t count = 0;  // local: inter[] shares cache lines
     const std::size_t end = std::min(n, (k + 1) * block);
     for (std::size_t i = k * block; i < end; ++i) {
       bodies_[i].acc = tree_.acceleration(bodies_, static_cast<int>(i), theta,
-                                          softening, count, stack);
+                                          softening, count);
     }
     inter[k] = count;
   };

@@ -13,6 +13,14 @@
 // per-block interaction counts are summed as integers, so positions,
 // velocities, accelerations and counts are bit-identical at any worker
 // count, serial included.
+//
+// build() also flattens the tree into a walk array in depth-first
+// pre-order, children 7..0. acceleration() is one linear loop over it: an
+// accepted entry interacts and jumps past its subtree, a rejected one
+// steps into it. That order and the arithmetic's order are fixed: the
+// results must keep the bits of the explicit-stack traversal the walk
+// replaced (which pushed children 0..7 and popped them 7..0), and
+// NBodySim.MatchesPinnedStackTraversalDigest checks that they do.
 #pragma once
 
 #include <array>
@@ -63,12 +71,11 @@ class Octree {
   /// Build over the given bodies (the bounding cube is computed).
   void build(const std::vector<Body>& bodies);
 
-  /// Accumulate the acceleration on body i; counts every body-body and
-  /// body-cell interaction evaluated. `stack` is caller-provided traversal
-  /// scratch (reused across bodies to avoid per-call allocation).
+  /// Accumulate the acceleration on body i of the bodies the tree was
+  /// built over; counts every body-body and body-cell interaction
+  /// evaluated.
   Vec3 acceleration(const std::vector<Body>& bodies, int i, double theta,
-                    double softening, std::uint64_t& interactions,
-                    std::vector<int>& stack) const;
+                    double softening, std::uint64_t& interactions) const;
 
   std::size_t node_count() const { return nodes_.size(); }
   const Node& root() const { return nodes_.front(); }
@@ -80,8 +87,19 @@ class Octree {
   int make_node(const Vec3& center, double half);
   void insert(const std::vector<Body>& bodies, int node, int body, int depth);
   void finalize(const std::vector<Body>& bodies, int node);
+  void flatten(const std::vector<Body>& bodies, int node);
+
+  /// One node of the force walk, in visit order.
+  struct WalkEntry {
+    Vec3 com;          // internal: centre of mass; leaf: the body's pos
+    double mass = 0;   // internal: subtree mass; leaf: the body's mass
+    double cell2 = 0;  // internal: (2 half)^2; leaf: -inf (always accepted)
+    int body = -1;     // leaf: the body's index; internal: -1
+    int skip = 0;      // index of the first entry after this subtree
+  };
 
   std::vector<Node> nodes_;
+  std::vector<WalkEntry> walk_;
 };
 
 struct SystemStats {

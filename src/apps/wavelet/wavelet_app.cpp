@@ -5,33 +5,11 @@
 #include <tuple>
 
 #include "apps/wavelet/compress.hpp"
+#include "apps/wavelet/correlate.hpp"
 #include "apps/wavelet/wavelet2d.hpp"
 #include "workload/builder.hpp"
 
 namespace ess::apps::wavelet {
-namespace {
-
-/// Normalized correlation of two planes restricted to their top-left m x m
-/// block, with the candidate shifted by (dr, dc) (periodic). Returns the
-/// score and counts flops.
-double correlate(const Plane& a, const Plane& b, int m, int dr, int dc,
-                 std::uint64_t& flops) {
-  // Floored modulo: shifts accumulated across pyramid levels can exceed m
-  // in magnitude in either direction.
-  const auto wrap = [m](int x) { return ((x % m) + m) % m; };
-  double sum = 0;
-  for (int r = 0; r < m; ++r) {
-    const int rr = wrap(r + dr);
-    for (int c = 0; c < m; ++c) {
-      const int cc = wrap(c + dc);
-      sum += a.at(r, c) * b.at(rr, cc);
-    }
-  }
-  flops += static_cast<std::uint64_t>(m) * m * 2;
-  return sum;
-}
-
-}  // namespace
 
 WaveletNumericsInput numerics_input(const WaveletConfig& cfg) {
   return {cfg.image_size,      cfg.levels,     cfg.seed,
@@ -47,59 +25,65 @@ WaveletNumerics compute_numerics(const WaveletNumericsInput& in) {
   result.input_energy = energy(scene);
   flops += scene.data().size() * 2;
 
-  Plane haar = scene;
-  flops += forward2d(haar, in.levels, Filter::kHaar).flops;
-  result.haar_energy = energy(haar);
+  // Each working plane is scoped to its stage, so it is freed before the
+  // next stage allocates.
+  {
+    Plane haar = scene;
+    flops += forward2d(haar, in.levels, Filter::kHaar).flops;
+    result.haar_energy = energy(haar);
+  }
 
-  Plane d4 = scene;
-  flops += forward2d(d4, in.levels, Filter::kDaub4).flops;
-  result.d4_energy = energy(d4);
-  result.compression_ratio =
-      static_cast<double>(near_zero(d4, 1.0)) /
-      static_cast<double>(d4.data().size());
+  {
+    Plane d4 = scene;
+    flops += forward2d(d4, in.levels, Filter::kDaub4).flops;
+    result.d4_energy = energy(d4);
+    result.compression_ratio =
+        static_cast<double>(near_zero(d4, 1.0)) /
+        static_cast<double>(d4.data().size());
 
-  // Pyramid registration against a batch of reference scenes: the same
-  // terrain shifted by a known offset, decomposed, then located by a
-  // coarse-to-fine shift search over the approximation subbands.
-  const int coarse_m = in.image_size >> (in.levels - 2);
-  const int mid_m = in.image_size >> 2;
-  const int fine_m = in.image_size;
-  int best_r = 0, best_c = 0;
-  for (int ref = 0; ref < in.reference_count; ++ref) {
-    const int n = in.image_size;
-    const int true_sr = 3 + 2 * ref, true_sc = -5 + 3 * ref;
-    Plane reference(n);
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) {
-        reference.at(r, c) =
-            scene.at((r + true_sr + n) % n, (c + true_sc + n) % n);
-      }
-    }
-    Plane ref_d4 = std::move(reference);
-    flops += forward2d(ref_d4, in.levels, Filter::kDaub4).flops;
-
-    auto search = [&](int m, int grid, int center_r, int center_c) {
-      double best = -1e300;
-      int br = center_r, bc = center_c;
-      for (int dr = -grid / 2; dr < grid / 2; ++dr) {
-        for (int dc = -grid / 2; dc < grid / 2; ++dc) {
-          const double s = correlate(d4, ref_d4, m, center_r + dr,
-                                     center_c + dc, flops);
-          if (s > best) {
-            best = s;
-            br = center_r + dr;
-            bc = center_c + dc;
-          }
+    // Pyramid registration against a batch of reference scenes: the same
+    // terrain shifted by a known offset, decomposed, then located by a
+    // coarse-to-fine shift search over the approximation subbands.
+    const int coarse_m = in.image_size >> (in.levels - 2);
+    const int mid_m = in.image_size >> 2;
+    const int fine_m = in.image_size;
+    int best_r = 0, best_c = 0;
+    for (int ref = 0; ref < in.reference_count; ++ref) {
+      const int n = in.image_size;
+      const int true_sr = 3 + 2 * ref, true_sc = -5 + 3 * ref;
+      Plane reference(n);
+      for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < n; ++c) {
+          reference.at(r, c) =
+              scene.at((r + true_sr + n) % n, (c + true_sc + n) % n);
         }
       }
-      return std::pair{br, bc};
-    };
-    std::tie(best_r, best_c) = search(coarse_m, in.search_coarse, 0, 0);
-    std::tie(best_r, best_c) = search(mid_m, in.search_mid, best_r, best_c);
-    std::tie(best_r, best_c) = search(fine_m, in.search_fine, best_r, best_c);
+      Plane ref_d4 = std::move(reference);
+      flops += forward2d(ref_d4, in.levels, Filter::kDaub4).flops;
+
+      auto search = [&](int m, int grid, int center_r, int center_c) {
+        double best = -1e300;
+        int br = center_r, bc = center_c;
+        for (int dr = -grid / 2; dr < grid / 2; ++dr) {
+          for (int dc = -grid / 2; dc < grid / 2; ++dc) {
+            const double s = correlate(d4, ref_d4, m, center_r + dr,
+                                       center_c + dc, flops);
+            if (s > best) {
+              best = s;
+              br = center_r + dr;
+              bc = center_c + dc;
+            }
+          }
+        }
+        return std::pair{br, bc};
+      };
+      std::tie(best_r, best_c) = search(coarse_m, in.search_coarse, 0, 0);
+      std::tie(best_r, best_c) = search(mid_m, in.search_mid, best_r, best_c);
+      std::tie(best_r, best_c) = search(fine_m, in.search_fine, best_r, best_c);
+    }
+    result.best_shift_row = best_r;
+    result.best_shift_col = best_c;
   }
-  result.best_shift_row = best_r;
-  result.best_shift_col = best_c;
 
   // The real compression back-end: quantize + Huffman, decode, and check
   // the reconstruction. The achieved payload sizes the output file.

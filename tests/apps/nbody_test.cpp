@@ -51,9 +51,8 @@ TEST(Octree, ThetaZeroMatchesDirectSummation) {
   Octree tree;
   tree.build(bodies);
   std::uint64_t inter = 0;
-  std::vector<int> stack;
   for (int i = 0; i < 64; ++i) {
-    const Vec3 a = tree.acceleration(bodies, i, 0.0, 0.05, inter, stack);
+    const Vec3 a = tree.acceleration(bodies, i, 0.0, 0.05, inter);
     Vec3 direct;
     for (int j = 0; j < 64; ++j) {
       if (j == i) continue;
@@ -75,11 +74,10 @@ TEST(Octree, LargerThetaEvaluatesFewerInteractions) {
   const auto bodies = plummer(2048, 5);
   Octree tree;
   tree.build(bodies);
-  std::vector<int> stack;
   auto count = [&](double theta) {
     std::uint64_t inter = 0;
     for (int i = 0; i < 2048; ++i) {
-      tree.acceleration(bodies, i, theta, 0.05, inter, stack);
+      tree.acceleration(bodies, i, theta, 0.05, inter);
     }
     return inter;
   };
@@ -95,11 +93,10 @@ TEST(Octree, ApproximationErrorSmallForModestTheta) {
   Octree tree;
   tree.build(bodies);
   std::uint64_t inter = 0;
-  std::vector<int> stack;
   double max_rel = 0;
   for (int i = 0; i < 512; ++i) {
-    const Vec3 approx = tree.acceleration(bodies, i, 0.5, 0.05, inter, stack);
-    const Vec3 exact = tree.acceleration(bodies, i, 0.0, 0.05, inter, stack);
+    const Vec3 approx = tree.acceleration(bodies, i, 0.5, 0.05, inter);
+    const Vec3 exact = tree.acceleration(bodies, i, 0.0, 0.05, inter);
     const double diff = std::sqrt((approx - exact).norm2());
     const double norm = std::sqrt(exact.norm2()) + 1e-12;
     max_rel = std::max(max_rel, diff / norm);
@@ -187,6 +184,35 @@ TEST(NBodySim, ForcePassBitIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(r.step_interactions, serial.step_interactions) << workers;
     EXPECT_EQ(r.total, serial.total) << workers;
   }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(NBodySim, MatchesPinnedStackTraversalDigest) {
+  // FNV-1a over the per-step interaction counts, then every body's
+  // pos/vel/acc bytes. The constants were recorded from the explicit-stack
+  // tree traversal that the flattened walk replaced: the walk must visit,
+  // accept and sum in exactly the same order.
+  NBodySim sim(2048, 3);
+  std::uint64_t h = 1469598103934665603ull;
+  for (int s = 0; s < 8; ++s) {
+    const std::uint64_t count = sim.step(0.01, 0.6, 0.05);
+    h = fnv1a(h, &count, sizeof count);
+  }
+  for (const Body& b : sim.bodies()) {
+    h = fnv1a(h, &b.pos, sizeof b.pos);
+    h = fnv1a(h, &b.vel, sizeof b.vel);
+    h = fnv1a(h, &b.acc, sizeof b.acc);
+  }
+  EXPECT_EQ(sim.total_interactions(), 6630886u);
+  EXPECT_EQ(h, 0x32a984998fd4e8f6ull);
 }
 
 class ThetaSweep : public ::testing::TestWithParam<double> {};

@@ -1,3 +1,4 @@
+#include "apps/wavelet/correlate.hpp"
 #include "apps/wavelet/wavelet2d.hpp"
 #include "apps/wavelet/wavelet_app.hpp"
 
@@ -6,6 +7,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 namespace ess::apps::wavelet {
 namespace {
@@ -199,6 +202,50 @@ TEST(WaveletApp, EnergyBookkeepingConsistent) {
               1e-6 * result.input_energy);
   EXPECT_GT(result.compression_ratio, 0.1);
   EXPECT_LT(result.compression_ratio, 1.0);
+}
+
+// The registration kernel as it was written before the split-row form: a
+// floored `(c + dc) mod m` per element.
+double correlate_modulo(const Plane& a, const Plane& b, int m, int dr, int dc,
+                        std::uint64_t& flops) {
+  const auto wrap = [m](int x) { return ((x % m) + m) % m; };
+  double sum = 0;
+  for (int r = 0; r < m; ++r) {
+    const int rr = wrap(r + dr);
+    for (int c = 0; c < m; ++c) {
+      const int cc = wrap(c + dc);
+      sum += a.at(r, c) * b.at(rr, cc);
+    }
+  }
+  flops += static_cast<std::uint64_t>(m) * m * 2;
+  return sum;
+}
+
+TEST(Correlate, SplitRowsMatchModuloLoopBitForBit) {
+  // Shifts from -3m to +3m: the floored-modulo cases that accumulate across
+  // pyramid levels. Every column shift is covered. The split touches only
+  // columns, so at m = 64 the row shifts are cut to the wrap boundaries.
+  const Plane a = random_plane(64, 21);
+  const Plane b = random_plane(64, 22);
+  for (const int m : {4, 8, 64}) {
+    std::vector<int> row_shifts;
+    if (m <= 8) {
+      for (int dr = -3 * m; dr <= 3 * m; ++dr) row_shifts.push_back(dr);
+    } else {
+      row_shifts = {-3 * m, -2 * m - 1, -m - 1, -m, -m + 1, -1, 0,
+                    1,      m - 1,      m,      m + 1, 2 * m + 1, 3 * m};
+    }
+    for (const int dr : row_shifts) {
+      for (int dc = -3 * m; dc <= 3 * m; ++dc) {
+        std::uint64_t f_split = 0, f_mod = 0;
+        const double split = correlate(a, b, m, dr, dc, f_split);
+        const double mod = correlate_modulo(a, b, m, dr, dc, f_mod);
+        ASSERT_EQ(std::memcmp(&split, &mod, sizeof split), 0)
+            << "m=" << m << " dr=" << dr << " dc=" << dc;
+        ASSERT_EQ(f_split, f_mod);
+      }
+    }
+  }
 }
 
 }  // namespace
