@@ -143,17 +143,18 @@ void BM_OctreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_OctreeBuild)->Arg(1024)->Arg(8192);
 
+// One whole force pass, as NBodySim::compute_forces runs it (serially):
+// every body in groups of Octree::kGroupSize; items are bodies.
 void BM_OctreeForcePass(benchmark::State& state) {
-  apps::nbody::NBodySim sim(2048, 2);
+  constexpr std::size_t kBodies = 2048;
+  apps::nbody::NBodySim sim(kBodies, 2);
   apps::nbody::Octree tree;
   tree.build(sim.bodies());
-  std::uint64_t inter = 0;
-  int i = 0;
+  auto bodies = sim.bodies();  // accelerate writes only acc
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.acceleration(sim.bodies(), i, 0.85, 0.05, inter));
-    i = (i + 1) % 2048;
+    benchmark::DoNotOptimize(tree.accelerate(bodies, 0, kBodies, 0.85, 0.05));
   }
+  state.SetItemsProcessed(state.iterations() * kBodies);
 }
 BENCHMARK(BM_OctreeForcePass);
 

@@ -6,9 +6,223 @@
 #include <numeric>
 #include <stdexcept>
 
+#if !defined(__SSE2__)
+#error "the N-body group walk needs SSE2"
+#endif
+#include <emmintrin.h>
+
 #include "exec/thread_pool.hpp"
 
 namespace ess::apps::nbody {
+namespace {
+
+// Relative slack on the group bounds: the bounds are already exact (see
+// nearest2), so this only keeps a rounding slip from mattering.
+constexpr double kBoundMargin = 1e-9;
+
+// Squared distance from c to the nearest point of the box [lo, hi]. For a
+// member p in the box, |c - p| rounds to at least the per-axis gap below,
+// and squares and sums round monotonically, so this is at most the r2 =
+// (c - p).norm2() the member computes: it has the same operation shape.
+double nearest2(const Vec3& c, const Vec3& lo, const Vec3& hi) {
+  const auto gap = [](double c, double lo, double hi) {
+    return c < lo ? lo - c : c > hi ? c - hi : 0.0;
+  };
+  return Vec3{gap(c.x, lo.x, hi.x), gap(c.y, lo.y, hi.y),
+              gap(c.z, lo.z, hi.z)}
+      .norm2();
+}
+
+// Squared distance from c to the farthest corner of [lo, hi]: at least
+// every member's r2, by the same argument.
+double farthest2(const Vec3& c, const Vec3& lo, const Vec3& hi) {
+  const auto reach = [](double c, double lo, double hi) {
+    return std::max(std::abs(c - lo), std::abs(c - hi));
+  };
+  return Vec3{reach(c.x, lo.x, hi.x), reach(c.y, lo.y, hi.y),
+              reach(c.z, lo.z, hi.z)}
+      .norm2();
+}
+
+// An entry every member of a group accepts, copied out of the walk.
+struct Item {
+  double x, y, z, mass;
+  double body;  // a leaf's body index (a member skips its own), or -1
+};
+
+// Members evaluated together: the group is taken four at a time.
+constexpr int kLanes = 4;
+
+// Two members in the lanes of SSE2 registers, with the arithmetic of the
+// per-body walk loop in its order: d = com - p, r2 = (d.x*d.x + d.y*d.y) +
+// d.z*d.z, accept iff cell2 < theta2*r2, and acc += d * f with
+// f = mass*inv_r*inv_r*inv_r, inv_r = 1/sqrt(r2 + eps2). A term a member
+// must not add is masked to +0.0, which leaves its sum (which starts at
+// +0.0, so is never -0.0) bit for bit unchanged.
+struct LanePair {
+  __m128d x, y, z;
+  __m128d self;  // the members' body indices
+  __m128d ax = _mm_setzero_pd(), ay = _mm_setzero_pd(),
+          az = _mm_setzero_pd();
+  // The entry under evaluation: d per axis and r2.
+  __m128d dx = _mm_setzero_pd(), dy = _mm_setzero_pd(), dz = _mm_setzero_pd(),
+          r2 = _mm_setzero_pd();
+
+  LanePair(const double* px, const double* py, const double* pz,
+           const int* body)
+      : x(_mm_loadu_pd(px)),
+        y(_mm_loadu_pd(py)),
+        z(_mm_loadu_pd(pz)),
+        self(_mm_set_pd(body[1], body[0])) {}
+
+  void distance(__m128d cx, __m128d cy, __m128d cz) {
+    dx = _mm_sub_pd(cx, x);
+    dy = _mm_sub_pd(cy, y);
+    dz = _mm_sub_pd(cz, z);
+    r2 = _mm_add_pd(_mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)),
+                    _mm_mul_pd(dz, dz));
+  }
+
+  /// Bit l set iff lane l accepts a cell of size^2 `cell2`.
+  int accepts(__m128d cell2, __m128d theta2) const {
+    return _mm_movemask_pd(_mm_cmplt_pd(cell2, _mm_mul_pd(theta2, r2)));
+  }
+
+  void add(__m128d mass, __m128d eps2, __m128d keep) {
+    const __m128d inv_r =
+        _mm_div_pd(_mm_set1_pd(1.0), _mm_sqrt_pd(_mm_add_pd(r2, eps2)));
+    const __m128d f = _mm_and_pd(
+        _mm_mul_pd(_mm_mul_pd(_mm_mul_pd(mass, inv_r), inv_r), inv_r), keep);
+    ax = _mm_add_pd(ax, _mm_mul_pd(dx, f));
+    ay = _mm_add_pd(ay, _mm_mul_pd(dy, f));
+    az = _mm_add_pd(az, _mm_mul_pd(dz, f));
+  }
+};
+
+// Four members of a group, evaluated together.
+class Lanes {
+ public:
+  /// Members at px[0..3] etc.; body < 0 marks an empty lane.
+  Lanes(const double* px, const double* py, const double* pz,
+        const int* body, double eps2)
+      : lo_(px, py, pz, body),
+        hi_(px + 2, py + 2, pz + 2, body + 2),
+        eps2_(_mm_set1_pd(eps2)),
+        body_{body[0], body[1], body[2], body[3]} {}
+
+  /// Add items [begin, end), which every member accepts.
+  void interact(const Item* items, int begin, int end) {
+    for (int j = begin; j < end; ++j) {
+      const Item& it = items[j];
+      const __m128d cx = _mm_set1_pd(it.x), cy = _mm_set1_pd(it.y),
+                    cz = _mm_set1_pd(it.z), mass = _mm_set1_pd(it.mass),
+                    body = _mm_set1_pd(it.body);
+      lo_.distance(cx, cy, cz);
+      hi_.distance(cx, cy, cz);
+      lo_.add(mass, eps2_, _mm_cmpneq_pd(body, lo_.self));
+      hi_.add(mass, eps2_, _mm_cmpneq_pd(body, hi_.self));
+    }
+  }
+
+  /// Every member's own walk over entries [begin, end), a run of whole
+  /// subtrees, in lockstep: an accepted entry interacts (unless it is the
+  /// member's own leaf) and the member resumes after its subtree; a
+  /// rejected one is stepped into. The walk jumps past a subtree once no
+  /// member still inside it opens it, so it visits the union of the
+  /// members' own visits, each in walk order.
+  void walk(const Octree::WalkEntry* walk, int begin, int end, double theta2,
+            std::uint64_t& interactions) {
+    alignas(16) static constexpr std::int64_t kMask[4][2] = {
+        {0, 0}, {-1, 0}, {0, -1}, {-1, -1}};
+    static constexpr int kCount[16] = {0, 1, 1, 2, 1, 2, 2, 3,
+                                       1, 2, 2, 3, 2, 3, 3, 4};
+    const __m128d t2 = _mm_set1_pd(theta2);
+    // Lane l sits out entries before resume[l]: an empty lane, all.
+    int resume[kLanes];
+    for (int l = 0; l < kLanes; ++l) resume[l] = body_[l] >= 0 ? begin : end;
+    int k = std::min(std::min(resume[0], resume[1]),
+                     std::min(resume[2], resume[3]));
+    while (k < end) {
+      const Octree::WalkEntry& e = walk[k];
+      const __m128d cx = _mm_set1_pd(e.com.x), cy = _mm_set1_pd(e.com.y),
+                    cz = _mm_set1_pd(e.com.z), cell2 = _mm_set1_pd(e.cell2);
+      lo_.distance(cx, cy, cz);
+      hi_.distance(cx, cy, cz);
+      const int accept = lo_.accepts(cell2, t2) | (hi_.accepts(cell2, t2) << 2);
+      int active = 0, other = 0;
+      for (int l = 0; l < kLanes; ++l) {
+        active |= (k >= resume[l] ? 1 : 0) << l;
+        other |= (e.body != body_[l] ? 1 : 0) << l;
+      }
+      const int take = accept & active;
+      if (const int use = take & other; use != 0) {
+        const __m128d mass = _mm_set1_pd(e.mass);
+        lo_.add(mass, eps2_, mask(kMask[use & 3]));
+        hi_.add(mass, eps2_, mask(kMask[use >> 2]));
+        interactions += static_cast<std::uint64_t>(kCount[use]);
+      }
+      if (take == active) {
+        k = e.skip;
+      } else {
+        for (int l = 0; l < kLanes; ++l) {
+          if ((take >> l & 1) != 0) resume[l] = e.skip;
+        }
+        ++k;
+      }
+    }
+  }
+
+  Vec3 acc(int lane) const {
+    const LanePair& p = lane < 2 ? lo_ : hi_;
+    alignas(16) double ax[2], ay[2], az[2];
+    _mm_store_pd(ax, p.ax);
+    _mm_store_pd(ay, p.ay);
+    _mm_store_pd(az, p.az);
+    return {ax[lane % 2], ay[lane % 2], az[lane % 2]};
+  }
+
+ private:
+  static __m128d mask(const std::int64_t* bits) {
+    return _mm_castsi128_pd(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(bits)));
+  }
+
+  LanePair lo_, hi_;  // lanes 0-1 and 2-3
+  __m128d eps2_;
+  int body_[kLanes];
+};
+
+}  // namespace
+
+// One group's share of the walk, in walk order: runs of entries every
+// member accepts (copied out as items) and runs of subtrees the members
+// walk themselves.
+struct Octree::GroupList {
+  struct Segment {
+    int begin, end;  // items [begin, end), or walk entries [begin, end)
+    bool walk;
+  };
+  std::vector<Item> items;
+  std::vector<Segment> segments;
+
+  void add_item(const Item& it) {
+    items.push_back(it);
+    const int n = static_cast<int>(items.size());
+    if (!segments.empty() && !segments.back().walk) {
+      segments.back().end = n;
+    } else {
+      segments.push_back({n - 1, n, false});
+    }
+  }
+  void add_walk(int k, int skip) {
+    if (!segments.empty() && segments.back().walk &&
+        segments.back().end == k) {
+      segments.back().end = skip;
+    } else {
+      segments.push_back({k, skip, true});
+    }
+  }
+};
 
 int Octree::make_node(const Vec3& center, double half) {
   Node n;
@@ -20,6 +234,7 @@ int Octree::make_node(const Vec3& center, double half) {
 
 void Octree::build(const std::vector<Body>& bodies) {
   nodes_.clear();
+  merged_.clear();
   if (bodies.empty()) throw std::invalid_argument("no bodies");
   nodes_.reserve(bodies.size() * 2);
 
@@ -42,7 +257,14 @@ void Octree::build(const std::vector<Body>& bodies) {
   finalize(bodies, 0);
   walk_.clear();
   walk_.reserve(nodes_.size());
+  order_.clear();
+  order_.reserve(bodies.size());
+  position_.assign(bodies.size(), -1);
   flatten(bodies, 0);
+  for (const int b : merged_) {
+    position_[static_cast<std::size_t>(b)] = static_cast<int>(order_.size());
+    order_.push_back(b);
+  }
 }
 
 void Octree::insert(const std::vector<Body>& bodies, int node, int body,
@@ -57,6 +279,7 @@ void Octree::insert(const std::vector<Body>& bodies, int node, int body,
   if (depth >= kMaxDepth) {
     // Coincident points: merge into the cell (the COM pass handles mass).
     n.count++;
+    merged_.push_back(body);
     return;
   }
   // Internal (or leaf being split): push any resident body down.
@@ -119,6 +342,9 @@ void Octree::flatten(const std::vector<Body>& bodies, int node) {
     const Body& b = bodies[n.body];
     walk_.push_back({b.pos, b.mass, -std::numeric_limits<double>::infinity(),
                      n.body, at + 1});
+    position_[static_cast<std::size_t>(n.body)] =
+        static_cast<int>(order_.size());
+    order_.push_back(n.body);
     return;
   }
   const double cell = 2.0 * n.half;
@@ -130,33 +356,112 @@ void Octree::flatten(const std::vector<Body>& bodies, int node) {
   walk_[at].skip = static_cast<int>(walk_.size());
 }
 
-Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
-                          double theta, double softening,
-                          std::uint64_t& interactions) const {
-  const Vec3 pi = bodies[i].pos;
-  Vec3 acc;
+std::uint64_t Octree::group_forces(const std::vector<Body>& bodies,
+                                   int first, int last, double theta,
+                                   double softening, Vec3* acc,
+                                   GroupList& list) const {
+  const int count = last - first;
   const double theta2 = theta * theta;
   const double eps2 = softening * softening;
+
+  // Members in lanes, padded to a whole number of Lanes with empty lanes
+  // (body -2) at the last member's position.
+  constexpr int kPadded = (kGroupSize + kLanes - 1) / kLanes * kLanes;
+  double px[kPadded], py[kPadded], pz[kPadded];
+  int id[kPadded];
+  Vec3 lo = bodies[static_cast<std::size_t>(order_[first])].pos, hi = lo;
+  for (int m = 0; m < count; ++m) {
+    const int b = order_[static_cast<std::size_t>(first + m)];
+    const Vec3& p = bodies[static_cast<std::size_t>(b)].pos;
+    px[m] = p.x;
+    py[m] = p.y;
+    pz[m] = p.z;
+    id[m] = b;
+    lo = Vec3{std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = Vec3{std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+  }
+  const int padded = (count + kLanes - 1) / kLanes * kLanes;
+  for (int m = count; m < padded; ++m) {
+    px[m] = px[count - 1];
+    py[m] = py[count - 1];
+    pz[m] = pz[count - 1];
+    id[m] = -2;
+  }
+
+  // The shared walk. An entry every member accepts becomes an item and its
+  // subtree is skipped; one every member opens is stepped into; any other
+  // subtree is left to each member's own walk.
+  list.items.clear();
+  list.segments.clear();
+  std::uint64_t own_leaves = 0;  // members' leaves among the items
+  const double accept2 = theta2 * (1 - kBoundMargin);
+  const double open2 = theta2 * (1 + kBoundMargin);
   const WalkEntry* walk = walk_.data();
   const int end = static_cast<int>(walk_.size());
   for (int k = 0; k < end;) {
     const WalkEntry& e = walk[k];
-    const Vec3 d = e.com - pi;
-    const double r2 = d.norm2();
-    if (e.cell2 < theta2 * r2) {
-      // Far enough (or a leaf): interact, then skip the subtree.
-      if (e.body != i) {
-        const double rr2 = r2 + eps2;
-        const double inv_r = 1.0 / std::sqrt(rr2);
-        const double f = e.mass * inv_r * inv_r * inv_r;
-        acc += d * f;
-        ++interactions;
+    if (e.body < 0 && !(e.cell2 < accept2 * nearest2(e.com, lo, hi))) {
+      if (e.cell2 < open2 * farthest2(e.com, lo, hi)) {
+        list.add_walk(k, e.skip);
+        k = e.skip;
+      } else {
+        ++k;
       }
-      k = e.skip;
-    } else {
-      ++k;  // open the cell: its children follow it
+      continue;
+    }
+    if (e.body >= 0) {
+      const int at = position_[static_cast<std::size_t>(e.body)];
+      if (at >= first && at < last) ++own_leaves;
+    }
+    list.add_item({e.com.x, e.com.y, e.com.z, e.mass,
+                   e.body >= 0 ? static_cast<double>(e.body) : -1.0});
+    k = e.skip;
+  }
+
+  // Each member applies the segments in walk order, so it sums the same
+  // terms in the same order as a walk of its own.
+  std::uint64_t interactions =
+      list.items.size() * static_cast<std::uint64_t>(count) - own_leaves;
+  for (int m = 0; m < count; m += kLanes) {
+    Lanes lanes(px + m, py + m, pz + m, id + m, eps2);
+    for (const GroupList::Segment& s : list.segments) {
+      if (s.walk) {
+        lanes.walk(walk, s.begin, s.end, theta2, interactions);
+      } else {
+        lanes.interact(list.items.data(), s.begin, s.end);
+      }
+    }
+    for (int l = 0; l < kLanes && m + l < count; ++l) acc[m + l] = lanes.acc(l);
+  }
+  return interactions;
+}
+
+std::uint64_t Octree::accelerate(std::vector<Body>& bodies, std::size_t first,
+                                 std::size_t last, double theta,
+                                 double softening) const {
+  GroupList list;
+  std::array<Vec3, kGroupSize> acc;
+  std::uint64_t interactions = 0;
+  for (std::size_t g = first; g < last; g += kGroupSize) {
+    const std::size_t end = std::min(last, g + kGroupSize);
+    interactions += group_forces(bodies, static_cast<int>(g),
+                                 static_cast<int>(end), theta, softening,
+                                 acc.data(), list);
+    for (std::size_t j = g; j < end; ++j) {
+      bodies[static_cast<std::size_t>(order_[j])].acc = acc[j - g];
     }
   }
+  return interactions;
+}
+
+Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
+                          double theta, double softening,
+                          std::uint64_t& interactions) const {
+  GroupList list;
+  Vec3 acc;
+  const int at = position_[static_cast<std::size_t>(i)];
+  interactions +=
+      group_forces(bodies, at, at + 1, theta, softening, &acc, list);
   return acc;
 }
 
@@ -180,18 +485,15 @@ NBodySim::NBodySim(int n_bodies, std::uint64_t seed, exec::ThreadPool* pool)
 
 void NBodySim::compute_forces(double theta, double softening) {
   tree_.build(bodies_);
-  // Blocks read the tree and write only their own bodies' acc.
+  // Blocks of leaf-order positions read the tree and write only their own
+  // bodies' acc.
   const std::size_t n = bodies_.size();
   const std::size_t block = (n + kForceBlocks - 1) / kForceBlocks;
   std::array<std::uint64_t, kForceBlocks> inter{};
   const auto force_block = [&](std::size_t k) {
-    std::uint64_t count = 0;  // local: inter[] shares cache lines
-    const std::size_t end = std::min(n, (k + 1) * block);
-    for (std::size_t i = k * block; i < end; ++i) {
-      bodies_[i].acc = tree_.acceleration(bodies_, static_cast<int>(i), theta,
-                                          softening, count);
-    }
-    inter[k] = count;
+    inter[k] = tree_.accelerate(bodies_, std::min(n, k * block),
+                                std::min(n, (k + 1) * block), theta,
+                                softening);
   };
   if (pool_ != nullptr) {
     exec::parallel_for(*pool_, kForceBlocks, force_block);

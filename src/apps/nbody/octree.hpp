@@ -7,20 +7,27 @@
 // criterion and Plummer softening, leapfrog (KDK) integration, and exact
 // interaction counting.
 //
-// The force pass runs over kForceBlocks fixed blocks of bodies, on an
-// optional exec::ThreadPool. The partition does not depend on the worker
-// count, each body's acceleration is written by exactly one block, and the
-// per-block interaction counts are summed as integers, so positions,
-// velocities, accelerations and counts are bit-identical at any worker
-// count, serial included.
+// The force pass runs over kForceBlocks fixed blocks of the tree's leaf
+// order, on an optional exec::ThreadPool. The partition does not depend on
+// the worker count, each body's acceleration is written by exactly one
+// block, and the per-block interaction counts are summed as integers, so
+// positions, velocities, accelerations and counts are bit-identical at any
+// worker count, serial included.
 //
 // build() also flattens the tree into a walk array in depth-first
-// pre-order, children 7..0. acceleration() is one linear loop over it: an
-// accepted entry interacts and jumps past its subtree, a rejected one
-// steps into it. That order and the arithmetic's order are fixed: the
-// results must keep the bits of the explicit-stack traversal the walk
-// replaced (which pushed children 0..7 and popped them 7..0), and
-// NBodySim.MatchesPinnedStackTraversalDigest checks that they do.
+// pre-order, children 7..0, and records the bodies in leaf order. Forces
+// are computed for groups of kGroupSize bodies consecutive in leaf order:
+// one walk per group over the group's bounding box sorts the walk into
+// entries every member accepts (evaluated for all members at once),
+// entries every member opens (stepped into), and subtrees the members
+// must decide for themselves (walked with the per-body rules: an accepted
+// entry interacts and jumps past its subtree, a rejected one steps into
+// it). The box bounds round the way each member's own distance rounds, so
+// every body accepts the same entries and sums them in the same order as
+// a walk of its own: the results keep the bits of the explicit-stack
+// traversal the walk replaced (which pushed children 0..7 and popped them
+// 7..0), and NBodySim.MatchesPinnedStackTraversalDigest checks that they
+// do. DESIGN.md §11 has the argument.
 #pragma once
 
 #include <array>
@@ -68,27 +75,6 @@ class Octree {
     std::array<int, 8> child{-1, -1, -1, -1, -1, -1, -1, -1};
   };
 
-  /// Build over the given bodies (the bounding cube is computed).
-  void build(const std::vector<Body>& bodies);
-
-  /// Accumulate the acceleration on body i of the bodies the tree was
-  /// built over; counts every body-body and body-cell interaction
-  /// evaluated.
-  Vec3 acceleration(const std::vector<Body>& bodies, int i, double theta,
-                    double softening, std::uint64_t& interactions) const;
-
-  std::size_t node_count() const { return nodes_.size(); }
-  const Node& root() const { return nodes_.front(); }
-
-  /// Approximate heap footprint (bytes) of the tree arena.
-  std::uint64_t memory_bytes() const { return nodes_.size() * sizeof(Node); }
-
- private:
-  int make_node(const Vec3& center, double half);
-  void insert(const std::vector<Body>& bodies, int node, int body, int depth);
-  void finalize(const std::vector<Body>& bodies, int node);
-  void flatten(const std::vector<Body>& bodies, int node);
-
   /// One node of the force walk, in visit order.
   struct WalkEntry {
     Vec3 com;          // internal: centre of mass; leaf: the body's pos
@@ -98,8 +84,51 @@ class Octree {
     int skip = 0;      // index of the first entry after this subtree
   };
 
+  /// Bodies whose forces share one walk of the tree.
+  static constexpr int kGroupSize = 32;
+
+  /// Build over the given bodies (the bounding cube is computed).
+  void build(const std::vector<Body>& bodies);
+
+  /// Set bodies[b].acc for every body b at leaf-order positions
+  /// [first, last), in groups of kGroupSize positions; returns every
+  /// body-body and body-cell interaction evaluated. The tree must have been
+  /// built over these bodies; only their acc is written.
+  std::uint64_t accelerate(std::vector<Body>& bodies, std::size_t first,
+                           std::size_t last, double theta,
+                           double softening) const;
+
+  /// The acceleration on body i alone (a group of one); adds its
+  /// interactions to `interactions`.
+  Vec3 acceleration(const std::vector<Body>& bodies, int i, double theta,
+                    double softening, std::uint64_t& interactions) const;
+
+  std::size_t node_count() const { return nodes_.size(); }
+  const Node& root() const { return nodes_.front(); }
+  /// The walk array, in visit order.
+  const std::vector<WalkEntry>& walk() const { return walk_; }
+  /// Body indices in leaf order: the walk's leaves, then any bodies merged
+  /// into another's leaf at the depth limit. Every body appears once.
+  const std::vector<int>& order() const { return order_; }
+
+ private:
+  struct GroupList;
+
+  int make_node(const Vec3& center, double half);
+  void insert(const std::vector<Body>& bodies, int node, int body, int depth);
+  void finalize(const std::vector<Body>& bodies, int node);
+  void flatten(const std::vector<Body>& bodies, int node);
+  /// Accelerations of the bodies at leaf-order positions [first, last)
+  /// (at most kGroupSize) into acc[0..last-first); returns interactions.
+  std::uint64_t group_forces(const std::vector<Body>& bodies, int first,
+                             int last, double theta, double softening,
+                             Vec3* acc, GroupList& list) const;
+
   std::vector<Node> nodes_;
   std::vector<WalkEntry> walk_;
+  std::vector<int> order_;     // leaf-order position -> body
+  std::vector<int> position_;  // body -> leaf-order position
+  std::vector<int> merged_;    // bodies merged at the depth limit
 };
 
 struct SystemStats {
@@ -111,7 +140,7 @@ struct SystemStats {
 
 class NBodySim {
  public:
-  /// Body blocks of the force pass (the last may be short or empty).
+  /// Leaf-order blocks of the force pass (the last may be short or empty).
   static constexpr int kForceBlocks = 64;
 
   /// `pool` (not owned; null = serial) runs the force pass's blocks.
@@ -124,7 +153,6 @@ class NBodySim {
   SystemStats stats() const;
   const std::vector<Body>& bodies() const { return bodies_; }
   std::uint64_t total_interactions() const { return total_interactions_; }
-  std::uint64_t tree_bytes() const { return tree_.memory_bytes(); }
 
  private:
   void compute_forces(double theta, double softening);

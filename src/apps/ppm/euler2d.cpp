@@ -18,11 +18,9 @@ double mc_slope(double qm, double q0, double qp) {
   return std::copysign(std::min(std::abs(dc), lim), dc);
 }
 
-// PPM interface value between cells i and i+1 (4th-order with limited
-// slopes, Colella & Woodward eq. 1.6).
-double ppm_face(double qm, double q0, double qp, double qpp) {
-  const double s0 = mc_slope(qm, q0, qp);
-  const double s1 = mc_slope(q0, qp, qpp);
+// PPM interface value between cells with averages q0 and qp and limited
+// slopes s0 and s1 (4th-order, Colella & Woodward eq. 1.6).
+double ppm_face(double q0, double qp, double s0, double s1) {
   return q0 + 0.5 * (qp - q0) - (s1 - s0) / 6.0;
 }
 
@@ -63,6 +61,7 @@ PpmSolver::PpmSolver(int nx, int ny, double dx, double dy)
     v->assign(static_cast<std::size_t>(n), 0.0);
   }
   fv_.assign(static_cast<std::size_t>(n + 4), 0.0);
+  sl_.assign(static_cast<std::size_t>(n + 4), 0.0);
   for (auto* v : {&frho_, &fmx_, &fmy_, &fe_}) {
     v->assign(static_cast<std::size_t>(n + 1), 0.0);
   }
@@ -176,10 +175,17 @@ std::uint64_t PpmSolver::sweep_pencil(int n, double dt_over_dx) {
   // Arrays lX_/rX_ hold each CELL's left/right edge value (offset +1).
   auto reconstruct = [&](const std::vector<double>& q, std::vector<double>& cl,
                          std::vector<double>& cr) {
-    // Face f sits between cells f-1 and f; needed for f in [-1, n+1].
+    // Face f sits between cells f-1 and f; needed for f in [-1, n+1], so
+    // each cell's slope is needed for cells -2..n+1 (offset +2), and each
+    // is computed once although two faces use it.
+    for (int c = -2; c <= n + 1; ++c) {
+      sl_[static_cast<std::size_t>(c + 2)] =
+          mc_slope(P(q, c - 1), P(q, c), P(q, c + 1));
+    }
     for (int f = -1; f <= n + 1; ++f) {
       fv_[static_cast<std::size_t>(f + 2)] =
-          ppm_face(P(q, f - 2), P(q, f - 1), P(q, f), P(q, f + 1));
+          ppm_face(P(q, f - 1), P(q, f), sl_[static_cast<std::size_t>(f + 1)],
+                   sl_[static_cast<std::size_t>(f + 2)]);
     }
     for (int i = -1; i <= n; ++i) {
       double ql = fv_[static_cast<std::size_t>(i + 2)];      // face i

@@ -76,7 +76,8 @@ class PpmSolver {
   double dx_, dy_;
   // Pencil scratch (primitive variables and fluxes for one row/column).
   std::vector<double> prho_, pu_, pv_, pp_;       // primitives (offset kGhost)
-  std::vector<double> fv_;                        // face values (offset 1)
+  std::vector<double> fv_;                        // face values (offset 2)
+  std::vector<double> sl_;                        // cell slopes (offset 2)
   std::vector<double> lrho_, lu_, lv_, lp_;       // per-cell left edges (+1)
   std::vector<double> rrho_, ru_, rv_, rp_;       // per-cell right edges (+1)
   std::vector<double> frho_, fmx_, fmy_, fe_;     // interface fluxes

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -213,6 +216,179 @@ TEST(NBodySim, MatchesPinnedStackTraversalDigest) {
   }
   EXPECT_EQ(sim.total_interactions(), 6630886u);
   EXPECT_EQ(h, 0x32a984998fd4e8f6ull);
+}
+
+// The per-body flat walk the group walk replaced, kept as its oracle: an
+// accepted entry interacts unless it is body i's own leaf and jumps past
+// its subtree; a rejected one steps into it.
+Vec3 walk_one(const Octree& tree, const std::vector<Body>& bodies, int i,
+              double theta, double softening, std::uint64_t& interactions) {
+  const Vec3 pi = bodies[static_cast<std::size_t>(i)].pos;
+  Vec3 acc;
+  const double theta2 = theta * theta;
+  const double eps2 = softening * softening;
+  const auto& walk = tree.walk();
+  const int end = static_cast<int>(walk.size());
+  for (int k = 0; k < end;) {
+    const Octree::WalkEntry& e = walk[static_cast<std::size_t>(k)];
+    const Vec3 d = e.com - pi;
+    const double r2 = d.norm2();
+    if (e.cell2 < theta2 * r2) {
+      if (e.body != i) {
+        const double rr2 = r2 + eps2;
+        const double inv_r = 1.0 / std::sqrt(rr2);
+        const double f = e.mass * inv_r * inv_r * inv_r;
+        acc += d * f;
+        ++interactions;
+      }
+      k = e.skip;
+    } else {
+      ++k;
+    }
+  }
+  return acc;
+}
+
+bool same_bits(const Vec3& a, const Vec3& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The group walk against the oracle: every body of a whole pass (groups of
+// kGroupSize in leaf order), then runs of 1, 2, G-1, G and G+1 leaf-order
+// positions at the start, middle and end, and acceleration(i).
+void expect_group_walk_matches(const std::vector<Body>& bodies, double theta,
+                               double softening, const std::string& what) {
+  SCOPED_TRACE(what + " theta=" + std::to_string(theta));
+  Octree tree;
+  tree.build(bodies);
+  const int n = static_cast<int>(bodies.size());
+  std::vector<int> sorted = tree.order();
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < n; ++i) ASSERT_EQ(sorted[static_cast<std::size_t>(i)], i);
+
+  std::vector<Vec3> want(bodies.size());
+  std::vector<std::uint64_t> want_count(bodies.size(), 0);
+  for (int i = 0; i < n; ++i) {
+    want[static_cast<std::size_t>(i)] =
+        walk_one(tree, bodies, i, theta, softening,
+                 want_count[static_cast<std::size_t>(i)]);
+  }
+  const auto expect_run = [&](int first, int last) {
+    std::vector<Body> got = bodies;
+    const std::uint64_t count =
+        tree.accelerate(got, static_cast<std::size_t>(first),
+                        static_cast<std::size_t>(last), theta, softening);
+    std::uint64_t expected = 0;
+    for (int at = first; at < last; ++at) {
+      const int b = tree.order()[static_cast<std::size_t>(at)];
+      expected += want_count[static_cast<std::size_t>(b)];
+      EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(b)].acc,
+                            want[static_cast<std::size_t>(b)]))
+          << "body " << b << " in run [" << first << ", " << last << ")";
+    }
+    EXPECT_EQ(count, expected) << "run [" << first << ", " << last << ")";
+  };
+  expect_run(0, n);
+  constexpr int G = Octree::kGroupSize;
+  for (const int len : {1, 2, G - 1, G, G + 1}) {
+    if (len > n) continue;
+    for (const int first : {0, (n - len) / 2, n - len}) {
+      expect_run(first, first + len);
+    }
+  }
+  for (const int i : {0, n / 2, n - 1}) {
+    std::uint64_t count = 0;
+    const Vec3 a = tree.acceleration(bodies, i, theta, softening, count);
+    EXPECT_TRUE(same_bits(a, want[static_cast<std::size_t>(i)])) << i;
+    EXPECT_EQ(count, want_count[static_cast<std::size_t>(i)]) << i;
+  }
+}
+
+std::vector<Body> with_positions(const std::vector<Vec3>& pos) {
+  std::vector<Body> bodies(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    bodies[i].pos = pos[i];
+    bodies[i].mass = 1.0 / static_cast<double>(pos.size());
+  }
+  return bodies;
+}
+
+std::vector<Body> uniform_cube(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec3> pos(static_cast<std::size_t>(n));
+  for (auto& p : pos) {
+    p = Vec3{2 * rng.uniform01() - 1, 2 * rng.uniform01() - 1,
+             2 * rng.uniform01() - 1};
+  }
+  return with_positions(pos);
+}
+
+// Eight tight clumps far apart.
+std::vector<Body> clustered(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec3> centre(8);
+  for (auto& c : centre) {
+    c = Vec3{rng.uniform01(), rng.uniform01(), rng.uniform01()} * 10.0;
+  }
+  std::vector<Vec3> pos(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    pos[i] = centre[i % 8] + Vec3{rng.normal(0, 1e-3), rng.normal(0, 1e-3),
+                                  rng.normal(0, 1e-3)};
+  }
+  return with_positions(pos);
+}
+
+// A Plummer set where every fifth body sits exactly on another (some
+// positions three deep): the tree merges them at its depth limit, so they
+// have no leaf of their own.
+std::vector<Body> with_duplicates(int n, std::uint64_t seed) {
+  std::vector<Body> bodies = plummer(n, seed);
+  for (std::size_t i = 5; i < bodies.size(); i += 5) {
+    bodies[i].pos = bodies[i % 3 == 0 ? 1 : i - 1].pos;
+  }
+  return bodies;
+}
+
+// Integer lattice points: many equal separations, and bodies exactly on
+// cell-centre planes.
+std::vector<Body> lattice(int side) {
+  std::vector<Vec3> pos;
+  for (int x = 0; x < side; ++x) {
+    for (int y = 0; y < side; ++y) {
+      for (int z = 0; z < side; ++z) pos.push_back(Vec3{1.0 * x, 1.0 * y, 1.0 * z});
+    }
+  }
+  return with_positions(pos);
+}
+
+TEST(GroupWalk, MatchesPerBodyWalkBitForBit) {
+  const std::vector<std::pair<std::string, std::vector<Body>>> sets = {
+      {"plummer", plummer(700, 21)},
+      {"uniform cube", uniform_cube(600, 22)},
+      {"clustered", clustered(500, 23)},
+      {"duplicates", with_duplicates(400, 24)},
+      {"lattice", lattice(7)},
+      {"fewer than a group", plummer(Octree::kGroupSize / 2 + 3, 25)},
+  };
+  for (const auto& [name, bodies] : sets) {
+    for (const double theta : {0.0, 0.3, 0.6, 1.0}) {
+      expect_group_walk_matches(bodies, theta, 0.05, name);
+    }
+  }
+  // Without softening a member's own leaf would add NaN: it must be
+  // masked, not summed.
+  expect_group_walk_matches(plummer(300, 26), 0.6, 0.0, "plummer eps=0");
+}
+
+TEST(GroupWalk, DepthLimitMergesKeepEveryBodyInLeafOrder) {
+  // All bodies on one point but one: all but one merge into a single leaf.
+  std::vector<Vec3> pos(40, Vec3{0.25, 0.5, 0.75});
+  pos.push_back(Vec3{1, 1, 1});
+  const std::vector<Body> bodies = with_positions(pos);
+  Octree tree;
+  tree.build(bodies);
+  EXPECT_EQ(tree.order().size(), bodies.size());
+  expect_group_walk_matches(bodies, 0.6, 0.05, "one point");
 }
 
 class ThetaSweep : public ::testing::TestWithParam<double> {};
