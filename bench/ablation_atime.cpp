@@ -8,8 +8,9 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int ablation_atime() {
   using namespace ess;
 
   auto run = [&](bool atime) {

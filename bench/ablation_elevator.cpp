@@ -8,8 +8,9 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int ablation_elevator() {
   using namespace ess;
 
   struct Result {

@@ -8,9 +8,10 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "util/csv.hpp"
 
-int main() {
+int ablation_memory() {
   using namespace ess;
   CsvWriter csv(bench::out_dir() + "/ablation_memory.csv");
   csv.header({"ram_mb", "pct_4k", "req_per_s", "run_s", "read_pct"});

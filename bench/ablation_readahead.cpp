@@ -9,9 +9,10 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "util/csv.hpp"
 
-int main() {
+int ablation_readahead() {
   using namespace ess;
   core::StudyConfig base = bench::study_config();
 

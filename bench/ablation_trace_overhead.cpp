@@ -11,6 +11,7 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "kernel/node_kernel.hpp"
 
 namespace {
@@ -32,7 +33,7 @@ ess::SimTime timed_run(ess::core::Study& study, ess::driver::TraceLevel lvl) {
 
 }  // namespace
 
-int main() {
+int ablation_trace_overhead() {
   using namespace ess;
   core::Study study(bench::study_config());
   study.artifacts();

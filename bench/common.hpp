@@ -1,16 +1,17 @@
-// Shared scaffolding for the figure/table regeneration harnesses.
+// Shared scaffolding for the bench targets.
 //
-// Each bench binary reruns the corresponding experiment at the paper's
-// scale, prints the figure (ASCII) and the series the paper reports, writes
-// the underlying data as CSV next to the binary (./bench_out/), and prints
-// paper-vs-measured checks for the shape properties the reproduction
-// targets. ESS_FAST=1 shrinks the experiments for smoke runs.
+// Each target reruns the corresponding experiment at the paper's scale,
+// prints the figure (ASCII) and the series the paper reports, writes the
+// underlying data as CSV under ./bench_out/, and prints paper-vs-measured
+// checks for the shape properties the reproduction targets. ESS_FAST=1
+// shrinks the experiments for smoke runs.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/study.hpp"
 
@@ -51,9 +52,22 @@ inline std::string out_dir() {
   return dir;
 }
 
+struct CheckLine {
+  std::string what;
+  bool ok;
+  std::string detail;
+};
+
+/// Every check() line this process has printed, in order.
+inline std::vector<CheckLine>& check_log() {
+  static std::vector<CheckLine> log;
+  return log;
+}
+
 /// One paper-vs-measured line; returns `ok` so callers can aggregate.
 inline bool check(const char* what, bool ok, const std::string& detail) {
   std::printf("  [%s] %-58s %s\n", ok ? "OK" : "!!", what, detail.c_str());
+  check_log().push_back({what, ok, detail});
   return ok;
 }
 

@@ -10,8 +10,9 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int ext_checkpoint_class() {
   using namespace ess;
 
   core::StudyConfig plain_cfg = bench::study_config();

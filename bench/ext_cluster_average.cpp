@@ -9,9 +9,10 @@
 #include <cstdlib>
 
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "cluster/cluster.hpp"
 
-int main() {
+int ext_cluster_average() {
   using namespace ess;
   int nodes = 4;
   if (const char* v = std::getenv("ESS_NODES")) nodes = std::atoi(v);

@@ -13,11 +13,12 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "cluster/cluster.hpp"
 #include "pvm/machine.hpp"
 #include "pvm/parallel_apps.hpp"
 
-int main() {
+int ext_parallel_machine() {
   using namespace ess;
   int nodes = 4;
   if (const char* v = std::getenv("ESS_NODES")) nodes = std::atoi(v);

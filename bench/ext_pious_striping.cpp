@@ -7,10 +7,11 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "cluster/pious.hpp"
 #include "util/csv.hpp"
 
-int main() {
+int ext_pious_striping() {
   using namespace ess;
   CsvWriter csv(bench::out_dir() + "/ext_pious.csv");
   csv.header({"servers", "read_mb_per_s"});

@@ -13,8 +13,9 @@
 
 #include "analysis/patterns.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int ext_region_decomposition() {
   using namespace ess;
   core::Study study(bench::study_config());
 

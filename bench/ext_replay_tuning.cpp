@@ -10,10 +10,11 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "replay/replayer.hpp"
 #include "util/csv.hpp"
 
-int main() {
+int ext_replay_tuning() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto combined = study.run_combined();

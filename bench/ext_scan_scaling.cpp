@@ -15,8 +15,9 @@
 //   * jobs=4 is not slower than jobs=1, with generous tolerance for
 //     scheduler noise — this must hold even on a single-core container,
 //     where the pooled path's only honest cost is thread bookkeeping;
-//   * on hosts with >=4 hardware threads, jobs=4 must actually win
-//     (>= min(2.0, hw/2) on the scan).
+//   * on hosts with >=4 hardware threads, in full mode, the scan must
+//     actually win: jobs=4 by >= min(2.0, hw/2), and the best of jobs
+//     2/4/8 by >= min(3.0, hw/2).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -216,6 +217,11 @@ int main() {
     const double speedup = scan_secs[1] / scan_secs[4];
     ok &= bench::check("jobs=4 scan wins on multi-core host",
                        speedup >= want, bench::fmt("%.2fx", speedup));
+    const double best =
+        scan_secs[1] / std::min({scan_secs[2], scan_secs[4], scan_secs[8]});
+    const double want_best = std::min(3.0, static_cast<double>(hw) / 2);
+    ok &= bench::check("best scan speedup over jobs 2/4/8",
+                       best >= want_best, bench::fmt("%.2fx best", best));
   } else {
     // Fast mode's capture sits below the sharder's byte floor on purpose
     // (jobs=4 then runs the same serial pass); the win gate needs the

@@ -10,9 +10,10 @@
 
 #include "analysis/characterize.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 #include "workload/synthetic.hpp"
 
-int main() {
+int ext_synthetic_match() {
   using namespace ess;
   core::Study study(bench::study_config());
 

@@ -7,8 +7,9 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int fig2_ppm() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto r = study.run_single(core::AppKind::kPpm);

@@ -12,8 +12,9 @@
 #include "analysis/phases.hpp"
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int fig3_wavelet() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto r = study.run_single(core::AppKind::kWavelet);

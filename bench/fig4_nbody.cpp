@@ -9,8 +9,9 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int fig4_nbody() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto nb = study.run_single(core::AppKind::kNBody);

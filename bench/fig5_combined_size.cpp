@@ -9,8 +9,9 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int fig5_combined_size() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto combined = study.run_combined();

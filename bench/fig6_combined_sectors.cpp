@@ -8,8 +8,9 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int fig6_combined_sectors() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto combined = study.run_combined();

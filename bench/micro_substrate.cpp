@@ -1,6 +1,7 @@
 // Substrate microbenchmarks (google-benchmark): throughput of the building
-// blocks the study runs on — disk service model, elevator, buffer cache,
-// VM fault path, RNG, wavelet transform, oct-tree build/force.
+// blocks the study runs on — event engine, disk service model, elevator,
+// buffer cache, VM fault path, RNG, wavelet transform, oct-tree
+// build/force.
 #include <benchmark/benchmark.h>
 
 #include "apps/nbody/octree.hpp"
@@ -32,6 +33,20 @@ void BM_EngineScheduleFire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineScheduleFire);
+
+// Half the scheduled events are cancelled before they fire: the
+// generation-stamp bookkeeping of cancel(), next to the fire path above.
+void BM_EngineScheduleCancel(benchmark::State& state) {
+  sim::Engine engine;
+  for (auto _ : state) {
+    const auto id = engine.schedule_after(1, [] {});
+    engine.schedule_after(1, [] {});
+    engine.cancel(id);
+    engine.step();
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_EngineScheduleCancel);
 
 void BM_DiskServiceTime(benchmark::State& state) {
   const disk::ServiceModel model(disk::beowulf_geometry(),

@@ -1,8 +1,8 @@
 // Shared driver for the PDES scaling benches: run the combined parallel
 // workload (PPM + wavelet + N-body spanning every node, world = 3N) on
 // the sharded window machine and hand back the per-node traces. Used by
-// ext_pdes_scaling and the harness's in-process scaling section; both key
-// on run_combined's traces being identical at any shard/job count.
+// ext_pdes_scaling, which keys on run_combined's traces being identical
+// at any shard/job count.
 #pragma once
 
 #include <chrono>

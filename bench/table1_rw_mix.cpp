@@ -10,8 +10,9 @@
 
 #include "analysis/report.hpp"
 #include "bench/common.hpp"
+#include "bench/targets.hpp"
 
-int main() {
+int table1_rw_mix() {
   using namespace ess;
   core::Study study(bench::study_config());
   const auto rows = study.table1(/*include_combined=*/true);
@@ -31,8 +32,10 @@ int main() {
   for (std::size_t i = 0; i < 4; ++i) {
     const auto& row = rows[i];
     // The app mixes only converge at the paper's step counts; the reduced
-    // ESS_FAST runs weigh startup I/O (reads) much more heavily.
-    const double tolerance = i == 0 ? 1.0 : bench::fast_mode() ? 30.0 : 15.0;
+    // ESS_FAST runs weigh startup I/O (reads) much more heavily. Wavelet's
+    // mix is read-heavy at either scale, so it keeps ±15 pp in fast mode.
+    const bool loose = bench::fast_mode() && i != 2;
+    const double tolerance = i == 0 ? 1.0 : loose ? 30.0 : 15.0;
     char what[96];
     std::snprintf(what, sizeof what, "%s reads %.0f%% (paper: %.0f%%)",
                   paper[i].name, row.mix.read_pct, paper[i].read_pct);

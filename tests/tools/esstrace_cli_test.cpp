@@ -444,5 +444,25 @@ TEST_F(EsstraceCli, CaptureProducesAVerifiableSelfConsistentFile) {
   std::remove(path.c_str());
 }
 
+// The committed goldens are an exact oracle: a fresh capture-all must
+// reproduce all eight files byte for byte. (`esstrace diff` only bounds
+// the drift of their characterization.)
+TEST(GoldenCaptures, CaptureAllReproducesEveryFileByteForByte) {
+  const auto golden =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "golden";
+  const std::string dir = tmp_path("golden_fresh");
+  std::ostringstream out, err;
+  ASSERT_EQ(cmd_capture_all(dir, 0, out, err), 0) << err.str();
+  for (const char* name : {"baseline", "ppm", "wavelet", "nbody", "combined",
+                           "cluster_node1", "cluster_node2", "cluster"}) {
+    const std::string file = std::string(name) + ".esst";
+    const std::string want = slurp((golden / file).string());
+    ASSERT_FALSE(want.empty()) << "missing golden " << file;
+    EXPECT_TRUE(slurp(dir + "/" + file) == want)
+        << file << " differs from tests/golden/" << file;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ess::esstrace
