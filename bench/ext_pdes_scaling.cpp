@@ -30,6 +30,7 @@
 // (core::fast_study_config) regardless of ESS_FAST: the scaling axis
 // here is the node count, not the per-node I/O volume.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -37,7 +38,27 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "bench/pdes_run.hpp"
+#include "core/presets.hpp"
+#include "pvm/combined.hpp"
+
+namespace {
+
+/// Record-for-record equality of two runs' per-node traces.
+bool traces_identical(const std::vector<ess::trace::TraceSet>& a,
+                      const std::vector<ess::trace::TraceSet>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    if (a[n].size() != b[n].size() || a[n].duration() != b[n].duration()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a[n].size(); ++i) {
+      if (!(a[n].records()[i] == b[n].records()[i])) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   using namespace ess;
@@ -66,31 +87,34 @@ int main() {
   double serial_wall = 0;
   double wall44 = -1;
   std::uint64_t fused44 = 0;
-  bench::PdesRunResult ref;
+  pvm::CombinedRun ref;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const auto [s, j] = sweep[i];
-    auto r = bench::pdes_run_combined(nodes, s, j, scfg);
+    const auto t_start = std::chrono::steady_clock::now();
+    auto r = pvm::run_combined(scfg, nodes, s, j);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t_start)
+                            .count();
     all_completed &= r.completed;
     std::uint64_t records = 0;
     for (const auto& t : r.traces) records += t.size();
-    const bool same = i == 0 || bench::pdes_traces_identical(ref.traces,
-                                                             r.traces);
+    const bool same = i == 0 || traces_identical(ref.traces, r.traces);
     all_identical &= same;
     char vs[32];
     if (i == 0) {
-      serial_wall = r.wall_seconds;
+      serial_wall = wall;
       std::snprintf(vs, sizeof vs, "(reference)");
     } else {
       std::snprintf(vs, sizeof vs, "%s %.2fx",
                     same ? "identical" : "DIVERGED",
-                    r.wall_seconds > 0 ? serial_wall / r.wall_seconds : 0.0);
+                    wall > 0 ? serial_wall / wall : 0.0);
     }
     if (s == 4 && j == 4) {
-      wall44 = r.wall_seconds;
+      wall44 = wall;
       fused44 = r.stats.fused_windows;
     }
     std::printf("  %7zu %5zu %9.2f %9llu %9llu %9llu %8llu %10llu  %s\n", s,
-                j, r.wall_seconds,
+                j, wall,
                 static_cast<unsigned long long>(r.stats.sends),
                 static_cast<unsigned long long>(r.stats.windows),
                 static_cast<unsigned long long>(r.stats.fused_windows),

@@ -1,26 +1,28 @@
 // Parallel quickstart: one SPMD job (the PPM solver with ghost-row
-// exchange) on a small shared-clock Beowulf, showing the pvm:: API —
-// Machine, Fabric, and the parallel workload generators.
+// exchange) on a small simulated Beowulf, showing the cluster API —
+// pdes::Machine, its message fabric, and the pvm:: parallel workload
+// generators.
 //
 //   ./parallel_quickstart [nodes]   (default 4)
 #include <cstdio>
 #include <cstdlib>
 
 #include "analysis/report.hpp"
-#include "pvm/machine.hpp"
+#include "pdes/machine.hpp"
 #include "pvm/parallel_apps.hpp"
 
 int main(int argc, char** argv) {
   using namespace ess;
   const int nodes = argc > 1 ? std::atoi(argv[1]) : 4;
 
-  kernel::KernelConfig node_cfg;
-  pvm::Machine m(nodes, node_cfg);
+  pdes::MachineConfig mcfg;  // default node config, one shard run inline
+  mcfg.nodes = nodes;
+  pdes::Machine m(mcfg);
   m.fabric().set_world_size(nodes);
 
   apps::ppm::PpmConfig cfg;  // the paper's per-processor problem size
   Rng rng(42);
-  auto ranks = pvm::parallel_ppm(cfg, nodes, node_cfg.cpu_mflops, rng);
+  auto ranks = pvm::parallel_ppm(cfg, nodes, mcfg.node.cpu_mflops, rng);
 
   for (int r = 0; r < nodes; ++r) {
     m.stage(r, ranks[static_cast<std::size_t>(r)]);
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
 
   std::printf("parallel PPM on %d nodes: %s in %.0f s (virtual)\n", nodes,
               done ? "completed" : "capped", to_seconds(m.now() - t0));
-  const auto& fs = m.fabric().stats();
+  const auto fs = m.fabric().stats();
   std::printf("fabric: %llu messages, %.1f MB, %llu barriers\n\n",
               static_cast<unsigned long long>(fs.sends),
               static_cast<double>(fs.bytes) / 1e6,

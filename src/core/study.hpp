@@ -64,8 +64,8 @@ struct RunResult {
   bool completed = true;     // all processes finished before the cap
   SimTime run_time = 0;      // virtual time from tracing-on to collection
   /// Simulation events the node's engine fired over the whole run (setup
-  /// included) — the denominator-free work metric the bench harness turns
-  /// into events/sec.
+  /// included) — the denominator-free work metric the repository
+  /// benchmark turns into events/sec.
   std::uint64_t events_fired = 0;
 };
 

@@ -7,8 +7,9 @@
 // builds a fresh core::Study per job (own sim::Engine, own NodeKernel,
 // own FaultInjector, own sinks), so jobs share nothing mutable and the
 // parallel output — traces, captures, summaries — is bit-identical to a
-// serial loop over the same specs. The bench harness, the fault-matrix
-// suite, and `esstrace capture-all` all drive their matrices through this.
+// serial loop over the same specs. The repository benchmark's paper_study
+// workload, the fault-matrix suite, and `esstrace capture-all` all drive
+// their matrices through this.
 #pragma once
 
 #include <cstddef>

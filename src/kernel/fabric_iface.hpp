@@ -1,6 +1,6 @@
 // The kernel's view of a message-passing fabric. The concrete
-// implementation (pvm::Fabric) lives above the kernel; processes reach it
-// through SendOp/RecvOp/BarrierOp.
+// implementation (pdes::WindowFabric) lives above the kernel; processes
+// reach it through SendOp/RecvOp/BarrierOp.
 #pragma once
 
 #include <cstdint>

@@ -78,7 +78,7 @@ class NodeKernel {
   void start(mm::Pid pid) { make_ready(pid); }
 
   /// Attach a message fabric and give a process a PVM rank. The caller
-  /// (pvm::Machine) also registers the (rank -> node, pid) binding with
+  /// (pdes::Machine) also registers the (rank -> node, pid) binding with
   /// the fabric itself.
   void set_fabric(MessageFabric* fabric) { fabric_ = fabric; }
   void set_rank(mm::Pid pid, int rank) { procs_.at(pid)->rank = rank; }

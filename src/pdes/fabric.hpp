@@ -1,10 +1,11 @@
-// Lookahead-bounded message fabric for the sharded machine.
+// Lookahead-bounded message fabric for the sharded machine: PVM's async
+// send, blocking tagged receive and group barrier over the Ethernet model.
 //
-// pvm::Fabric serializes every transfer on one shared wire and completes
-// barriers inline in the last entrant's call — both are global state a
-// parallel simulation cannot touch from concurrent shard threads without
-// making the result depend on thread timing. This fabric restates the
-// same primitives in a partition-invariant form:
+// A shared wire that serializes every transfer, or a barrier completed
+// inline in the last entrant's call, would be global state a parallel
+// simulation cannot touch from concurrent shard threads without making
+// the result depend on thread timing. This fabric states the primitives
+// in a partition-invariant form:
 //
 //   * Transfers serialize on the *sender's* NIC (per-node busy time), so
 //     the only mutable wire state belongs to the node whose event is
@@ -15,8 +16,8 @@
 //     source node, per-NIC sequence) and injects the deliveries in that
 //     order — the destination engine sees one deterministic stream no
 //     matter how nodes were partitioned.
-//   * Barriers are symmetric: every entrant blocks (the pvm fabric lets
-//     the last one sail through inline), entries are logged per shard,
+//   * Barriers are symmetric: every entrant blocks (the last one too,
+//     rather than sailing through inline), entries are logged per shard,
 //     and a filled group releases everyone at
 //     last_entry + EthernetModel::barrier_time(n).
 //
@@ -73,8 +74,9 @@ class WindowFabric final : public kernel::MessageFabric {
  public:
   WindowFabric(cluster::EthernetConfig eth, std::size_t shards);
 
-  /// Declare the number of ranks before any is spawned (same contract as
-  /// pvm::Fabric::set_world_size).
+  /// Declare the number of ranks before any is spawned; world-group
+  /// barriers (participants 0) complete only when this many ranks have
+  /// entered.
   void set_world_size(int n);
   int world_size() const { return world_size_; }
 

@@ -1,7 +1,8 @@
-// The sharded Beowulf: N NodeKernels partitioned over S independent
+// The simulated Beowulf: N NodeKernels partitioned over S independent
 // discrete-event engines, advanced in lockstep time windows on a thread
-// pool — a conservative parallel discrete-event simulation of the same
-// machine pvm::Machine runs on one clock.
+// pool — a conservative parallel discrete-event simulation of the whole
+// cluster. One shard run inline (shards = 1, jobs = 1) is the serial
+// reference; pvm::run_combined drives the paper's combined SPMD mix on it.
 //
 // The window protocol (see fabric.hpp for the fabric side):
 //
@@ -82,9 +83,10 @@ class Machine {
   /// Study does before tracing.
   void stage(int node_idx, const workload::OpTrace& w);
 
-  /// Spawn `trace` on a node as PVM rank `rank`; with a declared world
-  /// size processes are held until every rank exists (pvm::Machine's
-  /// contract).
+  /// Spawn `trace` on a node as PVM rank `rank`. With a declared world
+  /// size processes are held until every rank is spawned (so no rank can
+  /// message a peer that does not exist yet); without one each process
+  /// starts immediately.
   mm::Pid spawn_rank(int node_idx, workload::OpTrace trace, int rank);
 
   void ioctl_all(driver::TraceLevel level);

@@ -7,17 +7,11 @@
 
 namespace ess::replay {
 
-double ReplayResult::p95_response_ms() const {
-  // The replayer keeps streaming stats only; approximate the tail as
-  // mean + 2 sigma (callers needing exact quantiles can collect latencies
-  // via their own completion hooks).
-  return response_ms.mean() + 2.0 * response_ms.stddev();
-}
-
 ReplayResult replay(const trace::TraceSet& ts, const ReplayConfig& cfg) {
   ReplayResult result;
   if (ts.empty()) return result;
 
+  result.response_times_ms.reserve(ts.size());
   sim::Engine engine;
   disk::Drive drive(engine,
                     disk::ServiceModel(disk::beowulf_geometry(), cfg.disk),
@@ -35,7 +29,9 @@ ReplayResult replay(const trace::TraceSet& ts, const ReplayConfig& cfg) {
       const SimTime submitted = engine.now();
       drive.submit(req, [&, submitted](const disk::Request&) {
         const SimTime now = engine.now();
-        result.response_ms.add(static_cast<double>(now - submitted) / 1e3);
+        const double ms = static_cast<double>(now - submitted) / 1e3;
+        result.response_ms.add(ms);
+        result.response_times_ms.push_back(ms);
         last_completion = std::max(last_completion, now);
       });
     });

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "disk/drive.hpp"
 #include "trace/trace_set.hpp"
@@ -27,10 +28,14 @@ struct ReplayResult {
   SimTime disk_busy = 0;
   double utilization = 0;        // busy / makespan
   OnlineStats response_ms;       // submit -> completion, per request
+  std::vector<double> response_times_ms;  // the same, in completion order
   OnlineStats queue_delay_ms;    // submit -> service start, per request
 
   double mean_response_ms() const { return response_ms.mean(); }
-  double p95_response_ms() const;  // approximated from mean/max (see impl)
+  /// Exact 95th percentile of the per-request response times.
+  double p95_response_ms() const {
+    return percentile(response_times_ms, 95);
+  }
 };
 
 /// Replay every record of `ts` at its original timestamp against a fresh

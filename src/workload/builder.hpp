@@ -34,7 +34,7 @@ class OpTraceBuilder {
   /// Delete a file previously created with scratch_create.
   OpTraceBuilder& unlink(const std::string& path);
 
-  /// PVM-style messaging (requires a pvm::Fabric at run time).
+  /// PVM-style messaging (requires a pdes::Machine's fabric at run time).
   OpTraceBuilder& send(int dst_rank, std::uint64_t bytes, int tag = 0);
   OpTraceBuilder& recv(int src_rank = -1, int tag = 0);
   OpTraceBuilder& barrier(int participants = 0, int group = 0);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,25 +79,114 @@ TEST(WindowMachine, TaggedRecvMatchesAcrossShards) {
 
 TEST(WindowMachine, BarrierReleasesEveryEntrant) {
   // Staggered arrivals on three different shards; nobody may pass until
-  // the last entrant arrives, and everybody must then finish.
-  Machine m(machine_cfg(3, 3, 2, quiet_cfg()));
-  m.fabric().set_world_size(3);
+  // the last entrant arrives, and everybody must then finish. Holds for an
+  // explicit group and for the world group (barrier() with no arguments,
+  // sized by the declared world).
+  for (const bool world : {false, true}) {
+    const std::string what = world ? "world group" : "group 1";
+    Machine m(machine_cfg(3, 3, 2, quiet_cfg()));
+    m.fabric().set_world_size(3);
+    const SimTime t0 = m.now();
+    for (int r = 0; r < 3; ++r) {
+      workload::OpTraceBuilder b("bar");
+      b.compute(msec(10) * (r + 1));  // rank 2 arrives last, at ~30 ms
+      if (world) {
+        b.barrier();
+      } else {
+        b.barrier(3, 1);
+      }
+      b.compute(msec(1));
+      m.spawn_rank(r, std::move(b).build(), r);
+    }
+    ASSERT_TRUE(m.run_until_all_done(sec(100))) << what;
+    EXPECT_EQ(m.fabric().stats().barriers_completed, 1u) << what;
+    for (int r = 0; r < 3; ++r) {
+      auto& n = m.node(r);
+      const auto& p = n.process(n.pids().front());
+      // Released no earlier than the last arrival.
+      EXPECT_GE(p.finish_time - t0, msec(30)) << what;
+    }
+  }
+}
+
+TEST(WindowMachine, MessageTransferTakesWireTime) {
+  Machine m(machine_cfg(2, 2, 1, quiet_cfg()));
+  m.fabric().set_world_size(2);
+  workload::OpTraceBuilder sender("s"), receiver("r");
+  sender.send(1, 1'000'000, 1);  // 1 MB over ~2.3 MB/s: ~0.45 s
+  receiver.recv(0, 1);
   const SimTime t0 = m.now();
-  for (int r = 0; r < 3; ++r) {
-    workload::OpTraceBuilder b("bar");
-    b.compute(msec(10) * (r + 1));  // rank 2 arrives last, at ~30 ms
-    b.barrier(3, 1);
-    b.compute(msec(1));
-    m.spawn_rank(r, std::move(b).build(), r);
-  }
+  m.spawn_rank(0, std::move(sender).build(), 0);
+  m.spawn_rank(1, std::move(receiver).build(), 1);
   ASSERT_TRUE(m.run_until_all_done(sec(100)));
-  EXPECT_EQ(m.fabric().stats().barriers_completed, 1u);
-  for (int r = 0; r < 3; ++r) {
-    auto& n = m.node(r);
-    const auto& p = n.process(n.pids().front());
-    // Released no earlier than the last arrival.
-    EXPECT_GE(p.finish_time - t0, msec(30));
+  auto& n = m.node(1);
+  const auto& p = n.process(n.pids().front());
+  EXPECT_GT(p.finish_time - t0, msec(300));
+}
+
+TEST(WindowMachine, AnySourceRecv) {
+  Machine m(machine_cfg(3, 3, 1, quiet_cfg()));
+  m.fabric().set_world_size(3);
+  workload::OpTraceBuilder a("a"), b("b"), c("c");
+  a.send(2, 64, 1);
+  b.send(2, 64, 1);
+  c.recv(-1, 1);
+  c.recv(-1, 1);
+  m.spawn_rank(0, std::move(a).build(), 0);
+  m.spawn_rank(1, std::move(b).build(), 1);
+  m.spawn_rank(2, std::move(c).build(), 2);
+  EXPECT_TRUE(m.run_until_all_done(sec(100)));
+  EXPECT_EQ(m.fabric().stats().recvs, 2u);
+}
+
+TEST(WindowMachine, SendToUnknownRankThrows) {
+  Machine m(machine_cfg(1, 1, 1, quiet_cfg()));
+  m.fabric().set_world_size(1);
+  workload::OpTraceBuilder b("bad");
+  b.send(5, 100, 0);
+  // The lone rank starts (and faults) as soon as the world is complete.
+  EXPECT_THROW(m.spawn_rank(0, std::move(b).build(), 0), std::out_of_range);
+}
+
+TEST(WindowMachine, OpsWithoutFabricThrow) {
+  // A node outside any machine has no fabric to message through.
+  kernel::NodeKernel node(quiet_cfg());
+  workload::OpTraceBuilder b("lonely");
+  b.recv(0, 0);
+  EXPECT_THROW(node.spawn(std::move(b).build()), std::logic_error);
+}
+
+TEST(WindowMachine, NodesShareOneClock) {
+  // Between public calls every node's clock reads the machine's, whichever
+  // shard it lives on.
+  Machine m(machine_cfg(4, 2, 1, quiet_cfg()));
+  const SimTime t = m.now();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.node(i).now(), t);
   }
+  m.run_for(sec(5));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.node(i).now(), t + sec(5));
+  }
+}
+
+TEST(WindowMachine, PerNodeDisksAreIndependent) {
+  Machine m(machine_cfg(2, 2, 1, quiet_cfg()));
+  m.fabric().set_world_size(2);
+  workload::OpTraceBuilder writer("writer"), idle("idle");
+  const auto f = writer.output_file("/data/out");
+  writer.append(f, 64 * 1024);
+  idle.compute(msec(1));
+  m.ioctl_all(driver::TraceLevel::kStandard);
+  const SimTime t0 = m.now();
+  m.spawn_rank(0, std::move(writer).build(), 0);
+  m.spawn_rank(1, std::move(idle).build(), 1);
+  ASSERT_TRUE(m.run_until_all_done(sec(100)));
+  m.node(0).fsys().sync();
+  m.run_for(sec(2));
+  auto traces = m.collect("independent", t0);
+  EXPECT_GT(traces[0].size(), 0u);
+  EXPECT_EQ(traces[1].size(), 0u);  // node 1 never touched its disk
 }
 
 TEST(WindowMachine, DeadlockThrowsInsteadOfSpinning) {

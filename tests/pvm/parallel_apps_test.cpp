@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "pvm/machine.hpp"
+#include "pdes/machine.hpp"
 
 namespace ess::pvm {
 namespace {
+
+pdes::MachineConfig machine_cfg(int nodes) {
+  pdes::MachineConfig cfg;
+  cfg.nodes = nodes;
+  return cfg;
+}
 
 apps::ppm::PpmConfig small_ppm() {
   apps::ppm::PpmConfig cfg;
@@ -69,8 +75,7 @@ TEST(ParallelApps, PpmInteriorRanksHaveTwoNeighbours) {
 TEST(ParallelApps, MachineRunsParallelPpmToCompletion) {
   Rng rng(2);
   auto traces = parallel_ppm(small_ppm(), 3, 25.0, rng);
-  kernel::KernelConfig cfg;
-  Machine m(3, cfg);
+  pdes::Machine m(machine_cfg(3));
   m.fabric().set_world_size(3);
   for (int r = 0; r < 3; ++r) {
     m.stage(r, traces[static_cast<std::size_t>(r)]);
@@ -87,8 +92,7 @@ TEST(ParallelApps, MachineRunsParallelPpmToCompletion) {
 TEST(ParallelApps, MachineRunsParallelNBodyLockstep) {
   Rng rng(3);
   auto traces = parallel_nbody(small_nbody(), 4, 25.0, rng);
-  kernel::KernelConfig cfg;
-  Machine m(4, cfg);
+  pdes::Machine m(machine_cfg(4));
   m.fabric().set_world_size(4);
   std::vector<mm::Pid> pids;
   for (int r = 0; r < 4; ++r) {
@@ -116,8 +120,7 @@ TEST(ParallelApps, MachineRunsParallelNBodyLockstep) {
 TEST(ParallelApps, MachineRunsParallelWaveletScatterGather) {
   Rng rng(4);
   auto traces = parallel_wavelet(small_wavelet(), 3, 25.0, rng);
-  kernel::KernelConfig cfg;
-  Machine m(3, cfg);
+  pdes::Machine m(machine_cfg(3));
   m.fabric().set_world_size(3);
   for (int r = 0; r < 3; ++r) m.stage(r, traces[static_cast<std::size_t>(r)]);
   m.ioctl_all(driver::TraceLevel::kStandard);

@@ -1,17 +1,23 @@
-// WDL + the shared-clock machine: SPMD programs described as text files.
+// WDL + the cluster machine: SPMD programs described as text files.
 #include <gtest/gtest.h>
 
-#include "pvm/machine.hpp"
+#include "pdes/machine.hpp"
 #include "workload/wdl.hpp"
 
 namespace ess::pvm {
 namespace {
 
+/// `nodes` daemon-free nodes on one shard, run inline.
+pdes::MachineConfig quiet_machine(int nodes) {
+  pdes::MachineConfig cfg;
+  cfg.nodes = nodes;
+  cfg.node.daemons.enabled = false;
+  return cfg;
+}
+
 TEST(WdlMachine, TextDescribedRingPassesAToken) {
   const int n = 4;
-  kernel::KernelConfig cfg;
-  cfg.daemons.enabled = false;
-  Machine m(n, cfg);
+  pdes::Machine m(quiet_machine(n));
   m.fabric().set_world_size(n);
   Rng rng(1);
   for (int r = 0; r < n; ++r) {
@@ -34,9 +40,7 @@ TEST(WdlMachine, TextDescribedRingPassesAToken) {
 
 TEST(WdlMachine, BarrierDirectiveSynchronizes) {
   const int n = 3;
-  kernel::KernelConfig cfg;
-  cfg.daemons.enabled = false;
-  Machine m(n, cfg);
+  pdes::Machine m(quiet_machine(n));
   m.fabric().set_world_size(n);
   Rng rng(2);
   std::vector<mm::Pid> pids;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ess::replay {
 namespace {
 
@@ -94,6 +97,47 @@ TEST(Replayer, P95AtLeastMean) {
   const auto ts = make_trace(100, msec(10), 9999);
   const auto r = replay(ts, ReplayConfig{});
   EXPECT_GE(r.p95_response_ms(), r.mean_response_ms());
+}
+
+TEST(Replayer, P95IsTheExactQuantileOfResponseTimes) {
+  // Requests 1 s apart never queue, so each response time is exactly the
+  // drive model's service time from the previous request's end sector.
+  // Every tenth request seeks across the disk: a skewed distribution on
+  // which a mean + 2 sigma estimate would miss the true 95th percentile.
+  trace::TraceSet ts("isolated", 0);
+  for (int i = 0; i < 40; ++i) {
+    trace::Record r;
+    r.timestamp = static_cast<SimTime>(i) * sec(1);
+    r.sector = i % 10 == 9 ? 900'000 : 1000 + static_cast<std::uint32_t>(i) * 8;
+    r.size_bytes = 4096;
+    r.is_write = static_cast<std::uint8_t>(i % 3 == 0);
+    ts.add(r);
+  }
+  const ReplayConfig cfg;
+  const disk::ServiceModel model(disk::beowulf_geometry(), cfg.disk);
+  std::vector<double> expected;
+  std::uint64_t head_sector = 0;
+  for (const auto& r : ts.records()) {
+    disk::Request req;
+    req.sector = r.sector;
+    req.sector_count = r.size_bytes / 512;
+    const SimTime service = model.service_time(
+        req, r.timestamp, model.geometry().cylinder_of(head_sector));
+    ASSERT_LT(service, sec(1));
+    expected.push_back(static_cast<double>(service) / 1e3);
+    head_sector = req.end_sector() - 1;
+  }
+  std::sort(expected.begin(), expected.end());
+
+  const auto r = replay(ts, cfg);
+  auto got = r.response_times_ms;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+  // p = 95 over 40 values: rank 0.95 * 39 = 37.05, between the 38th and
+  // 39th smallest.
+  const double p95 = expected[37] * 0.95 + expected[38] * 0.05;
+  EXPECT_NEAR(r.p95_response_ms(), p95, 1e-9);
+  EXPECT_LT(r.p95_response_ms(), expected.back());
 }
 
 }  // namespace

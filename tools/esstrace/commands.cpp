@@ -17,10 +17,8 @@
 #include "core/presets.hpp"
 #include "exec/experiments.hpp"
 #include "exec/thread_pool.hpp"
-#include "pdes/machine.hpp"
-#include "pvm/parallel_apps.hpp"
+#include "pvm/combined.hpp"
 #include "trace/io.hpp"
-#include "util/rng.hpp"
 
 namespace ess::esstrace {
 namespace {
@@ -614,56 +612,13 @@ int cmd_capture_pdes(const std::string& dir, int nodes, std::size_t shards,
   try {
     std::filesystem::create_directories(dir);
     const core::StudyConfig scfg = core::fast_study_config();
-    kernel::KernelConfig node_cfg = scfg.node;
-    node_cfg.max_coalesce_blocks = scfg.combined_coalesce_blocks;
-    node_cfg.readahead_ceiling_blocks = scfg.combined_readahead_blocks;
-
-    pdes::MachineConfig mcfg;
-    mcfg.nodes = nodes;
-    mcfg.shards = shards;
-    mcfg.jobs = jobs;
-    mcfg.node = node_cfg;
-    pdes::Machine m(mcfg);
-
-    // The combined parallel load: the three SPMD applications each
-    // spanning every node, globally-numbered ranks, per-job barrier
-    // groups (ext_parallel_machine's layout, on the sharded machine).
-    Rng rng(scfg.seed);
-    auto ppm = pvm::parallel_ppm(scfg.ppm, nodes, node_cfg.cpu_mflops, rng);
-    auto wav =
-        pvm::parallel_wavelet(scfg.wavelet, nodes, node_cfg.cpu_mflops, rng);
-    auto nb =
-        pvm::parallel_nbody(scfg.nbody, nodes, node_cfg.cpu_mflops, rng);
-    for (int r = 0; r < nodes; ++r) {
-      pvm::retarget(wav[static_cast<std::size_t>(r)], nodes, 1);
-      pvm::retarget(nb[static_cast<std::size_t>(r)], 2 * nodes, 2);
-    }
-    m.fabric().set_world_size(3 * nodes);
-    for (int r = 0; r < nodes; ++r) {
-      m.stage(r, ppm[static_cast<std::size_t>(r)]);
-      m.stage(r, wav[static_cast<std::size_t>(r)]);
-      m.stage(r, nb[static_cast<std::size_t>(r)]);
-    }
-    m.run_for(sec(2));
-    const SimTime t0 = m.now();
-    m.ioctl_all(driver::TraceLevel::kStandard);
-    for (int r = 0; r < nodes; ++r) {
-      m.spawn_rank(r, std::move(ppm[static_cast<std::size_t>(r)]), r);
-      m.spawn_rank(r, std::move(wav[static_cast<std::size_t>(r)]),
-                   nodes + r);
-      m.spawn_rank(r, std::move(nb[static_cast<std::size_t>(r)]),
-                   2 * nodes + r);
-    }
-    const bool done = m.run_until_all_done(t0 + scfg.max_run_time);
-    m.run_for(sec(35));  // the study's post-completion daemon tail
-    m.ioctl_all(driver::TraceLevel::kOff);
-    const auto traces = m.collect("pdes combined", t0);
-
-    const auto stats = m.fabric().stats();
+    const auto run = pvm::run_combined(scfg, nodes, shards, jobs);
+    const auto& traces = run.traces;
+    const auto& stats = run.stats;
     put(out,
         "pdes: %d nodes over %zu shard(s), run %s: %llu msgs, %llu "
         "barriers\n",
-        nodes, m.shard_count(), done ? "completed" : "CAPPED",
+        nodes, run.shards, run.completed ? "completed" : "CAPPED",
         static_cast<unsigned long long>(stats.sends),
         static_cast<unsigned long long>(stats.barriers_completed));
     if (const char* p = std::getenv("ESS_PROGRESS"); p && p[0] == '1') {
