@@ -22,8 +22,8 @@ int ablation_elevator() {
     cfg.node.disk_scheduler = kind;
     core::Study study(cfg);
     const auto r = study.run_combined();
-    const auto mix = analysis::rw_mix(r.trace);
-    return Result{to_seconds(r.trace.duration()), mix.requests_per_sec};
+    return Result{to_seconds(r.trace.duration()),
+                  analysis::characterize(r.trace).rw().requests_per_sec()};
   };
 
   const Result elevator = run_with(disk::SchedulerKind::kElevator);

@@ -23,10 +23,10 @@ int fig1_baseline() {
   std::printf("%s\n", analysis::render_size_classes(s).c_str());
 
   std::printf("Horizontal lines (sectors written repeatedly):\n");
-  for (const auto& h : analysis::hot_spots(r.trace, 6)) {
+  for (const auto& h : analysis::characterize(r.trace).hot().top(6)) {
     std::printf("  sector %8llu: %llu requests\n",
                 static_cast<unsigned long long>(h.sector),
-                static_cast<unsigned long long>(h.accesses));
+                static_cast<unsigned long long>(h.count));
   }
 
   analysis::write_sector_series_csv(r.trace,

@@ -29,9 +29,11 @@ int fig3_wavelet() {
                                   bench::out_dir() + "/fig3_wavelet.csv");
 
   // Activity phases (requests/s over 25 s windows).
-  const auto rates = analysis::rate_over_time(r.trace, sec(25));
+  telemetry::WindowRateConsumer rates(sec(25));
+  rates.on_records(r.trace.records().data(), r.trace.size());
+  rates.on_finish(r.trace.duration());
   std::printf("Activity over time (req/s per 25 s window):\n  ");
-  for (const double v : rates) std::printf("%.1f ", v);
+  for (const double v : rates.series()) std::printf("%.1f ", v);
   std::printf("\n\n");
 
   // The paper's narrative, recovered mechanically: startup paging, the

@@ -43,7 +43,7 @@ int fig4_nbody() {
   // The paper compares the figures visually: more 2 KB requests appear in
   // Fig. 4 than in Fig. 2 (absolute occurrences).
   const auto count_2k = [](const trace::TraceSet& t) {
-    return analysis::request_size_histogram(t).count(2048);
+    return analysis::characterize(t).sizes().histogram().count(2048);
   };
   // Single-digit counts at ESS_FAST scale: allow a ±2 tie there.
   ok &= bench::check("more 2 KB requests than PPM",

@@ -32,7 +32,9 @@ int fig5_combined_size() {
   std::printf("\nPaper-vs-measured checks:\n");
   bool ok = true;
   ok &= bench::check("1 KB class maintained",
-                     analysis::request_size_histogram(combined.trace)
+                     analysis::characterize(combined.trace)
+                             .sizes()
+                             .histogram()
                              .count(1024) > 100,
                      "");
   // ESS_FAST leaves the shares statistically tied; allow a small slack

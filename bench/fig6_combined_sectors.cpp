@@ -29,10 +29,11 @@ int fig6_combined_sectors() {
   ok &= bench::check(
       "much higher activity than baseline",
       s.mix.requests_per_sec >
-          analysis::rw_mix(baseline.trace).requests_per_sec * 3,
+          analysis::summarize(baseline.trace).mix.requests_per_sec * 3,
       bench::fmt("%.2f/s", s.mix.requests_per_sec));
   double low_pct = 0;
-  for (const auto& b : analysis::spatial_locality(combined.trace)) {
+  for (const auto& b :
+       analysis::characterize(combined.trace).spatial().bands()) {
     if (b.band_start_sector < 200'000) low_pct += b.pct;
   }
   ok &= bench::check("activity primarily at lower sectors", low_pct > 70.0,

@@ -22,14 +22,14 @@ int fig7_spatial() {
                   .c_str());
   analysis::write_spatial_csv(r.trace, bench::out_dir() + "/fig7_spatial.csv");
 
-  const double disk_frac_90 =
-      analysis::disk_fraction_for_coverage(r.trace, 0.9);
+  const auto c = analysis::characterize(r.trace);
+  const double disk_frac_90 = analysis::disk_fraction_for_coverage(c, 0.9);
   std::printf("90%% of requests fall on %.2f%% of the disk's sectors\n",
               100.0 * disk_frac_90);
 
   std::printf("\nPaper-vs-measured checks:\n");
   bool ok = true;
-  const auto bands = analysis::spatial_locality(r.trace);
+  const auto bands = c.spatial().bands();
   double low = 0, top_band = 0;
   for (const auto& b : bands) {
     if (b.band_start_sector < 200'000) low += b.pct;

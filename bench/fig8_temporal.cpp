@@ -23,23 +23,24 @@ int fig8_temporal() {
   analysis::write_temporal_csv(r.trace,
                                bench::out_dir() + "/fig8_temporal.csv");
 
-  const auto hot = analysis::hot_spots(r.trace, 8);
+  const auto c = analysis::characterize(r.trace);
+  const auto hot = c.hot().top(8);
   std::printf("Hot spots (top sectors by access frequency):\n");
   for (const auto& h : hot) {
     std::printf("  sector %8llu: %llu accesses (%.3f/s)\n",
                 static_cast<unsigned long long>(h.sector),
-                static_cast<unsigned long long>(h.accesses), h.per_sec);
+                static_cast<unsigned long long>(h.count), h.per_sec);
   }
   std::printf("Mean reuse gap: %.1f s\n",
               analysis::mean_reuse_gap_sec(r.trace));
 
   std::printf("\nPaper-vs-measured checks:\n");
   bool ok = true;
-  ok &= bench::check("hot spots exist", !hot.empty() && hot[0].accesses >= 20,
+  ok &= bench::check("hot spots exist", !hot.empty() && hot[0].count >= 20,
                      hot.empty() ? "none"
                                  : bench::fmt("top has %.0f accesses",
                                               static_cast<double>(
-                                                  hot[0].accesses)));
+                                                  hot[0].count)));
   ok &= bench::check(
       "hottest sector near 45000 (paper: ~45000)",
       !hot.empty() && hot[0].sector > 20'000 && hot[0].sector < 70'000,
@@ -53,6 +54,6 @@ int fig8_temporal() {
                      : "");
   ok &= bench::check(
       "most I/O at lower sector numbers",
-      analysis::disk_fraction_for_coverage(r.trace, 0.5) < 0.05, "");
+      analysis::disk_fraction_for_coverage(c, 0.5) < 0.05, "");
   return ok ? 0 : 1;
 }

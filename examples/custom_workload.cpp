@@ -47,6 +47,7 @@ int main() {
   std::printf("%s\n", analysis::render_table1({s}).c_str());
   std::printf("%s\n", analysis::render_size_classes(s).c_str());
   std::printf("90%% of requests on %.2f%% of the disk\n",
-              100.0 * analysis::disk_fraction_for_coverage(result.trace, 0.9));
+              100.0 * analysis::disk_fraction_for_coverage(
+                          analysis::characterize(result.trace), 0.9));
   return 0;
 }

@@ -5,17 +5,29 @@
 // consecutive accesses to the same sector. Spatial locality ... from the
 // distribution of requests by sector number, and temporal locality ...
 // from the time elapsed between accesses to a particular sector."
+//
+// One engine computes them: characterize() folds a finished trace through
+// the same telemetry::StreamSummary that `esstrace stats`, the live sinks
+// and the parallel ESST scan run, so offline, streamed and scanned
+// characterizations cannot drift apart. Read the fold's consumers for the
+// read/write mix (rw()), the request-size classes (sizes()), the Fig. 7
+// sector bands (spatial().bands()) and the hot sectors (hot().top(k)).
+// The helpers below derive what no consumer holds.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "telemetry/consumers.hpp"
 #include "trace/trace_set.hpp"
-#include "util/stats.hpp"
 
 namespace ess::analysis {
+
+/// Every record of `ts` through a StreamSummary, finished at ts.duration().
+/// The top-K holds max(ts.size(), 1) counters — at least one per distinct
+/// sector — so its hot-sector counts are exact frequencies on any trace.
+telemetry::StreamSummary characterize(const trace::TraceSet& ts);
 
 /// Table 1 row: read/write mix and request rate.
 struct RwMix {
@@ -26,17 +38,6 @@ struct RwMix {
   double requests_per_sec = 0;
   std::uint64_t total = 0;
 };
-
-RwMix rw_mix(const trace::TraceSet& ts);
-
-/// Request sizes bucketed to exact byte values (1024, 2048, 4096, ...).
-Histogram request_size_histogram(const trace::TraceSet& ts);
-
-/// Fraction of requests whose size equals `bytes`.
-double size_class_fraction(const trace::TraceSet& ts, std::uint32_t bytes);
-
-/// Fraction of requests with size >= `bytes`.
-double size_at_least_fraction(const trace::TraceSet& ts, std::uint32_t bytes);
 
 /// (time, size, is_write) points for the request-size-vs-time figures.
 struct SizePoint {
@@ -54,49 +55,32 @@ struct SectorPoint {
 };
 std::vector<SectorPoint> sector_time_series(const trace::TraceSet& ts);
 
-/// Spatial locality (Fig. 7): percentage of requests per band of
-/// `band_sectors` sectors (the paper uses 100K bands).
-struct SpatialBand {
-  std::uint64_t band_start_sector = 0;
-  std::uint64_t requests = 0;
-  double pct = 0;
-};
-std::vector<SpatialBand> spatial_locality(const trace::TraceSet& ts,
-                                          std::uint64_t band_sectors = 100'000);
-
 /// Temporal locality (Fig. 8): per-sector access frequency (accesses per
-/// second averaged over the trace duration). Only sectors with at least
-/// `min_accesses` appear.
+/// second averaged over the capture duration; 0 on a zero-length capture),
+/// ascending by sector. Only sectors with at least `min_accesses` appear.
+/// Reads the fold's per-sector counts, exact for a characterize() fold.
 struct SectorFrequency {
   std::uint64_t sector = 0;
   std::uint64_t accesses = 0;
   double per_sec = 0;
 };
-std::vector<SectorFrequency> temporal_locality(const trace::TraceSet& ts,
-                                               std::uint64_t min_accesses = 2);
-
-/// The paper's hot spots: top-k sectors by access frequency.
-std::vector<SectorFrequency> hot_spots(const trace::TraceSet& ts,
-                                       std::size_t k);
+std::vector<SectorFrequency> temporal_locality(
+    const telemetry::StreamSummary& c, std::uint64_t min_accesses = 2);
 
 /// Mean time between consecutive accesses to the same sector, over sectors
 /// accessed at least twice.
 double mean_reuse_gap_sec(const trace::TraceSet& ts);
 
-/// The fraction of distinct accessed sectors that covers `coverage` of all
-/// requests (how concentrated the accessed set itself is).
-double sector_coverage_fraction(const trace::TraceSet& ts, double coverage);
-
-/// "Almost follows the 90/10 rule": the smallest fraction of the WHOLE
-/// DISK (total_sectors) whose sectors account for `coverage` of requests.
-double disk_fraction_for_coverage(const trace::TraceSet& ts, double coverage,
+/// "Almost follows the 90/10 rule": the smallest fraction of
+/// `total_sectors` sectors whose (hottest-first) accesses cover `coverage`
+/// of all requests. The default is the whole disk; pass
+/// `c.hot().distinct_tracked()` to measure against the accessed set alone.
+double disk_fraction_for_coverage(const telemetry::StreamSummary& c,
+                                  double coverage,
                                   std::uint64_t total_sectors = 1'018'080);
 
-/// Requests per second in fixed windows (activity over time).
-std::vector<double> rate_over_time(const trace::TraceSet& ts,
-                                   SimTime window);
-
-/// Summary block used by Table 1 and EXPERIMENTS.md.
+/// Summary block used by Table 1 and EXPERIMENTS.md: a projection of
+/// characterize(ts).
 struct TraceSummary {
   std::string experiment;
   RwMix mix;

@@ -45,12 +45,13 @@ std::string render_size_figure(const trace::TraceSet& ts,
 }
 
 std::string render_spatial_figure(const trace::TraceSet& ts,
-                                  const std::string& title,
-                                  std::uint64_t band_sectors) {
+                                  const std::string& title) {
   AsciiBarChart chart(title + "  (% of I/O requests per sector band)");
-  for (const auto& band : spatial_locality(ts, band_sectors)) {
+  const auto c = characterize(ts);
+  const auto width = c.spatial().band_sectors();
+  for (const auto& band : c.spatial().bands()) {
     const auto lo = band.band_start_sector / 1000;
-    const auto hi = (band.band_start_sector + band_sectors) / 1000;
+    const auto hi = (band.band_start_sector + width) / 1000;
     chart.add(std::to_string(lo) + "K-" + std::to_string(hi) + "K",
               band.pct);
   }
@@ -61,7 +62,7 @@ std::string render_temporal_figure(const trace::TraceSet& ts,
                                    const std::string& title) {
   AsciiScatter plot(title, "disk sector", "accesses per second");
   plot.set_x_range(0, 1'018'080);
-  for (const auto& f : temporal_locality(ts)) {
+  for (const auto& f : temporal_locality(characterize(ts))) {
     plot.add(static_cast<double>(f.sector), f.per_sec);
   }
   return plot.render();
@@ -97,6 +98,7 @@ std::string render_size_classes(const TraceSummary& s) {
 
 std::string markdown_report(const trace::TraceSet& ts) {
   const auto s = summarize(ts);
+  const auto c = characterize(ts);
   std::ostringstream os;
   os << "# I/O characterization: " << ts.experiment() << "\n\n";
   os << "Node " << ts.node_id() << ", " << ts.size() << " requests over "
@@ -118,18 +120,18 @@ std::string markdown_report(const trace::TraceSet& ts) {
   os << "| >= 8 KB (streaming) | " << fmt(s.pct_ge_8k) << "% |\n\n";
 
   os << "## Locality\n\n";
-  for (const auto& b : spatial_locality(ts)) {
+  for (const auto& b : c.spatial().bands()) {
     os << "* band " << b.band_start_sector / 1000 << "K-"
        << (b.band_start_sector + 100'000) / 1000 << "K: " << fmt(b.pct)
        << "%\n";
   }
   os << "* 90% of requests on "
-     << fmt(100.0 * disk_fraction_for_coverage(ts, 0.9), "%.2f")
+     << fmt(100.0 * disk_fraction_for_coverage(c, 0.9), "%.2f")
      << "% of the disk\n\n";
 
   os << "## Hot spots\n\n";
-  for (const auto& h : hot_spots(ts, 5)) {
-    os << "* sector " << h.sector << ": " << h.accesses << " accesses ("
+  for (const auto& h : c.hot().top(5)) {
+    os << "* sector " << h.sector << ": " << h.count << " accesses ("
        << fmt(h.per_sec, "%.3f") << "/s)\n";
   }
   os << "\n## Phases\n\n```\n" << render_phases(detect_phases(ts))
@@ -174,11 +176,10 @@ void write_sector_series_csv(const trace::TraceSet& ts,
   }
 }
 
-void write_spatial_csv(const trace::TraceSet& ts, const std::string& path,
-                       std::uint64_t band_sectors) {
+void write_spatial_csv(const trace::TraceSet& ts, const std::string& path) {
   CsvWriter csv(path);
   csv.header({"band_start_sector", "requests", "pct"});
-  for (const auto& b : spatial_locality(ts, band_sectors)) {
+  for (const auto& b : characterize(ts).spatial().bands()) {
     csv.row(b.band_start_sector, b.requests, b.pct);
   }
 }
@@ -186,7 +187,7 @@ void write_spatial_csv(const trace::TraceSet& ts, const std::string& path,
 void write_temporal_csv(const trace::TraceSet& ts, const std::string& path) {
   CsvWriter csv(path);
   csv.header({"sector", "accesses", "per_sec"});
-  for (const auto& f : temporal_locality(ts)) {
+  for (const auto& f : temporal_locality(characterize(ts))) {
     csv.row(f.sector, f.accesses, f.per_sec);
   }
 }

@@ -20,8 +20,7 @@ std::string render_size_figure(const trace::TraceSet& ts,
 
 /// Figure 7: spatial locality bar chart (percent per 100K-sector band).
 std::string render_spatial_figure(const trace::TraceSet& ts,
-                                  const std::string& title,
-                                  std::uint64_t band_sectors = 100'000);
+                                  const std::string& title);
 
 /// Figure 8: temporal locality scatter (accesses/sec vs. sector).
 std::string render_temporal_figure(const trace::TraceSet& ts,
@@ -44,8 +43,7 @@ void write_markdown_report(const trace::TraceSet& ts,
 void write_size_series_csv(const trace::TraceSet& ts, const std::string& path);
 void write_sector_series_csv(const trace::TraceSet& ts,
                              const std::string& path);
-void write_spatial_csv(const trace::TraceSet& ts, const std::string& path,
-                       std::uint64_t band_sectors = 100'000);
+void write_spatial_csv(const trace::TraceSet& ts, const std::string& path);
 void write_temporal_csv(const trace::TraceSet& ts, const std::string& path);
 void write_table1_csv(const std::vector<TraceSummary>& rows,
                       const std::string& path);

@@ -47,12 +47,6 @@ ReplayResult replay(const trace::TraceSet& ts, const ReplayConfig& cfg) {
           ? static_cast<double>(result.disk_busy) /
                 static_cast<double>(result.makespan)
           : 0.0;
-  const auto& st = drive.stats();
-  if (st.requests > 0) {
-    result.queue_delay_ms.add(
-        static_cast<double>(st.total_queue_delay) /
-        static_cast<double>(st.requests) / 1e3);
-  }
   return result;
 }
 

@@ -29,7 +29,6 @@ struct ReplayResult {
   double utilization = 0;        // busy / makespan
   OnlineStats response_ms;       // submit -> completion, per request
   std::vector<double> response_times_ms;  // the same, in completion order
-  OnlineStats queue_delay_ms;    // submit -> service start, per request
 
   double mean_response_ms() const { return response_ms.mean(); }
   /// Exact 95th percentile of the per-request response times.

@@ -67,8 +67,8 @@ void WindowRateConsumer::on_finish(SimTime duration) {
       static_cast<std::size_t>((duration + window_ - 1) / window_);
   series_.assign(n, 0.0);
   for (std::size_t w = 0; w < counts_.size(); ++w) {
-    // Records past the nominal duration clamp into the last window, the
-    // same as analysis::rate_over_time.
+    // Records past the nominal duration clamp into the last window, so
+    // every record counts exactly once.
     series_[std::min(w, n - 1)] += static_cast<double>(counts_[w]);
   }
   const double wsec = to_seconds(window_);

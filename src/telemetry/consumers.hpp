@@ -1,12 +1,12 @@
 // Incremental characterization consumers.
 //
 // Each consumer is a Sink holding O(state) memory, never the trace itself,
-// so the same code characterizes a finished TraceSet, an ESST file chunk by
-// chunk, or a run still in flight. Offline, their outputs equal the batch
-// analysis::characterize results on the same records (tested): the size
-// histogram, R/W mix, spatial bands and hot-sector ranking are exact; the
-// top-K sketch degrades gracefully (with bounded, reported error) only if
-// the number of distinct sectors exceeds its capacity.
+// so the same code characterizes a finished TraceSet (analysis::characterize
+// folds one through a StreamSummary), an ESST file chunk by chunk, or a run
+// still in flight. The size histogram, R/W mix and spatial bands are exact,
+// and so is the hot-sector ranking while the distinct sectors fit the top-K
+// capacity; beyond it the sketch degrades gracefully, with bounded,
+// reported error.
 //
 // Every consumer is also *mergeable*: merge(other) folds a second
 // consumer's state in, equivalent to one pass over this consumer's records
@@ -115,9 +115,8 @@ class SlidingRateConsumer final : public Sink {
   std::deque<SimTime> recent_;
 };
 
-/// Fixed-window request-rate series; finalize() reproduces
-/// analysis::rate_over_time (records past `duration` clamp into the last
-/// window, exactly as the batch code does).
+/// Fixed-window request-rate series (requests per second in each window of
+/// the capture; records past `duration` clamp into the last window).
 class WindowRateConsumer final : public Sink {
  public:
   explicit WindowRateConsumer(SimTime window = sec(10)) : window_(window) {}
@@ -156,8 +155,7 @@ class SpatialBandsConsumer final : public Sink {
     std::uint64_t requests = 0;
     double pct = 0;
   };
-  /// Ascending by band start, percentages of the records seen so far —
-  /// field-for-field what analysis::spatial_locality returns.
+  /// Ascending by band start, percentages of the records seen so far.
   std::vector<Band> bands() const;
   std::uint64_t band_sectors() const { return band_sectors_; }
 
@@ -172,8 +170,8 @@ class SpatialBandsConsumer final : public Sink {
 /// at a full table it replaces the minimum counter and inherits its count
 /// as the overestimation bound. While the distinct-sector population fits
 /// in `capacity` no replacement ever happens and every count is exact —
-/// sized for this study's traces by default, so the streamed hot-spot
-/// ranking equals the batch analysis::hot_spots ranking.
+/// sized for this study's traces by default; analysis::characterize sizes
+/// it to the trace, so its ranking is exact on any trace.
 class TopKSectorsConsumer final : public Sink {
  public:
   explicit TopKSectorsConsumer(std::size_t capacity = 65'536);
@@ -198,7 +196,7 @@ class TopKSectorsConsumer final : public Sink {
   /// lower bound of the true frequency.
   void merge(const TopKSectorsConsumer& other);
 
-  /// Top `k` by (count desc, sector asc) — analysis::hot_spots order.
+  /// Top `k` by (count desc, sector asc).
   std::vector<Entry> top(std::size_t k) const;
 
   /// True while no counter was ever evicted (counts are exact frequencies).

@@ -1,8 +1,8 @@
 // ESST: the indexed, chunked, delta-encoded on-disk trace format.
 //
-// The flat "ESSTRC01" format in trace/io.hpp stores 19 bytes per record and
-// must be read front-to-back; a multi-hour capture is unseekable and a
-// truncated file is unreadable. ESST fixes both, following the layout used
+// The retired flat "ESSTRC01" format stored 19 bytes per record and had to
+// be read front-to-back; a multi-hour capture was unseekable and a
+// truncated file unreadable. ESST fixes both, following the layout used
 // by production trace systems (Recorder, TraceTracker):
 //
 //   [header: 128 bytes, fixed, little-endian]

@@ -1,86 +1,11 @@
 #include "trace/io.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <vector>
 
 namespace ess::trace {
-namespace {
-
-constexpr char kMagic[8] = {'E', 'S', 'S', 'T', 'R', 'C', '0', '1'};
-
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("trace: truncated stream");
-  return v;
-}
-
-}  // namespace
-
-void write_binary(const TraceSet& ts, std::ostream& os) {
-  os.write(kMagic, sizeof kMagic);
-  const auto name = ts.experiment();
-  put(os, static_cast<std::uint32_t>(name.size()));
-  os.write(name.data(), static_cast<std::streamsize>(name.size()));
-  put(os, static_cast<std::int32_t>(ts.node_id()));
-  put(os, ts.duration());
-  put(os, static_cast<std::uint64_t>(ts.size()));
-  for (const auto& r : ts.records()) {
-    put(os, r.timestamp);
-    put(os, r.sector);
-    put(os, r.size_bytes);
-    put(os, r.is_write);
-    put(os, r.outstanding);
-  }
-}
-
-TraceSet read_binary(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("trace: bad magic");
-  }
-  const auto name_len = get<std::uint32_t>(is);
-  std::string name(name_len, '\0');
-  is.read(name.data(), name_len);
-  if (!is) throw std::runtime_error("trace: truncated name");
-  const auto node_id = get<std::int32_t>(is);
-  const auto duration = get<SimTime>(is);
-  const auto count = get<std::uint64_t>(is);
-  TraceSet ts(name, node_id);
-  ts.set_duration(duration);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Record r;
-    r.timestamp = get<SimTime>(is);
-    r.sector = get<std::uint32_t>(is);
-    r.size_bytes = get<std::uint32_t>(is);
-    r.is_write = get<std::uint8_t>(is);
-    r.outstanding = get<std::uint16_t>(is);
-    ts.add(r);
-  }
-  return ts;
-}
-
-void write_binary_file(const TraceSet& ts, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("trace: cannot open " + path);
-  write_binary(ts, f);
-}
-
-TraceSet read_binary_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("trace: cannot open " + path);
-  return read_binary(f);
-}
 
 void write_csv_header(std::ostream& os) {
   os << "timestamp_us,sector,size_bytes,is_write,outstanding\n";

@@ -1,5 +1,5 @@
-// Binary and CSV serialization of trace sets (the "trace files" of the
-// paper's methodology).
+// CSV serialization of trace sets (the "trace files" of the paper's
+// methodology). The binary trace format is ESST (telemetry/esst.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -8,14 +8,6 @@
 #include "trace/trace_set.hpp"
 
 namespace ess::trace {
-
-/// Binary format: magic "ESSTRC01", node id, duration, record count, then
-/// packed records. Little-endian (we only target such platforms).
-void write_binary(const TraceSet& ts, std::ostream& os);
-TraceSet read_binary(std::istream& is);
-
-void write_binary_file(const TraceSet& ts, const std::string& path);
-TraceSet read_binary_file(const std::string& path);
 
 /// CSV with header: timestamp_us,sector,size_bytes,is_write,outstanding
 void write_csv(const TraceSet& ts, std::ostream& os);

@@ -76,21 +76,4 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double coverage_fraction(const Histogram& h, double coverage) {
-  if (h.total() == 0) return 0.0;
-  std::vector<std::uint64_t> counts;
-  counts.reserve(h.cells().size());
-  for (const auto& [k, v] : h.cells()) counts.push_back(v);
-  std::sort(counts.begin(), counts.end(), std::greater<>());
-  const auto target = static_cast<double>(h.total()) * coverage;
-  double acc = 0.0;
-  std::size_t used = 0;
-  for (const auto c : counts) {
-    acc += static_cast<double>(c);
-    ++used;
-    if (acc >= target) break;
-  }
-  return static_cast<double>(used) / static_cast<double>(counts.size());
-}
-
 }  // namespace ess

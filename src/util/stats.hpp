@@ -61,9 +61,4 @@ class Histogram {
 /// p in [0, 100]. Returns 0 for an empty input.
 double percentile(std::vector<double> values, double p);
 
-/// Fraction of distinct keys (smallest such set) that covers `coverage`
-/// (e.g. 0.9) of the total weight of the histogram. This is the "90/10
-/// rule" metric used for spatial locality.
-double coverage_fraction(const Histogram& h, double coverage);
-
 }  // namespace ess

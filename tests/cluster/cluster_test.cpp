@@ -65,7 +65,7 @@ TEST(Cluster, NodesDifferButAgreeQualitatively) {
   }
   EXPECT_FALSE(all_same);
   for (const auto& t : result.node_traces) {
-    const auto mix = analysis::rw_mix(t);
+    const auto mix = analysis::summarize(t).mix;
     EXPECT_EQ(mix.reads, 0u);  // every node: writes only at baseline
   }
 }

@@ -35,7 +35,7 @@ TEST(CustomNode, BiggerCacheAbsorbsRereads) {
     (void)t;
     (void)t2;
     const auto r = study.run_custom("reread", {std::move(b).build()});
-    return analysis::rw_mix(r.trace).reads;
+    return analysis::summarize(r.trace).mix.reads;
   };
   const auto small_cache_reads = mk(512);    // 0.5 MB: second pass misses
   const auto big_cache_reads = mk(4096);     // 4 MB: second pass hits

@@ -36,10 +36,13 @@ TEST_F(PaperShape, BaselineConcentratedOnFewSectors) {
   const auto r = study().run_baseline();
   // "I/O accesses concentrated around a few sectors ... seen as horizontal
   //  lines": a small set of sectors covers most requests.
-  EXPECT_LT(analysis::sector_coverage_fraction(r.trace, 0.8), 0.5);
-  const auto hot = analysis::hot_spots(r.trace, 3);
+  const auto c = analysis::characterize(r.trace);
+  EXPECT_LT(analysis::disk_fraction_for_coverage(c, 0.8,
+                                                 c.hot().distinct_tracked()),
+            0.5);
+  const auto hot = c.hot().top(3);
   ASSERT_GE(hot.size(), 1u);
-  EXPECT_GE(hot[0].accesses, 3u);
+  EXPECT_GE(hot[0].count, 3u);
 }
 
 TEST_F(PaperShape, BaselineTouchesLowAndHighSectors) {
@@ -81,11 +84,11 @@ TEST_F(PaperShape, WaveletHasEarlyPagingPhase) {
   const auto dur = r.trace.duration();
   const auto early = r.trace.slice(0, dur / 4);
   const auto mid = r.trace.slice(dur / 2, dur * 3 / 4);
-  const double early_4k =
-      analysis::size_class_fraction(early, 4096) *
-      static_cast<double>(early.size());
-  const double mid_4k = analysis::size_class_fraction(mid, 4096) *
-                        static_cast<double>(mid.size());
+  const auto count_4k = [](const trace::TraceSet& ts) {
+    return analysis::characterize(ts).sizes().histogram().count(4096);
+  };
+  const auto early_4k = count_4k(early);
+  const auto mid_4k = count_4k(mid);
   EXPECT_GT(early_4k, mid_4k);
 }
 
@@ -105,7 +108,7 @@ TEST_F(PaperShape, NBodySitsBetweenPpmAndWavelet) {
 TEST_F(PaperShape, NBodyShowsTwoKilobyteCheckpoints) {
   const auto r = study().run_single(AppKind::kNBody);
   // "more 2 KB requests ... than occurred during PPM"
-  EXPECT_GT(analysis::size_class_fraction(r.trace, 2048), 0.0);
+  EXPECT_GT(analysis::summarize(r.trace).pct_2k, 0.0);
 }
 
 TEST_F(PaperShape, CombinedDrivesRequestSizesHigher) {
@@ -132,23 +135,23 @@ TEST_F(PaperShape, CombinedRunsLongerThanSingles) {
 
 TEST_F(PaperShape, CombinedSpatialLocalityFollows9010) {
   const auto r = study().run_combined();
-  const auto bands = analysis::spatial_locality(r.trace);
+  const auto c = analysis::characterize(r.trace);
   double low_band_pct = 0;
-  for (const auto& b : bands) {
+  for (const auto& b : c.spatial().bands()) {
     if (b.band_start_sector < 200'000) low_band_pct += b.pct;
   }
   // "The higher incidence of I/O activity in the lower sector numbers".
   EXPECT_GT(low_band_pct, 70.0);
   // 90% of requests from a small fraction of the disk.
-  EXPECT_LT(analysis::disk_fraction_for_coverage(r.trace, 0.9), 0.05);
+  EXPECT_LT(analysis::disk_fraction_for_coverage(c, 0.9), 0.05);
 }
 
 TEST_F(PaperShape, CombinedHasTemporalHotSpots) {
   const auto r = study().run_combined();
-  const auto hot = analysis::hot_spots(r.trace, 2);
+  const auto hot = analysis::characterize(r.trace).hot().top(2);
   ASSERT_EQ(hot.size(), 2u);
   // The hottest sectors are accessed repeatedly (hot spots exist).
-  EXPECT_GE(hot[0].accesses, 5u);
+  EXPECT_GE(hot[0].count, 5u);
   // Both hot spots are in the low region, as in Fig. 8.
   EXPECT_LT(hot[0].sector, 150'000u);
   EXPECT_LT(hot[1].sector, 150'000u);
@@ -156,16 +159,13 @@ TEST_F(PaperShape, CombinedHasTemporalHotSpots) {
 
 TEST_F(PaperShape, RequestSizesFallIntoThreeClasses) {
   const auto r = study().run_combined();
-  const auto h = analysis::request_size_histogram(r.trace);
+  const auto sizes = analysis::characterize(r.trace).sizes();
   // 1 KB block I/O, 4 KB paging both present and dominant among classes.
-  EXPECT_GT(h.count(1024), 0u);
-  EXPECT_GT(h.count(4096), 0u);
-  const double covered =
-      analysis::size_class_fraction(r.trace, 1024) +
-      analysis::size_class_fraction(r.trace, 2048) +
-      analysis::size_class_fraction(r.trace, 3072) +
-      analysis::size_class_fraction(r.trace, 4096) +
-      analysis::size_at_least_fraction(r.trace, 8 * 1024);
+  EXPECT_GT(sizes.histogram().count(1024), 0u);
+  EXPECT_GT(sizes.histogram().count(4096), 0u);
+  const double covered = sizes.fraction(1024) + sizes.fraction(2048) +
+                         sizes.fraction(3072) + sizes.fraction(4096) +
+                         sizes.fraction_at_least(8 * 1024);
   EXPECT_GT(covered, 0.9);
 }
 

@@ -29,7 +29,7 @@ TEST(Study, BaselineIsAllWrites) {
   Study study(test::fast_study_config());
   const auto r = study.run_baseline();
   EXPECT_TRUE(r.completed);
-  const auto mix = analysis::rw_mix(r.trace);
+  const auto mix = analysis::summarize(r.trace).mix;
   EXPECT_GT(mix.total, 0u);
   EXPECT_EQ(mix.reads, 0u);
   EXPECT_NEAR(to_seconds(r.trace.duration()), 120.0, 1.0);
@@ -89,7 +89,7 @@ TEST(Study, CustomWorkloadRuns) {
   const auto r = study.run_custom("Synthetic", {std::move(synth)});
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.trace.size(), 0u);
-  const auto mix = analysis::rw_mix(r.trace);
+  const auto mix = analysis::summarize(r.trace).mix;
   EXPECT_GT(mix.write_pct, 90.0);  // a pure logger, plus system writes
 }
 

@@ -81,8 +81,8 @@ TEST(Daemons, FasterSyslogRaisesTheRate) {
   KernelConfig fast;
   fast.daemons.syslogd_period = sec(1);
   fast.daemons.syslogd_bytes = 400;
-  const auto s = analysis::rw_mix(capture_baseline(slow, sec(600)));
-  const auto f = analysis::rw_mix(capture_baseline(fast, sec(600)));
+  const auto s = analysis::summarize(capture_baseline(slow, sec(600))).mix;
+  const auto f = analysis::summarize(capture_baseline(fast, sec(600))).mix;
   EXPECT_GT(f.requests_per_sec, s.requests_per_sec);
 }
 

@@ -96,7 +96,7 @@ TEST(NodeKernel, BaselineDaemonsProduceOnlyWrites) {
   node.run_for(sec(120));
   const auto ts = node.collect_trace("baseline");
   ASSERT_GT(ts.size(), 0u);
-  const auto mix = analysis::rw_mix(ts);
+  const auto mix = analysis::summarize(ts).mix;
   EXPECT_EQ(mix.reads, 0u);
   EXPECT_GT(mix.writes, 0u);
 }
@@ -111,7 +111,7 @@ TEST(NodeKernel, BaselineRateRoughlyMatchesPaper) {
   auto ts = node.collect_trace("baseline");
   ts.rebase(t0);
   ts.set_duration(sec(600));
-  const auto mix = analysis::rw_mix(ts);
+  const auto mix = analysis::summarize(ts).mix;
   // Paper: ~0.9 req/s. Accept a generous band around it.
   EXPECT_GT(mix.requests_per_sec, 0.3);
   EXPECT_LT(mix.requests_per_sec, 2.0);
@@ -156,7 +156,7 @@ TEST(NodeKernel, WarmFileMakesPageInsHitCache) {
     node.spawn(std::move(b).build());
     node.run_until_done(sec(100));
     const auto ts = node.collect_trace("warm");
-    return analysis::rw_mix(ts).reads;
+    return analysis::summarize(ts).mix.reads;
   };
   EXPECT_GT(page_in_reads(false), 0u);
   EXPECT_EQ(page_in_reads(true), 0u);
@@ -174,7 +174,7 @@ TEST(NodeKernel, PartialWarmLeavesTailCold) {
   b.touch_range(0, 64, false);
   node.spawn(std::move(b).build());
   node.run_until_done(sec(100));
-  const auto reads = analysis::rw_mix(node.collect_trace("p")).reads;
+  const auto reads = analysis::summarize(node.collect_trace("p")).mix.reads;
   EXPECT_GT(reads, 0u);
   EXPECT_LE(reads, 32u);  // only the cold half faults from disk
 }
@@ -220,9 +220,9 @@ TEST(NodeKernel, PagingGenerates4KRequests) {
   node.spawn(std::move(b).build());
   ASSERT_TRUE(node.run_until_done(sec(4000)));
   const auto ts = node.collect_trace("paging");
-  const double frac4k = analysis::size_class_fraction(ts, 4096);
+  const double frac4k = analysis::characterize(ts).sizes().fraction(4096);
   EXPECT_GT(frac4k, 0.8);
-  const auto mix = analysis::rw_mix(ts);
+  const auto mix = analysis::summarize(ts).mix;
   EXPECT_GT(mix.reads, 0u);   // swap-ins
   EXPECT_GT(mix.writes, 0u);  // swap-outs
 }

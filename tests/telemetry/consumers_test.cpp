@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/characterize.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/snapshot.hpp"
+#include "trace/trace_set.hpp"
 #include "util/rng.hpp"
 
 namespace ess::telemetry {
@@ -46,17 +49,26 @@ void feed(Consumer& c, const trace::TraceSet& ts) {
   c.on_finish(ts.duration());
 }
 
+// The pinned figures below are mixed_trace()'s whole-trace batch counts
+// (the one-loop-per-metric definitions that tests/analysis/
+// characterize_test.cpp keeps as its reference); each consumer must
+// reproduce them exactly.
+constexpr double kRecords = 3000;
+
 TEST(Consumers, SizeHistogramMatchesBatchAnalysis) {
   const auto ts = mixed_trace();
   SizeHistogramConsumer c;
   feed(c, ts);
-  const auto batch = analysis::request_size_histogram(ts);
-  EXPECT_EQ(c.histogram().cells(), batch.cells());
-  for (std::uint32_t bytes : {1024u, 2048u, 4096u, 8192u}) {
-    EXPECT_DOUBLE_EQ(c.fraction(bytes),
-                     analysis::size_class_fraction(ts, bytes));
-    EXPECT_DOUBLE_EQ(c.fraction_at_least(bytes),
-                     analysis::size_at_least_fraction(ts, bytes));
+  const std::map<std::int64_t, std::uint64_t> cells{
+      {1024, 772}, {2048, 753}, {4096, 772}, {8192, 703}};
+  EXPECT_EQ(c.histogram().cells(), cells);
+  std::uint64_t at_least = 3000;
+  for (const auto& [bytes, n] : cells) {
+    const auto b = static_cast<std::uint32_t>(bytes);
+    EXPECT_DOUBLE_EQ(c.fraction(b), static_cast<double>(n) / kRecords);
+    EXPECT_DOUBLE_EQ(c.fraction_at_least(b),
+                     static_cast<double>(at_least) / kRecords);
+    at_least -= n;
   }
   EXPECT_EQ(c.max_request_bytes(), 8192u);
 }
@@ -65,26 +77,28 @@ TEST(Consumers, RwMixMatchesBatchAnalysis) {
   const auto ts = mixed_trace();
   RwMixConsumer c;
   feed(c, ts);
-  const auto batch = analysis::rw_mix(ts);
-  EXPECT_EQ(c.reads(), batch.reads);
-  EXPECT_EQ(c.writes(), batch.writes);
-  EXPECT_EQ(c.total(), batch.total);
-  EXPECT_DOUBLE_EQ(c.read_pct(), batch.read_pct);
-  EXPECT_DOUBLE_EQ(c.write_pct(), batch.write_pct);
-  EXPECT_DOUBLE_EQ(c.requests_per_sec(), batch.requests_per_sec);
+  EXPECT_EQ(c.reads(), 583u);
+  EXPECT_EQ(c.writes(), 2417u);
+  EXPECT_EQ(c.total(), 3000u);
+  EXPECT_DOUBLE_EQ(c.read_pct(), 100.0 * 583 / kRecords);
+  EXPECT_DOUBLE_EQ(c.write_pct(), 100.0 - 100.0 * 583 / kRecords);
+  EXPECT_DOUBLE_EQ(c.requests_per_sec(), kRecords / 1250);
 }
 
 TEST(Consumers, SpatialBandsMatchBatchAnalysis) {
   const auto ts = mixed_trace();
   SpatialBandsConsumer c;
   feed(c, ts);
-  const auto batch = analysis::spatial_locality(ts);
+  // Requests per 100K band, sectors 0..1 099 999.
+  const std::uint64_t per_band[] = {2031, 107, 119, 111, 95, 110,
+                                    95,   93,  103, 111, 25};
   const auto bands = c.bands();
-  ASSERT_EQ(bands.size(), batch.size());
+  ASSERT_EQ(bands.size(), std::size(per_band));
   for (std::size_t i = 0; i < bands.size(); ++i) {
-    EXPECT_EQ(bands[i].band_start_sector, batch[i].band_start_sector);
-    EXPECT_EQ(bands[i].requests, batch[i].requests);
-    EXPECT_DOUBLE_EQ(bands[i].pct, batch[i].pct);
+    EXPECT_EQ(bands[i].band_start_sector, i * 100'000);
+    EXPECT_EQ(bands[i].requests, per_band[i]);
+    EXPECT_DOUBLE_EQ(bands[i].pct,
+                     100.0 * static_cast<double>(per_band[i]) / kRecords);
   }
 }
 
@@ -93,17 +107,19 @@ TEST(Consumers, TopKIsExactWithinCapacityAndMatchesHotSpots) {
   TopKSectorsConsumer c;  // default capacity far above distinct sectors here
   feed(c, ts);
   EXPECT_TRUE(c.exact());
-  const auto batch = analysis::hot_spots(ts, 10);
+  // The two planted hot sectors, then the lowest-numbered single hits.
+  const std::pair<std::uint64_t, std::uint64_t> expected[] = {
+      {45'000, 1203}, {99'184, 711}, {1068, 1}, {1276, 1}, {1663, 1},
+      {2110, 1},      {2613, 1},     {3310, 1}, {4937, 1}, {5615, 1}};
   const auto top = c.top(10);
-  ASSERT_EQ(top.size(), batch.size());
+  ASSERT_EQ(top.size(), std::size(expected));
   for (std::size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(top[i].sector, batch[i].sector);
-    EXPECT_EQ(top[i].count, batch[i].accesses);
+    EXPECT_EQ(top[i].sector, expected[i].first);
+    EXPECT_EQ(top[i].count, expected[i].second);
     EXPECT_EQ(top[i].error, 0u);
-    EXPECT_DOUBLE_EQ(top[i].per_sec, batch[i].per_sec);
+    EXPECT_DOUBLE_EQ(top[i].per_sec,
+                     static_cast<double>(expected[i].second) / 1250);
   }
-  EXPECT_EQ(top[0].sector, 45'000u);
-  EXPECT_EQ(top[1].sector, 99'184u);
 }
 
 TEST(Consumers, SpaceSavingEvictsButKeepsTheHeavyHitter) {
@@ -141,16 +157,17 @@ TEST(Consumers, WindowRateSeriesMatchesRateOverTime) {
   const auto ts = mixed_trace();
   WindowRateConsumer c(sec(10));
   feed(c, ts);
-  const auto batch = analysis::rate_over_time(ts, sec(10));
-  ASSERT_EQ(c.series().size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_DOUBLE_EQ(c.series()[i], batch[i]);
+  // One record per 400 ms fills the 120 windows up to the last record at
+  // 1199.6 s with 25 each; the 5 windows of the idle tail up to the
+  // declared 1250 s are empty.
+  ASSERT_EQ(c.series().size(), 125u);
+  for (std::size_t i = 0; i < c.series().size(); ++i) {
+    EXPECT_DOUBLE_EQ(c.series()[i], i < 120 ? 2.5 : 0.0) << i;
   }
 }
 
 TEST(Consumers, WindowRateClampsRecordsPastDuration) {
-  // A record beyond the declared duration lands in the last window, as the
-  // batch code does.
+  // A record beyond the declared duration lands in the last window.
   trace::TraceSet ts("clamp", 0);
   for (SimTime t : {sec(1), sec(5), sec(25)}) {
     trace::Record r;
@@ -161,11 +178,9 @@ TEST(Consumers, WindowRateClampsRecordsPastDuration) {
   ts.set_duration(sec(20));
   WindowRateConsumer c(sec(10));
   feed(c, ts);
-  const auto batch = analysis::rate_over_time(ts, sec(10));
-  ASSERT_EQ(c.series().size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_DOUBLE_EQ(c.series()[i], batch[i]);
-  }
+  ASSERT_EQ(c.series().size(), 2u);
+  EXPECT_DOUBLE_EQ(c.series()[0], 0.2);
+  EXPECT_DOUBLE_EQ(c.series()[1], 0.1);
 }
 
 TEST(Consumers, SlidingRateCountsOnlyTheWindow) {
@@ -187,13 +202,12 @@ TEST(Consumers, StreamSummaryResultAggregatesEverything) {
   feed(s, ts);
   EXPECT_TRUE(s.finished());
   const auto r = s.result("mixed");
-  const auto mix = analysis::rw_mix(ts);
   EXPECT_EQ(r.experiment, "mixed");
   EXPECT_EQ(r.records, ts.size());
   EXPECT_DOUBLE_EQ(r.duration_sec, to_seconds(ts.duration()));
-  EXPECT_EQ(r.reads, mix.reads);
-  EXPECT_EQ(r.writes, mix.writes);
-  EXPECT_DOUBLE_EQ(r.requests_per_sec, mix.requests_per_sec);
+  EXPECT_EQ(r.reads, 583u);
+  EXPECT_EQ(r.writes, 2417u);
+  EXPECT_DOUBLE_EQ(r.requests_per_sec, kRecords / 1250);
   EXPECT_TRUE(r.hot_exact);
   ASSERT_FALSE(r.hot.empty());
   EXPECT_EQ(r.hot[0].sector, 45'000u);

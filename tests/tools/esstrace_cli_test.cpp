@@ -69,23 +69,51 @@ class EsstraceCli : public ::testing::Test {
   std::string esst_;
 };
 
+// A file in the retired flat "ESSTRC01" format: its magic, then a header
+// and records the tolerant CSV reader would skip as malformed rows.
+void write_retired_binary(const std::string& path) {
+  std::ofstream f(path, std::ios::binary);
+  f << "ESSTRC01" << std::string(40, '\x01');
+}
+
 TEST_F(EsstraceCli, SniffsByMagicNotExtension) {
   EXPECT_EQ(sniff_format(esst_), TraceFormat::kEsst);
   EXPECT_EQ(sniff_format(csv_), TraceFormat::kCsv);
-  const auto bin = tmp_path("cli_in_misnamed.csv");
-  trace::write_binary_file(sample(), bin);
-  EXPECT_EQ(sniff_format(bin), TraceFormat::kLegacyBinary);
-  EXPECT_EQ(format_for_extension(bin), TraceFormat::kCsv);  // name lies
-  std::remove(bin.c_str());
+  const auto misnamed = tmp_path("cli_in_misnamed.csv");
+  telemetry::write_esst_file(sample(), misnamed);
+  EXPECT_EQ(sniff_format(misnamed), TraceFormat::kEsst);
+  EXPECT_EQ(format_for_extension(misnamed), TraceFormat::kCsv);  // name lies
+  write_retired_binary(misnamed);
+  try {
+    sniff_format(misnamed);
+    ADD_FAILURE() << "the retired ESSTRC01 magic was not refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("retired ESSTRC01"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(misnamed.c_str());
 }
 
 TEST_F(EsstraceCli, LoadAnyReadsEveryFormat) {
-  const auto bin = tmp_path("cli_in.bin");
-  trace::write_binary_file(sample(), bin);
-  for (const auto& path : {csv_, esst_, bin}) {
+  for (const auto& path : {csv_, esst_}) {
     const auto ts = load_any(path);
     EXPECT_EQ(ts.size(), sample().size()) << path;
   }
+  // The retired flat binary format is refused with exit 2, never read as
+  // an empty CSV trace.
+  const auto bin = tmp_path("cli_in.bin");
+  write_retired_binary(bin);
+  EXPECT_THROW(load_any(bin), std::runtime_error);
+  std::ostringstream out, err;
+  EXPECT_EQ(cmd_cat(bin, out, err), 2);
+  EXPECT_EQ(cmd_stats(bin, out, err), 2);
+  EXPECT_TRUE(out.str().empty()) << out.str();
+  EXPECT_NE(err.str().find("esstrace cat: "), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("esstrace stats: "), std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("retired ESSTRC01"), std::string::npos)
+      << err.str();
   std::remove(bin.c_str());
 }
 

@@ -22,44 +22,6 @@ TraceSet sample() {
   return ts;
 }
 
-TEST(TraceIo, BinaryRoundTrip) {
-  const TraceSet original = sample();
-  std::stringstream ss;
-  write_binary(original, ss);
-  const TraceSet restored = read_binary(ss);
-  EXPECT_EQ(restored.experiment(), "roundtrip");
-  EXPECT_EQ(restored.node_id(), 7);
-  EXPECT_EQ(restored.duration(), original.duration());
-  ASSERT_EQ(restored.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored.records()[i], original.records()[i]);
-  }
-}
-
-TEST(TraceIo, BinaryFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ess_trace_test.bin";
-  const TraceSet original = sample();
-  write_binary_file(original, path);
-  const TraceSet restored = read_binary_file(path);
-  EXPECT_EQ(restored.size(), original.size());
-}
-
-TEST(TraceIo, BadMagicThrows) {
-  std::stringstream ss;
-  ss << "NOTATRACEFILE_______";
-  EXPECT_THROW(read_binary(ss), std::runtime_error);
-}
-
-TEST(TraceIo, TruncatedStreamThrows) {
-  const TraceSet original = sample();
-  std::stringstream ss;
-  write_binary(original, ss);
-  std::string data = ss.str();
-  data.resize(data.size() / 2);
-  std::stringstream cut(data);
-  EXPECT_THROW(read_binary(cut), std::runtime_error);
-}
-
 TEST(TraceIo, CsvHasHeaderAndRows) {
   TraceSet ts("csv", 0);
   Record r;
@@ -79,10 +41,12 @@ TEST(TraceIo, CsvHasHeaderAndRows) {
 TEST(TraceIo, EmptyTraceRoundTrips) {
   TraceSet ts("empty", -1);
   std::stringstream ss;
-  write_binary(ts, ss);
-  const TraceSet restored = read_binary(ss);
+  write_csv(ts, ss);
+  CsvReadStats stats;
+  const TraceSet restored = read_csv(ss, &stats);
   EXPECT_TRUE(restored.empty());
-  EXPECT_EQ(restored.node_id(), -1);
+  EXPECT_TRUE(stats.had_header);
+  EXPECT_EQ(stats.skipped, 0u);
 }
 
 TEST(TraceIo, CsvRoundTrip) {

@@ -102,24 +102,5 @@ TEST(Percentile, ThrowsOnBadP) {
   EXPECT_THROW(percentile({1.0}, 101.0), std::invalid_argument);
 }
 
-TEST(CoverageFraction, UniformNeedsProportionalKeys) {
-  Histogram h;
-  for (int k = 0; k < 10; ++k) h.add(k, 10);
-  EXPECT_NEAR(coverage_fraction(h, 0.9), 0.9, 1e-9);
-}
-
-TEST(CoverageFraction, SkewedNeedsFewKeys) {
-  Histogram h;
-  h.add(0, 900);
-  for (int k = 1; k <= 100; ++k) h.add(k, 1);
-  // One key covers 90% of the weight.
-  EXPECT_NEAR(coverage_fraction(h, 0.9), 1.0 / 101.0, 1e-9);
-}
-
-TEST(CoverageFraction, EmptyIsZero) {
-  Histogram h;
-  EXPECT_EQ(coverage_fraction(h, 0.9), 0.0);
-}
-
 }  // namespace
 }  // namespace ess

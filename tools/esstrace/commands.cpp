@@ -105,7 +105,9 @@ TraceFormat sniff_format(const std::string& path) {
   if (f.gcount() == 8) {
     if (std::memcmp(magic, "ESST0001", 8) == 0) return TraceFormat::kEsst;
     if (std::memcmp(magic, "ESSTRC01", 8) == 0) {
-      return TraceFormat::kLegacyBinary;
+      throw std::runtime_error(
+          path + " is in the retired ESSTRC01 flat binary format, which is "
+                 "no longer read; ESST and CSV are the trace formats");
     }
   }
   return TraceFormat::kCsv;
@@ -113,17 +115,13 @@ TraceFormat sniff_format(const std::string& path) {
 
 TraceFormat format_for_extension(const std::string& path) {
   const auto ext = lower_ext(path);
-  if (ext == "esst") return TraceFormat::kEsst;
-  if (ext == "bin") return TraceFormat::kLegacyBinary;
-  return TraceFormat::kCsv;
+  return ext == "esst" ? TraceFormat::kEsst : TraceFormat::kCsv;
 }
 
 trace::TraceSet load_any(const std::string& path) {
   switch (sniff_format(path)) {
     case TraceFormat::kEsst:
       return telemetry::read_esst_file(path);
-    case TraceFormat::kLegacyBinary:
-      return trace::read_binary_file(path);
     case TraceFormat::kCsv:
       return trace::read_csv_file(path);
   }
@@ -134,9 +132,6 @@ void save_as(const trace::TraceSet& ts, const std::string& path) {
   switch (format_for_extension(path)) {
     case TraceFormat::kEsst:
       telemetry::write_esst_file(ts, path);
-      return;
-    case TraceFormat::kLegacyBinary:
-      trace::write_binary_file(ts, path);
       return;
     case TraceFormat::kCsv:
       trace::write_csv_file(ts, path);

@@ -17,7 +17,7 @@
 
 namespace ess::esstrace {
 
-enum class TraceFormat { kEsst, kLegacyBinary, kCsv };
+enum class TraceFormat { kEsst, kCsv };
 
 /// Upper bound a `--jobs`/`--shards` value may take (exec::kMaxWorkers).
 inline constexpr std::size_t kMaxJobs = exec::kMaxWorkers;
@@ -28,12 +28,13 @@ inline constexpr std::size_t kMaxJobs = exec::kMaxWorkers;
 /// leaving `jobs` untouched — on anything else.
 bool parse_jobs(const std::string& text, std::size_t& jobs);
 
-/// Identify a file's format by its magic ("ESST0001", "ESSTRC01"), not its
-/// name; anything else is treated as CSV.
+/// Identify a file's format by its magic ("ESST0001"), not its name;
+/// anything else is treated as CSV. Throws std::runtime_error on the magic
+/// of the retired flat "ESSTRC01" format, which the tolerant CSV reader
+/// would otherwise turn into an empty trace.
 TraceFormat sniff_format(const std::string& path);
 
-/// Pick an output format from the extension: .esst, .bin (legacy flat
-/// binary), anything else CSV.
+/// Pick an output format from the extension: .esst, anything else CSV.
 TraceFormat format_for_extension(const std::string& path);
 
 /// Load a trace in any supported format (sniffed).

@@ -27,7 +27,7 @@ int usage(std::ostream& os, int code) {
         "  info    FILE                 header, chunk index, salvage state\n"
         "  cat     FILE                 any trace format -> CSV on stdout\n"
         "  convert IN OUT               convert (format from OUT extension:\n"
-        "                               .esst | .bin | .csv)\n"
+        "                               .esst | .csv)\n"
         "  filter  IN OUT [options]     keep matching records; ESST chunk\n"
         "                               index prunes without decoding\n"
         "          --after S --before S      time range, seconds\n"
