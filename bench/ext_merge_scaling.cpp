@@ -37,6 +37,7 @@
 #include "bench/common.hpp"
 #include "exec/thread_pool.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "trace/trace_set.hpp"
 #include "util/rng.hpp"
 
@@ -244,16 +245,10 @@ int main() {
   // Feed the merged record stream straight into an EsstWriter: no merge
   // logic, no decode on the timed path — just batch encode + CRC + write,
   // with and without the worker-thread offload.
-  std::vector<trace::Record> recs;
-  {
-    std::istringstream is(merge_ref_bytes);
-    telemetry::EsstReader reader(is);
-    std::vector<trace::Record> chunk;
-    for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
-      reader.read_chunk_into(i, chunk);
-      recs.insert(recs.end(), chunk.begin(), chunk.end());
-    }
-  }
+  const std::vector<trace::Record> recs =
+      telemetry::EsstView(util::MmapFile::from_bytes(merge_ref_bytes))
+          .read_all()
+          .records();
   telemetry::EsstMeta wmeta;
   wmeta.experiment = "merge-scaling";
   wmeta.node_id = -1;

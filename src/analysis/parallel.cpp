@@ -9,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "exec/runner.hpp"
@@ -18,25 +17,6 @@
 
 namespace ess::analysis {
 namespace {
-
-std::unique_ptr<std::ifstream> open_binary(const std::string& path) {
-  auto f = std::make_unique<std::ifstream>(path, std::ios::binary);
-  if (!*f) throw std::runtime_error("cannot open " + path);
-  return f;
-}
-
-/// Map the capture, translating the mapper's open/stat failures to the
-/// same "cannot open <path>" every stream-based path in this file throws.
-telemetry::EsstView open_view(const std::string& path) {
-  try {
-    return telemetry::EsstView(path);
-  } catch (const std::runtime_error& e) {
-    if (std::string_view(e.what()).rfind("mmap_file:", 0) == 0) {
-      throw std::runtime_error("cannot open " + path);
-    }
-    throw;
-  }
-}
 
 /// A few shards per worker: enough slack that one slow shard cannot
 /// straggle the whole scan, few enough that per-shard overhead stays
@@ -144,29 +124,8 @@ ScanResult scan_esst(const std::string& path, std::size_t jobs,
   ScanResult out;
   out.summary = telemetry::StreamSummary(opts);
 
-  const telemetry::EsstView view = open_view(path);
-  if (!view.index_ok()) {
-    // Salvage fallback: no trusted index, so the chunk list itself comes
-    // from EsstReader's forward scan — inherently serial and streaming.
-    const auto file = open_binary(path);
-    telemetry::EsstReader reader(*file);
-    out.experiment = reader.meta().experiment;
-    out.salvaged = true;
-    out.capture_dropped = reader.capture_dropped();
-    std::vector<trace::Record> recs;
-    for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
-      try {
-        reader.read_chunk_into(i, recs);
-        out.summary.on_records(recs.data(), recs.size());
-      } catch (const std::runtime_error&) {
-        out.lost_records += reader.chunks()[i].records;
-      }
-    }
-    out.summary.on_drops(out.capture_dropped + out.lost_records);
-    out.summary.on_finish(reader.duration());
-    return out;
-  }
-
+  const telemetry::EsstView view(path);
+  out.salvaged = view.salvaged();
   out.experiment = view.meta().experiment;
   out.capture_dropped = view.capture_dropped();
   const std::size_t nchunks = view.chunks().size();
@@ -229,16 +188,12 @@ ScanResult scan_esst(const std::string& path, std::size_t jobs,
 
 telemetry::SalvageReport verify_esst(const std::string& path,
                                      std::size_t jobs) {
-  const std::size_t workers = resolve_jobs(jobs);
-  const telemetry::EsstView view = open_view(path);
-  if (!view.index_ok()) {
-    // Salvaged files keep the streaming pass: the damage the constructor's
-    // scan already discarded lives in that reader's state.
-    const auto file = open_binary(path);
-    telemetry::EsstReader reader(*file);
-    return reader.verify();
-  }
+  return verify_esst(telemetry::EsstView(path), jobs);
+}
 
+telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
+                                     std::size_t jobs) {
+  const std::size_t workers = resolve_jobs(jobs);
   struct ShardReport {
     std::size_t chunks_kept = 0;
     std::size_t chunks_lost = 0;
@@ -275,8 +230,7 @@ telemetry::SalvageReport verify_esst(const std::string& path,
   }
 
   telemetry::SalvageReport rep;
-  rep.index_ok = true;
-  rep.capture_dropped = view.capture_dropped();
+  std::optional<std::uint64_t> first_bad_chunk;
   // workers == 1 runs the same shard jobs inline (ThreadPool(0)): the
   // serial reference path through identical code.
   for (const auto& shard : exec::run_ordered(
@@ -286,10 +240,26 @@ telemetry::SalvageReport verify_esst(const std::string& path,
     rep.records_kept += shard.records_kept;
     rep.records_lost += shard.records_lost;
     // Shards come back in chunk order, so the first shard that saw damage
-    // holds the file's first damaged offset.
-    if (!rep.first_bad_offset) rep.first_bad_offset = shard.first_bad_offset;
+    // holds the first damaged chunk's offset.
+    if (!first_bad_chunk) first_bad_chunk = shard.first_bad_offset;
   }
-  // Same trailer cross-check as the serial pass: never understate loss.
+  // Fold in what opening the file established: index state, capture drops,
+  // and the damage a salvage scan already discarded (those chunks never
+  // made it into the chunk list).
+  const telemetry::SalvageReport& scan = view.scan_losses();
+  rep.index_ok = scan.index_ok;
+  rep.capture_dropped = scan.capture_dropped;
+  rep.records_lost_exact = scan.records_lost_exact;
+  rep.chunks_lost += scan.chunks_lost;
+  rep.records_lost += scan.records_lost;
+  rep.first_bad_offset = first_bad_chunk;
+  if (scan.first_bad_offset &&
+      (!rep.first_bad_offset || *scan.first_bad_offset < *rep.first_bad_offset)) {
+    rep.first_bad_offset = scan.first_bad_offset;
+  }
+  // The trailer's total outrunning the index's per-chunk sum means the
+  // index itself lost entries; trust the larger claim so the report never
+  // understates loss (salvaged files carry no trailer claim).
   if (view.trailer_records() > rep.records_kept + rep.records_lost) {
     rep.records_lost = view.trailer_records() - rep.records_kept;
   }
@@ -324,15 +294,12 @@ inline MergeKey exhausted_key() {
 }
 
 /// One input of the k-way merge: its decoded-chunk double buffer and at
-/// most one chunk-decode in flight on the pool. Indexed inputs decode
-/// zero-copy from a shared-nothing EsstView; inputs whose index did not
-/// survive fall back to their own streaming reader. The two decode
-/// buffers swap roles on every refill, so a long merge settles into
+/// most one chunk-decode in flight on the pool. Each input decodes
+/// zero-copy from its own EsstView (salvaged inputs included). The two
+/// decode buffers swap roles on every refill, so a long merge settles into
 /// steady-state with no per-chunk allocation at all.
 struct MergeCursor {
-  std::unique_ptr<telemetry::EsstView> view;  // indexed fast path
-  std::unique_ptr<std::ifstream> file;        // salvage fallback...
-  std::unique_ptr<telemetry::EsstReader> reader;
+  std::unique_ptr<telemetry::EsstView> view;
   std::int32_t stamp_node = 0;  // v1 inputs: header node id per record
   bool stamp = false;
   std::size_t next_chunk = 0;  // next chunk index to schedule
@@ -346,41 +313,14 @@ struct MergeCursor {
 
   const trace::Record& front() const { return recs[pos]; }
 
-  const std::vector<telemetry::ChunkInfo>& chunks() const {
-    return view ? view->chunks() : reader->chunks();
-  }
-
-  void open(const std::string& path) {
-    view = std::make_unique<telemetry::EsstView>(open_view(path));
-    if (!view->index_ok()) {
-      view.reset();
-      file = open_binary(path);
-      reader = std::make_unique<telemetry::EsstReader>(*file);
-    }
-  }
-
-  const telemetry::EsstMeta& meta() const {
-    return view ? view->meta() : reader->meta();
-  }
-  SimTime duration() const {
-    return view ? view->duration() : reader->duration();
-  }
-  std::uint64_t capture_dropped() const {
-    return view ? view->capture_dropped() : reader->capture_dropped();
-  }
-
   void schedule(exec::ThreadPool& pool) {
-    if (next_chunk >= chunks().size()) return;
+    if (next_chunk >= view->chunks().size()) return;
     const std::size_t idx = next_chunk++;
     auto task = std::make_shared<std::packaged_task<void()>>([this, idx] {
       back.clear();
       back_sorted = false;
       try {
-        if (view) {
-          view->decode_chunk(idx, back);
-        } else {
-          reader->read_chunk_into(idx, back);
-        }
+        view->decode_chunk(idx, back);
         if (stamp) {
           for (auto& r : back) r.node = stamp_node;
         }
@@ -396,7 +336,7 @@ struct MergeCursor {
             });
       } catch (const std::runtime_error&) {
         back.clear();
-        lost_records += chunks()[idx].records;
+        lost_records += view->chunks()[idx].records;
       }
     });
     pending = task->get_future();
@@ -540,18 +480,18 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
   std::vector<MergeCursor> cursors(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     auto& c = cursors[i];
-    c.open(inputs[i]);
-    c.stamp = !c.meta().multi_node;
-    c.stamp_node = c.meta().node_id;
-    capture_dropped += c.capture_dropped();
-    result.duration = std::max(result.duration, c.duration());
+    c.view = std::make_unique<telemetry::EsstView>(inputs[i]);
+    c.stamp = !c.view->meta().multi_node;
+    c.stamp_node = c.view->meta().node_id;
+    capture_dropped += c.view->capture_dropped();
+    result.duration = std::max(result.duration, c.view->duration());
     c.schedule(pool);
   }
 
   // The merged file: format v2 (every record carries its node), header
   // metadata from the first input, node id -1 = "the cluster" (the same
   // convention cluster::Cluster uses for its merged TraceSet).
-  telemetry::EsstMeta meta = cursors.front().meta();
+  telemetry::EsstMeta meta = cursors.front().view->meta();
   meta.node_id = -1;
   meta.multi_node = true;
   std::ofstream out_file(out_path, std::ios::binary | std::ios::trunc);

@@ -20,8 +20,8 @@
 // no payload copy (the fixed costs that used to make --jobs > 1 slower
 // than the serial loop). Shards are sized by payload bytes, not chunk
 // count, so dense chunks cannot straggle the scan. Captures whose index
-// did not survive fall back to the streaming EsstReader's salvage path,
-// serial, bytes and behavior unchanged.
+// did not survive are no different here: the view's salvage scan has
+// already rebuilt their chunk list, and they shard like any other file.
 //
 // The same worker-count convention runs through everything here and the
 // esstrace CLI: jobs == 0 means "pick for me" (ESS_JOBS or the hardware
@@ -37,6 +37,7 @@
 
 #include "telemetry/consumers.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 
 namespace ess::analysis {
 
@@ -79,16 +80,19 @@ struct ScanResult {
 };
 
 /// Characterize an ESST capture with `jobs` workers. Byte-identical output
-/// to the serial chunk loop at any worker count (the goldens prove it);
-/// salvaged files take the serial path, since rebuilding the chunk list is
-/// itself a whole-file scan.
+/// to the serial chunk loop at any worker count (the goldens prove it),
+/// salvaged files included.
 ScanResult scan_esst(const std::string& path, std::size_t jobs = 0,
                      const telemetry::StreamSummary::Options& opts = {});
 
-/// EsstReader::verify() fanned across `jobs` workers: every chunk still
-/// decodes exactly once and the report is identical to the serial pass.
-/// Salvaged files fall back to serial verify (their damage accounting
-/// lives in the reader's scan state).
+/// The integrity pass: decode + CRC every chunk of the view across `jobs`
+/// workers and account for what survived, folding in the damage the
+/// view's salvage scan already discarded. Never throws for damaged chunks
+/// — damage becomes report fields — and the report is identical at any
+/// worker count. Loss figures are exact while the index survived; for a
+/// salvaged file they are a lower bound (`records_lost_exact` false).
+telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
+                                     std::size_t jobs = 0);
 telemetry::SalvageReport verify_esst(const std::string& path,
                                      std::size_t jobs = 0);
 

@@ -716,12 +716,6 @@ trace::TraceSet read_esst(std::istream& is) {
   return r.read_all();
 }
 
-trace::TraceSet read_esst_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("esst: cannot open " + path);
-  return read_esst(f);
-}
-
 bool is_esst(std::istream& is) {
   const auto pos = is.tellg();
   char m[8] = {};

@@ -320,7 +320,6 @@ void write_esst(const trace::TraceSet& ts, std::ostream& os,
 void write_esst_file(const trace::TraceSet& ts, const std::string& path,
                      EsstMeta meta = {});
 trace::TraceSet read_esst(std::istream& is);
-trace::TraceSet read_esst_file(const std::string& path);
 
 /// True when the stream starts with the ESST magic (position restored).
 bool is_esst(std::istream& is);

@@ -1,4 +1,4 @@
-// EsstView: the zero-copy read path for ESST captures.
+// EsstView: the one ESST reader.
 //
 // One construction maps the file (util::MmapFile), validates the header,
 // and loads + CRC-checks the trailing chunk index — once. After that every
@@ -7,21 +7,23 @@
 // and touches no mutable state, so any number of threads can decode
 // disjoint (or even the same) chunks concurrently from one shared view —
 // the property the parallel scan engine in analysis/parallel.cpp is built
-// on. The old design paid a file open plus a full header/index re-parse
-// per shard; a shared EsstView pays it exactly once per file.
+// on.
 //
-// Division of labor with EsstReader (esst.cpp):
-//   * EsstView — the fast path. Indexed, intact-trailer files only; when
-//     the index is missing or fails its CRC, index_ok() is false and the
-//     view holds no chunks. It never salvages.
-//   * EsstReader — the streaming/salvage path. Forward-scans trailerless
-//     or damaged files, works on arbitrary istreams, and stays the
-//     fallback the analysis layer drops to when index_ok() is false.
-// Both decode through telemetry/esst_codec.hpp, so the record bytes they
-// produce are identical.
+// Damaged captures read through the same view. When the trailer or index
+// fails validation (the writer died mid-run, the tail was truncated), the
+// constructor rebuilds the chunk list by a forward scan over the mapped
+// bytes, keeping every chunk whose CRC passes — a crash loses at most the
+// unflushed chunk, never the file. salvaged() reports it, and the scan's
+// losses land in scan_losses(), which analysis::verify_esst folds into its
+// SalvageReport so degraded reads are accounted for, never silent. From
+// there on a salvaged file is just a chunk list: every consumer (scan,
+// verify, merge, esstrace) takes the same path for it as for an intact
+// one. In-memory captures (tests, re-encoding benches) construct the view
+// over util::MmapFile::from_bytes — the same read path, heap-backed.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,13 +34,15 @@ namespace ess::telemetry {
 
 class EsstView {
  public:
-  /// Map `path` and parse header + trailer index. Throws std::runtime_error
-  /// when the file cannot be opened or the header itself is unusable (too
-  /// short, bad magic, unsupported version, header CRC mismatch) — the same
-  /// contract as the EsstReader constructor. A missing/corrupt *index* is
-  /// not fatal: index_ok() turns false and chunks() is empty, and the
-  /// caller falls back to EsstReader's salvage scan.
+  /// Map `path` and parse header + trailer index (or salvage-scan). Throws
+  /// std::runtime_error "cannot open <path>" when the file cannot be
+  /// opened, and the header errors below.
   explicit EsstView(const std::string& path);
+  /// Read a capture held in `file` (mapped or heap-buffered). Throws
+  /// std::runtime_error only when the header itself is unusable (too
+  /// short, bad magic, unsupported version, header CRC mismatch); damaged
+  /// chunks and a damaged/missing index are recovered around, not fatal.
+  explicit EsstView(util::MmapFile file);
 
   EsstView(EsstView&&) = default;
   EsstView& operator=(EsstView&&) = default;
@@ -47,21 +51,34 @@ class EsstView {
 
   const EsstMeta& meta() const { return meta_; }
 
-  /// Trailing index present and CRC-clean. False means this view cannot
-  /// serve the file (no salvage here) — use EsstReader.
-  bool index_ok() const { return index_ok_; }
+  /// True when the trailing index was missing or bad and the chunk list was
+  /// rebuilt by a forward scan.
+  bool salvaged() const { return !scan_.index_ok; }
+  /// Chunks the salvage scan dropped because their CRC failed.
+  std::size_t corrupt_chunks() const { return corrupt_chunks_; }
+  /// What opening the file already established: index state, the
+  /// trailer's capture drop count, and the damage the salvage scan
+  /// discarded (lost chunks, their records from clamped untrusted footers,
+  /// the first damaged offset). No chunk has been decoded yet, so the
+  /// kept/lost chunk tallies cover only what the scan dropped.
+  const SalvageReport& scan_losses() const { return scan_; }
 
   const std::vector<ChunkInfo>& chunks() const { return chunks_; }
+  /// The trailer's capture duration; for salvaged files the largest kept
+  /// chunk's last timestamp.
   SimTime duration() const { return duration_; }
-  /// The trailer's record-count claim (see EsstReader::trailer_records).
+  /// The trailer's record-count claim (0 when the index did not survive).
+  /// total_records() sums the per-chunk index counts instead; a shortfall
+  /// between the two means the index itself lost entries.
   std::uint64_t trailer_records() const { return trailer_records_; }
   /// Sum of the per-chunk index counts.
   std::uint64_t total_records() const;
-  /// Capture-time ring overflow recorded in the trailer.
-  std::uint64_t capture_dropped() const { return capture_dropped_; }
+  /// Capture-time ring overflow recorded in the trailer (0 for v1 trailers
+  /// and salvaged files, where the count did not survive).
+  std::uint64_t capture_dropped() const { return scan_.capture_dropped; }
 
   std::uint64_t file_size() const { return map_.size(); }
-  /// True when backed by a real mapping (false: heap-buffer fallback).
+  /// True when backed by a real mapping (false: heap buffer).
   bool mapped() const { return map_.mapped(); }
 
   /// A chunk's payload bytes as a span into the mapping. Validates the
@@ -83,24 +100,53 @@ class EsstView {
   /// Decode chunk `idx` into `out` (cleared first, capacity reused).
   /// CRC-checks payload + footer, then decodes the footer's record count.
   /// Throws "esst: chunk unreadable" / "esst: chunk CRC mismatch" / decode
-  /// errors — exactly the EsstReader::read_chunk_into contract. Const and
-  /// thread-safe: all scratch is caller-owned.
+  /// errors. Const and thread-safe: all scratch is caller-owned.
   void decode_chunk(std::size_t idx, std::vector<trace::Record>& out) const;
 
-  /// Kernel readahead hints, forwarded to the mapping (no-ops on the
-  /// heap-buffer fallback).
+  struct Filter {
+    SimTime ts_min = 0;
+    SimTime ts_max = std::numeric_limits<SimTime>::max();
+    std::uint64_t sector_min = 0;
+    std::uint64_t sector_max = std::numeric_limits<std::uint64_t>::max();
+    int rw = -1;  // -1 = both, 0 = reads only, 1 = writes only
+
+    bool chunk_may_match(const ChunkInfo& c) const;
+    bool record_matches(const trace::Record& r) const;
+  };
+
+  /// Decode only chunks whose index ranges can intersect the filter; the
+  /// point of the format. Damaged chunks are skipped. `chunks_skipped`
+  /// (optional) reports how many chunks the index pruned without decoding.
+  trace::TraceSet read_filtered(const Filter& f,
+                                std::size_t* chunks_skipped = nullptr) const;
+  /// Every record of every decodable chunk, with the capture's duration.
+  trace::TraceSet read_all() const { return read_filtered(Filter{}); }
+
+  /// Kernel readahead hints, forwarded to the mapping (no-ops on a heap
+  /// buffer).
   void advise_sequential() const { map_.advise_sequential(); }
   /// MADV_WILLNEED over the byte range of chunks [first, last).
   void advise_chunks(std::size_t first, std::size_t last) const;
 
  private:
+  enum class Frame { kOk, kNotAChunk, kTorn };
+  /// The one chunk-framing check: whether a complete chunk frame (header,
+  /// in-bounds payload, footer) starts at `offset`. kTorn means the chunk
+  /// magic is there but the frame runs past the end of the file.
+  Frame frame_at(std::uint64_t offset, ChunkSpan& span) const;
+  bool load_index();
+  void salvage_scan();
+
   util::MmapFile map_;
   EsstMeta meta_;
   std::vector<ChunkInfo> chunks_;
-  bool index_ok_ = false;
   SimTime duration_ = 0;
   std::uint64_t trailer_records_ = 0;
-  std::uint64_t capture_dropped_ = 0;
+  std::size_t corrupt_chunks_ = 0;
+  SalvageReport scan_;
 };
+
+/// Whole-file convenience: every decodable record of the capture at `path`.
+trace::TraceSet read_esst_file(const std::string& path);
 
 }  // namespace ess::telemetry

@@ -1,6 +1,7 @@
 #include "util/mmap_file.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -80,6 +81,16 @@ MmapFile::MmapFile(const std::string& path) {
 #endif
   data_ = read_whole_file(path, size_);
   mapped_ = false;
+}
+
+MmapFile MmapFile::from_bytes(std::string_view bytes) {
+  MmapFile m;
+  m.size_ = bytes.size();
+  if (m.size_ > 0) {
+    m.data_ = new std::uint8_t[m.size_];
+    std::memcpy(m.data_, bytes.data(), m.size_);
+  }
+  return m;
 }
 
 MmapFile::~MmapFile() { reset(); }

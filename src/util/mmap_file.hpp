@@ -13,11 +13,14 @@
 // filesystems, /proc files), the constructor falls back to reading the
 // file into an owned heap buffer. Same span semantics, one copy, never a
 // functional difference — callers cannot tell except through mapped().
+// from_bytes() builds the same heap-buffer span from bytes already in
+// memory, so an in-memory capture reads through the one ESST view too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ess::util {
 
@@ -29,6 +32,8 @@ class MmapFile {
   /// be opened or its size cannot be determined; an empty file maps to an
   /// empty span, not an error.
   explicit MmapFile(const std::string& path);
+  /// An owned heap-buffer copy of `bytes` (mapped() is false).
+  static MmapFile from_bytes(std::string_view bytes);
   ~MmapFile();
 
   MmapFile(MmapFile&& other) noexcept;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "util/rng.hpp"
 
 namespace ess::analysis {
@@ -141,11 +142,10 @@ TEST(ParallelVerify, MatchesSerialReportCleanAndDamaged) {
   const std::string path = tmp_path("verify.esst");
   write_chunked(sample_trace("ver", 0, 8'192, 5), path);
 
+  // The serial pass is the reference; every fan-out must reproduce it.
   const auto check_parity = [&] {
-    std::ifstream f(path, std::ios::binary);
-    telemetry::EsstReader reader(f);
-    const auto want = reader.verify();
-    for (const std::size_t jobs : {1u, 4u}) {
+    const auto want = verify_esst(path, 1);
+    for (const std::size_t jobs : {2u, 4u, 8u}) {
       const auto got = verify_esst(path, jobs);
       EXPECT_EQ(got.index_ok, want.index_ok);
       EXPECT_EQ(got.chunks_kept, want.chunks_kept);
@@ -157,19 +157,24 @@ TEST(ParallelVerify, MatchesSerialReportCleanAndDamaged) {
       EXPECT_EQ(got.capture_dropped, want.capture_dropped);
       EXPECT_EQ(got.clean(), want.clean());
     }
+    return want;
   };
-  check_parity();  // clean
+  EXPECT_TRUE(check_parity().clean());
 
   auto bytes = slurp(path);
   bytes[bytes.size() / 2] ^= 0x5a;  // damaged chunk, index intact
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  check_parity();
+  const auto damaged = check_parity();
+  EXPECT_TRUE(damaged.index_ok);
+  EXPECT_EQ(damaged.chunks_lost, 1u);
 
-  // Truncate the index off the tail: salvaged files take the serial path
+  // Truncate the index off the tail: salvaged files shard like any other
   // and still agree.
   bytes.resize(bytes.size() - 64);
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  check_parity();
+  const auto salvaged = check_parity();
+  EXPECT_FALSE(salvaged.index_ok);
+  EXPECT_FALSE(salvaged.records_lost_exact);
   std::filesystem::remove(path);
 }
 
@@ -203,8 +208,7 @@ TEST_F(MergeTest, RoundTripSumsPerNodeStats) {
   EXPECT_EQ(res.inputs, 3u);
 
   // The merged file is format v2: node id -1, per-record node ids intact.
-  std::ifstream f(out_, std::ios::binary);
-  telemetry::EsstReader reader(f);
+  const telemetry::EsstView reader(out_);
   EXPECT_TRUE(reader.meta().multi_node);
   EXPECT_EQ(reader.meta().node_id, -1);
   EXPECT_EQ(reader.meta().experiment, "cluster");
@@ -224,10 +228,8 @@ TEST_F(MergeTest, RoundTripSumsPerNodeStats) {
   ASSERT_EQ(rows.size(), 3u);
   for (int n = 1; n <= 3; ++n) {
     const auto node_scan = scan_esst(inputs_[static_cast<std::size_t>(n - 1)]);
-    std::ifstream nf(inputs_[static_cast<std::size_t>(n - 1)],
-                     std::ios::binary);
-    telemetry::EsstReader nreader(nf);
-    const auto node_ts = nreader.read_all();
+    const auto node_ts =
+        telemetry::read_esst_file(inputs_[static_cast<std::size_t>(n - 1)]);
     const std::vector<trace::Record>& want = node_ts.records();
     std::vector<trace::Record> got;
     for (const auto& r : merged.records()) {
@@ -261,8 +263,8 @@ TEST_F(MergeTest, DeterministicAcrossRunsAndJobs) {
 
 TEST_F(MergeTest, DamagedAndSalvagedInputsStayDeterministicAcrossJobs) {
   // Input 2 loses a mid-file chunk (CRC damage, index intact); input 3
-  // loses its whole index (truncated tail → the cursor's salvage-reader
-  // fallback). The merge must skip exactly the same records at every job
+  // loses its whole index (truncated tail → the view's salvage scan). The
+  // merge must skip exactly the same records at every job
   // count and write identical bytes.
   {
     auto bytes = slurp(inputs_[1]);
@@ -321,9 +323,7 @@ TEST(MergeOrder, EqualTimestampsBreakTiesByNodeThenInputAtAnyJobCount) {
   ASSERT_FALSE(first.empty());
   {
     // (timestamp, node) non-decreasing through every tie.
-    std::ifstream f(out, std::ios::binary);
-    telemetry::EsstReader reader(f);
-    const auto merged = reader.read_all();
+    const auto merged = telemetry::read_esst_file(out);
     ASSERT_EQ(merged.size(), 9'000u);
     for (std::size_t i = 1; i < merged.records().size(); ++i) {
       const auto& prev = merged.records()[i - 1];
@@ -424,12 +424,14 @@ TEST(MergeErrors, WriteFailureNamesTheOutputPath) {
 TEST_F(MergeTest, AggregatesDropCountsIntoTrailer) {
   // Rewrite input 1 with capture-time drops in its trailer.
   {
-    std::ifstream f(inputs_[0], std::ios::binary);
-    telemetry::EsstReader reader(f);
-    const auto ts = reader.read_all();
-    f.close();
+    trace::TraceSet ts;
+    telemetry::EsstMeta meta;
+    {
+      const telemetry::EsstView reader(inputs_[0]);
+      ts = reader.read_all();
+      meta = reader.meta();
+    }
     std::ofstream of(inputs_[0], std::ios::binary | std::ios::trunc);
-    telemetry::EsstMeta meta = reader.meta();
     telemetry::EsstWriter writer(of, meta);
     for (const auto& r : ts.records()) writer.append(r);
     writer.set_dropped_records(123);
@@ -437,8 +439,7 @@ TEST_F(MergeTest, AggregatesDropCountsIntoTrailer) {
   }
   const auto res = merge_esst(inputs_, out_);
   EXPECT_EQ(res.dropped_records, 123u);
-  std::ifstream f(out_, std::ios::binary);
-  telemetry::EsstReader reader(f);
+  const telemetry::EsstView reader(out_);
   EXPECT_EQ(reader.capture_dropped(), 123u);
 }
 
@@ -461,11 +462,12 @@ TEST(EsstV2, MultiNodeRoundTripPreservesPerRecordNodes) {
   meta.records_per_chunk = 256;
   telemetry::write_esst_file(ts, path, meta);
 
-  std::ifstream f(path, std::ios::binary);
-  telemetry::EsstReader reader(f);
-  EXPECT_TRUE(reader.meta().multi_node);
-  const auto back = reader.read_all();
-  EXPECT_EQ(back.records(), ts.records());  // node ids included
+  {
+    const telemetry::EsstView reader(path);
+    EXPECT_TRUE(reader.meta().multi_node);
+    const auto back = reader.read_all();
+    EXPECT_EQ(back.records(), ts.records());  // node ids included
+  }
   std::filesystem::remove(path);
 }
 
@@ -552,9 +554,7 @@ TEST(ParallelVerify, FirstBadOffsetIsUnsetOnCleanAndExactOnDamage) {
   // Damage the FIRST chunk — its offset (the fixed header size) used to be
   // conflated with the old "0 = no damage" sentinel's neighborhood; the
   // optional reports it exactly.
-  std::ifstream probe(path, std::ios::binary);
-  telemetry::EsstReader reader(probe);
-  const auto first_chunk = reader.chunks().front().offset;
+  const auto first_chunk = telemetry::EsstView(path).chunks().front().offset;
   auto bytes = slurp(path);
   bytes[first_chunk + 10] ^= 0x11;
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/parallel.hpp"
 #include "core/presets.hpp"
 #include "core/study.hpp"
 #include "exec/experiments.hpp"
@@ -18,6 +19,7 @@
 #include "telemetry/consumers.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 
 namespace ess::fault {
 namespace {
@@ -205,11 +207,10 @@ TEST(FaultMatrix, DrainStallOverflowsTheRingAndEveryLayerAccountsForIt) {
 
   // The ESST file persisted the drop count, and verify() refuses to call
   // the capture clean even though every byte on disk is intact.
-  std::ifstream in(path, std::ios::binary);
-  telemetry::EsstReader reader(in);
+  const telemetry::EsstView reader(path);
   EXPECT_FALSE(reader.salvaged());
   EXPECT_EQ(reader.capture_dropped(), lossy.dropped_records);
-  const auto rep = reader.verify();
+  const auto rep = analysis::verify_esst(reader, 1);
   EXPECT_TRUE(rep.index_ok);
   EXPECT_EQ(rep.chunks_lost, 0u);
   EXPECT_EQ(rep.capture_dropped, lossy.dropped_records);
@@ -239,12 +240,11 @@ TEST(FaultMatrix, WriterFailureLatchesTheSinkAndThePartialFileSalvages) {
   EXPECT_FALSE(sink.error().empty());
   file.close();
 
-  std::ifstream in(path, std::ios::binary);
-  telemetry::EsstReader reader(in);
+  const telemetry::EsstView reader(path);
   EXPECT_TRUE(reader.salvaged());
   EXPECT_GT(reader.total_records(), 0u);
   EXPECT_LT(reader.total_records(), res.trace.size());
-  EXPECT_FALSE(reader.verify().clean());
+  EXPECT_FALSE(analysis::verify_esst(reader, 1).clean());
   std::remove(path.c_str());
 }
 
@@ -269,10 +269,9 @@ TEST(FaultMatrix, CorruptionPassIsCaughtByVerifyNeverSilentlyRead) {
   const auto sum = corrupt_file(path, f, /*seed=*/11);
   ASSERT_EQ(sum.flipped_offsets.size(), 2u);
 
-  std::ifstream in(path, std::ios::binary);
-  telemetry::EsstReader reader(in);
+  const telemetry::EsstView reader(path);
   EXPECT_TRUE(reader.salvaged());
-  const auto rep = reader.verify();
+  const auto rep = analysis::verify_esst(reader, 1);
   EXPECT_FALSE(rep.clean());
   EXPECT_FALSE(rep.index_ok);
   EXPECT_FALSE(rep.records_lost_exact);

@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/esst_codec.hpp"
+#include "telemetry/esst_view.hpp"
 #include "trace/io.hpp"
 #include "util/rng.hpp"
 
@@ -40,6 +42,15 @@ std::string encode(const trace::TraceSet& ts, EsstMeta meta = {}) {
   std::stringstream ss;
   write_esst(ts, ss, meta);
   return ss.str();
+}
+
+/// The reader over an in-memory capture: the same view a file gets.
+EsstView view_of(const std::string& bytes) {
+  return EsstView(util::MmapFile::from_bytes(bytes));
+}
+
+SalvageReport verify(const EsstView& view) {
+  return analysis::verify_esst(view, 1);
 }
 
 TEST(EsstFormat, Crc32MatchesKnownVector) {
@@ -276,8 +287,7 @@ TEST(EsstHardening, FileSinkErrorNamesThePathOnDiskFull) {
 
 TEST(EsstFormat, RoundTripIdenticalRecords) {
   const auto original = sample();
-  std::stringstream ss(encode(original));
-  const auto restored = read_esst(ss);
+  const auto restored = view_of(encode(original)).read_all();
   EXPECT_EQ(restored.experiment(), "esst-roundtrip");
   EXPECT_EQ(restored.node_id(), 3);
   EXPECT_EQ(restored.duration(), original.duration());
@@ -289,9 +299,7 @@ TEST(EsstFormat, RoundTripIdenticalRecords) {
 
 TEST(EsstFormat, EmptyTraceRoundTrips) {
   trace::TraceSet ts("empty", 0);
-  std::stringstream ss(encode(ts));
-  std::stringstream in(ss.str());
-  EsstReader reader(in);
+  const EsstView reader = view_of(encode(ts));
   EXPECT_FALSE(reader.salvaged());
   EXPECT_EQ(reader.total_records(), 0u);
   EXPECT_TRUE(reader.read_all().empty());
@@ -306,8 +314,7 @@ TEST(EsstFormat, MetaFieldsSurviveTheHeader) {
   meta.records_per_chunk = 1234;
   meta.seed = 0xdeadbeefcafe;
   meta.ram_bytes = 64ull * 1024 * 1024;
-  std::stringstream ss(encode(sample(10), meta));
-  EsstReader reader(ss);
+  const EsstView reader = view_of(encode(sample(10), meta));
   EXPECT_EQ(reader.meta().experiment, "geometry-check");
   EXPECT_EQ(reader.meta().node_id, 12);
   EXPECT_EQ(reader.meta().total_sectors, 2'036'160u);
@@ -329,8 +336,7 @@ TEST(EsstFormat, NonMonotonicTimestampsSurviveZigzag) {
     r.size_bytes = 1024;
     ts.add(r);
   }
-  std::stringstream ss(encode(ts));
-  const auto restored = read_esst(ss);
+  const auto restored = view_of(encode(ts)).read_all();
   ASSERT_EQ(restored.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     EXPECT_EQ(restored.records()[i].timestamp, ts.records()[i].timestamp);
@@ -341,15 +347,15 @@ TEST(EsstFormat, MultiChunkLayoutAndIndex) {
   EsstMeta meta;
   meta.records_per_chunk = 16;
   const auto original = sample(100);
-  std::stringstream ss(encode(original, meta));
-  EsstReader reader(ss);
+  const EsstView reader = view_of(encode(original, meta));
   EXPECT_FALSE(reader.salvaged());
   ASSERT_EQ(reader.chunks().size(), 7u);  // ceil(100 / 16)
   EXPECT_EQ(reader.total_records(), 100u);
   std::uint32_t seen = 0;
+  std::vector<trace::Record> records;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const auto& c = reader.chunks()[i];
-    const auto records = reader.read_chunk(i);
+    reader.decode_chunk(i, records);
     ASSERT_EQ(records.size(), c.records);
     // Index ranges must describe the chunk contents exactly.
     for (const auto& r : records) {
@@ -371,8 +377,7 @@ TEST(EsstFormat, TruncatedFileSalvagesWholeChunks) {
   std::string data = encode(original, meta);
   // Cut mid-file: the index is gone and some chunk is torn.
   data.resize(data.size() * 3 / 5);
-  std::stringstream cut(data);
-  EsstReader reader(cut);
+  const EsstView reader = view_of(data);
   EXPECT_TRUE(reader.salvaged());
   const auto restored = reader.read_all();
   EXPECT_GT(restored.size(), 0u);
@@ -389,18 +394,14 @@ TEST(EsstFormat, TruncationJustAfterLastChunkLosesOnlyTheIndex) {
   const auto original = sample(64);
   std::string data = encode(original, meta);
   // Find where the index starts by reading the intact file first.
-  std::stringstream whole(data);
-  EsstReader intact(whole);
+  const EsstView intact = view_of(data);
   const auto& last = intact.chunks().back();
-  std::stringstream probe(data);
-  probe.seekg(static_cast<std::streamoff>(last.offset) + 4);
   std::uint32_t payload_bytes = 0;
-  probe.read(reinterpret_cast<char*>(&payload_bytes), 4);
+  std::memcpy(&payload_bytes, data.data() + last.offset + 4, 4);
   const std::uint64_t index_at = last.offset + 8 + payload_bytes + 28;
   data.resize(index_at);
 
-  std::stringstream cut(data);
-  EsstReader reader(cut);
+  const EsstView reader = view_of(data);
   EXPECT_TRUE(reader.salvaged());
   EXPECT_EQ(reader.corrupt_chunks(), 0u);
   const auto restored = reader.read_all();
@@ -415,22 +416,21 @@ TEST(EsstFormat, CorruptChunkIsSkippedByCrc) {
   meta.records_per_chunk = 16;
   const auto original = sample(100);
   std::string data = encode(original, meta);
-  std::stringstream whole(data);
-  EsstReader intact(whole);
+  const EsstView intact = view_of(data);
   ASSERT_GE(intact.chunks().size(), 3u);
   // Flip a payload byte inside chunk 1 (offset + framing header + 2).
   const std::uint64_t at = intact.chunks()[1].offset + 8 + 2;
   data[static_cast<std::size_t>(at)] ^= 0x5a;
 
-  std::stringstream damaged(data);
-  EsstReader reader(damaged);
+  const EsstView reader = view_of(data);
   // The trailing index is still intact, so no salvage scan...
   EXPECT_FALSE(reader.salvaged());
   // ...but decoding chunk 1 fails its CRC,
-  EXPECT_THROW(reader.read_chunk(1), std::runtime_error);
+  std::vector<trace::Record> recs;
+  EXPECT_THROW(reader.decode_chunk(1, recs), std::runtime_error);
   // and read_all() drops exactly that chunk.
   const auto restored = reader.read_all();
-  EXPECT_EQ(reader.corrupt_chunks(), 1u);
+  EXPECT_EQ(verify(reader).chunks_lost, 1u);
   EXPECT_EQ(restored.size(), original.size() - 16);
 }
 
@@ -438,8 +438,7 @@ TEST(EsstFormat, CorruptIndexFallsBackToScan) {
   const auto original = sample(50);
   std::string data = encode(original);
   data[data.size() - 1] ^= 0xff;  // break the trailer magic
-  std::stringstream damaged(data);
-  EsstReader reader(damaged);
+  const EsstView reader = view_of(data);
   EXPECT_TRUE(reader.salvaged());
   const auto restored = reader.read_all();
   ASSERT_EQ(restored.size(), original.size());
@@ -449,18 +448,16 @@ TEST(EsstFormat, CorruptIndexFallsBackToScan) {
 }
 
 TEST(EsstFormat, BadHeaderThrows) {
-  std::stringstream bad1("not an esst file at all, nowhere near long enough");
-  EXPECT_THROW(EsstReader r(bad1), std::runtime_error);
+  EXPECT_THROW(view_of("not an esst file at all, nowhere near long enough"),
+               std::runtime_error);
 
   std::string data = encode(sample(10));
   data[3] ^= 0x01;  // damage the magic
-  std::stringstream bad2(data);
-  EXPECT_THROW(EsstReader r(bad2), std::runtime_error);
+  EXPECT_THROW(view_of(data), std::runtime_error);
 
   std::string data2 = encode(sample(10));
   data2[40] ^= 0x01;  // damage a header field: header CRC must catch it
-  std::stringstream bad3(data2);
-  EXPECT_THROW(EsstReader r(bad3), std::runtime_error);
+  EXPECT_THROW(view_of(data2), std::runtime_error);
 }
 
 TEST(EsstFormat, IsEsstSniffsAndRestoresPosition) {
@@ -487,11 +484,10 @@ TEST(EsstFormat, FilteredReadSkipsChunksViaIndex) {
   ts.set_duration(sec(100));
   EsstMeta meta;
   meta.records_per_chunk = 10;
-  std::stringstream ss(encode(ts, meta));
-  EsstReader reader(ss);
+  const EsstView reader = view_of(encode(ts, meta));
   ASSERT_EQ(reader.chunks().size(), 10u);
 
-  EsstReader::Filter f;
+  EsstView::Filter f;
   f.ts_min = sec(34);
   f.ts_max = sec(47);
   std::size_t skipped = 0;
@@ -503,13 +499,13 @@ TEST(EsstFormat, FilteredReadSkipsChunksViaIndex) {
     EXPECT_LE(r.timestamp, f.ts_max);
   }
 
-  EsstReader::Filter writes_only;
+  EsstView::Filter writes_only;
   writes_only.rw = 1;
   const auto writes = reader.read_filtered(writes_only);
   EXPECT_EQ(writes.size(), 50u);
   for (const auto& r : writes.records()) EXPECT_EQ(r.is_write, 1);
 
-  EsstReader::Filter sectors;
+  EsstView::Filter sectors;
   sectors.sector_min = 1000;
   sectors.sector_max = 1009;
   std::size_t sector_skipped = 0;
@@ -548,8 +544,7 @@ TEST(EsstFormat, WriterWithoutFinishStillYieldsReadableFile) {
     EsstWriter w(ss, EsstMeta{});
     for (const auto& r : original.records()) w.append(r);
   }
-  std::stringstream in(ss.str());
-  EsstReader reader(in);
+  const EsstView reader = view_of(ss.str());
   EXPECT_FALSE(reader.salvaged());
   EXPECT_EQ(reader.total_records(), 40u);
   EXPECT_EQ(reader.duration(), original.records().back().timestamp);
@@ -577,8 +572,7 @@ TEST(EsstFormat, DenseTraceCompressesWellBelowCsv) {
   EXPECT_LE(esst.size(), csv.str().size() * 2 / 5)
       << "ESST " << esst.size() << " bytes vs CSV " << csv.str().size();
 
-  std::stringstream in(esst);
-  const auto restored = read_esst(in);
+  const auto restored = view_of(esst).read_all();
   ASSERT_EQ(restored.size(), ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) {
     EXPECT_EQ(restored.records()[i], ts.records()[i]);
@@ -596,12 +590,11 @@ TEST(EsstHardening, DropCountSurvivesTheTrailer) {
     w.set_dropped_records(37);
     w.finish(sec(1));
   }
-  std::stringstream in(ss.str());
-  EsstReader reader(in);
+  const EsstView reader = view_of(ss.str());
   EXPECT_FALSE(reader.salvaged());
   EXPECT_EQ(reader.capture_dropped(), 37u);
 
-  const auto rep = reader.verify();
+  const auto rep = verify(reader);
   EXPECT_TRUE(rep.index_ok);
   EXPECT_EQ(rep.capture_dropped, 37u);
   EXPECT_EQ(rep.records_kept, 20u);
@@ -617,8 +610,7 @@ TEST(EsstHardening, LegacyV1TrailerStillReads) {
   ASSERT_EQ(data.substr(data.size() - 8), "ESSTIDX2");
   std::string v1 = data.substr(0, data.size() - 16);  // keep bytes 0..31
   v1 += "ESSTIDX1";
-  std::stringstream in(v1);
-  EsstReader reader(in);
+  const EsstView reader = view_of(v1);
   EXPECT_FALSE(reader.salvaged());
   EXPECT_EQ(reader.total_records(), 30u);
   EXPECT_EQ(reader.capture_dropped(), 0u);  // v1 carries no drop count
@@ -640,20 +632,18 @@ TEST(EsstHardening, FileSinkLatchesStreamFailureInsteadOfThrowing) {
   EXPECT_TRUE(sink.failed());
   EXPECT_FALSE(sink.error().empty());
 
-  std::stringstream in(backing.str());
-  EsstReader reader(in);
+  const EsstView reader = view_of(backing.str());
   EXPECT_TRUE(reader.salvaged());  // no index: the writer died first
   EXPECT_GT(reader.total_records(), 0u);
   EXPECT_LT(reader.total_records(), original.size());
-  const auto rep = reader.verify();
+  const auto rep = verify(reader);
   EXPECT_FALSE(rep.clean());
   EXPECT_FALSE(rep.index_ok);
 }
 
 TEST(EsstHardening, VerifyCleanOnHealthyFile) {
-  std::stringstream ss(encode(sample(50)));
-  EsstReader reader(ss);
-  const auto rep = reader.verify();
+  const EsstView reader = view_of(encode(sample(50)));
+  const auto rep = verify(reader);
   EXPECT_TRUE(rep.clean());
   EXPECT_TRUE(rep.index_ok);
   EXPECT_EQ(rep.chunks_kept, reader.chunks().size());
@@ -668,18 +658,16 @@ TEST(EsstHardening, VerifyCountsChunkLossExactlyWhenIndexSurvives) {
   EsstMeta meta;
   meta.records_per_chunk = 16;
   std::string data = encode(sample(100), meta);
-  std::stringstream probe(data);
-  EsstReader index_reader(probe);
+  const EsstView index_reader = view_of(data);
   ASSERT_EQ(index_reader.chunks().size(), 7u);
   // Flip a payload byte inside the third chunk; the index (at the tail) is
   // untouched, so the loss is exact: that chunk's 16 records.
   const auto& victim = index_reader.chunks()[2];
   data[victim.offset + 9] ^= 0x40;
 
-  std::stringstream in(data);
-  EsstReader reader(in);
+  const EsstView reader = view_of(data);
   EXPECT_FALSE(reader.salvaged());
-  const auto rep = reader.verify();
+  const auto rep = verify(reader);
   EXPECT_TRUE(rep.index_ok);
   EXPECT_EQ(rep.chunks_kept, 6u);
   EXPECT_EQ(rep.chunks_lost, 1u);
@@ -698,10 +686,9 @@ TEST(EsstHardening, VerifyReportsScanLossesAfterTruncation) {
   // mid-body. The reader salvages the complete chunks; verify() reports
   // the damage as approximate loss.
   data.resize(data.size() * 55 / 100);
-  std::stringstream in(data);
-  EsstReader reader(in);
+  const EsstView reader = view_of(data);
   EXPECT_TRUE(reader.salvaged());
-  const auto rep = reader.verify();
+  const auto rep = verify(reader);
   EXPECT_FALSE(rep.index_ok);
   EXPECT_GT(rep.chunks_kept, 0u);
   EXPECT_GT(rep.records_kept, 0u);
@@ -726,10 +713,9 @@ TEST(EsstHardening, CorruptFileHelperDamageIsDetectedByVerify) {
   EXPECT_EQ(sum.truncated_bytes, 64u);
   EXPECT_EQ(sum.flipped_offsets.size(), 4u);
 
-  std::ifstream in(path, std::ios::binary);
-  EsstReader reader(in);
+  const EsstView reader(path);
   EXPECT_TRUE(reader.salvaged());
-  const auto rep = reader.verify();
+  const auto rep = verify(reader);
   EXPECT_FALSE(rep.clean());
   EXPECT_NO_THROW({
     const auto ts = reader.read_all();

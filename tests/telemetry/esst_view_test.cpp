@@ -1,13 +1,14 @@
-// telemetry::EsstView — the zero-copy mmap read path: byte-for-byte the
-// same records as the streaming EsstReader, the same error contract for
-// damaged chunks, and a clean index_ok() = false handoff (never a wrong
-// answer) when the trailing index did not survive.
+// telemetry::EsstView — the one ESST reader: chunk for chunk the records
+// that were written, the error contract for damaged chunks, and a salvage
+// scan (never a wrong answer) when the trailing index did not survive.
 #include "telemetry/esst_view.hpp"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/parallel.hpp"
 #include "telemetry/esst.hpp"
 
 namespace ess::telemetry {
@@ -70,50 +72,54 @@ void spill(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
+/// Records [first, first + n) of `ts`, as one chunk should decode them.
+std::vector<trace::Record> slice(const trace::TraceSet& ts, std::size_t first,
+                                 std::size_t n) {
+  const auto& all = ts.records();
+  return {all.begin() + static_cast<std::ptrdiff_t>(first),
+          all.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(first + n, all.size()))};
+}
+
 TEST(EsstView, AgreesWithStreamingReaderChunkForChunk) {
   const auto ts = sample(1'000);
   const auto path = write_capture(ts, 64, "parity.esst");
 
   EsstView view(path);
-  std::ifstream f(path, std::ios::binary);
-  EsstReader reader(f);
 
-  ASSERT_TRUE(view.index_ok());
-  EXPECT_EQ(view.meta().experiment, reader.meta().experiment);
-  EXPECT_EQ(view.meta().node_id, reader.meta().node_id);
-  EXPECT_EQ(view.meta().multi_node, reader.meta().multi_node);
-  EXPECT_EQ(view.duration(), reader.duration());
-  EXPECT_EQ(view.trailer_records(), reader.trailer_records());
-  EXPECT_EQ(view.total_records(), reader.total_records());
-  ASSERT_EQ(view.chunks().size(), reader.chunks().size());
+  ASSERT_FALSE(view.salvaged());
+  EXPECT_EQ(view.meta().experiment, ts.experiment());
+  EXPECT_EQ(view.meta().node_id, ts.node_id());
+  EXPECT_FALSE(view.meta().multi_node);
+  EXPECT_EQ(view.duration(), ts.duration());
+  EXPECT_EQ(view.trailer_records(), ts.size());
+  EXPECT_EQ(view.total_records(), ts.size());
+  ASSERT_EQ(view.chunks().size(), (ts.size() + 63) / 64);
   ASSERT_GT(view.chunks().size(), 4u);  // a real multi-chunk file
 
   std::vector<trace::Record> got;
   for (std::size_t i = 0; i < view.chunks().size(); ++i) {
     view.decode_chunk(i, got);
-    EXPECT_EQ(got, reader.read_chunk(i)) << "chunk " << i;
+    EXPECT_EQ(got, slice(ts, i * 64, 64)) << "chunk " << i;
   }
   std::remove(path.c_str());
 }
 
 TEST(EsstView, WildDeltaVarintsDecodeIdentically) {
   // Long (up to 10-byte) varint encodings plus a short tail chunk: the
-  // branch-light fast path and the checked tail must both match the
-  // streaming decoder exactly.
+  // branch-light fast path and the checked tail must both reproduce the
+  // written records exactly.
   const auto ts = sample(515, /*wild_deltas=*/true);
   const auto path = write_capture(ts, 32, "wild.esst");
 
   EsstView view(path);
-  std::ifstream f(path, std::ios::binary);
-  EsstReader reader(f);
-  ASSERT_TRUE(view.index_ok());
+  ASSERT_FALSE(view.salvaged());
 
-  std::vector<trace::Record> got, want;
+  std::vector<trace::Record> got;
   std::size_t records = 0;
   for (std::size_t i = 0; i < view.chunks().size(); ++i) {
     view.decode_chunk(i, got);
-    reader.read_chunk_into(i, want);
-    EXPECT_EQ(got, want) << "chunk " << i;
+    EXPECT_EQ(got, slice(ts, i * 32, 32)) << "chunk " << i;
     records += got.size();
   }
   EXPECT_EQ(records, 515u);
@@ -138,7 +144,7 @@ TEST(EsstView, MultiNodeCapturesKeepPerRecordNodes) {
   write_esst_file(ts, path, meta);
 
   EsstView view(path);
-  ASSERT_TRUE(view.index_ok());
+  ASSERT_FALSE(view.salvaged());
   EXPECT_TRUE(view.meta().multi_node);
   std::vector<trace::Record> recs;
   std::size_t i = 0;
@@ -156,7 +162,7 @@ TEST(EsstView, MultiNodeCapturesKeepPerRecordNodes) {
 TEST(EsstView, ChunkSpansTileThePayloadRegion) {
   const auto path = write_capture(sample(640), 64, "spans.esst");
   EsstView view(path);
-  ASSERT_TRUE(view.index_ok());
+  ASSERT_FALSE(view.salvaged());
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < view.chunks().size(); ++i) {
     const auto span = view.chunk_span(i);
@@ -178,13 +184,13 @@ TEST(EsstView, DamagedChunkThrowsOthersDecode) {
   auto bytes = slurp(path);
   {
     EsstView probe(path);
-    ASSERT_TRUE(probe.index_ok());
+    ASSERT_FALSE(probe.salvaged());
     bytes[probe.chunks()[3].offset + 12] ^= 0x20;  // payload bit flip
   }
   spill(path, bytes);
 
   EsstView view(path);
-  ASSERT_TRUE(view.index_ok());  // the index is at the tail, untouched
+  ASSERT_FALSE(view.salvaged());  // the index is at the tail, untouched
   std::vector<trace::Record> recs;
   for (std::size_t i = 0; i < view.chunks().size(); ++i) {
     if (i == 3) {
@@ -197,15 +203,26 @@ TEST(EsstView, DamagedChunkThrowsOthersDecode) {
 }
 
 TEST(EsstView, TruncatedIndexTurnsIndexOkFalse) {
-  const auto path = write_capture(sample(640), 64, "trunc.esst");
+  const auto ts = sample(640);
+  const auto path = write_capture(ts, 64, "trunc.esst");
   auto bytes = slurp(path);
   bytes.resize(bytes.size() - 64);  // trailer (and part of the index) gone
   spill(path, bytes);
 
   EsstView view(path);
-  EXPECT_FALSE(view.index_ok());
-  EXPECT_TRUE(view.chunks().empty());  // no salvage here — that is the
-                                       // streaming reader's job
+  EXPECT_TRUE(view.salvaged());
+  // Every chunk sits before the cut, so the forward scan rebuilds them all
+  // and the records come back whole; only the index's promises are gone.
+  ASSERT_EQ(view.chunks().size(), 10u);
+  EXPECT_EQ(view.corrupt_chunks(), 0u);
+  EXPECT_EQ(view.read_all().records(), ts.records());
+  EXPECT_EQ(view.trailer_records(), 0u);
+  const auto rep = analysis::verify_esst(view, 1);
+  EXPECT_FALSE(rep.index_ok);
+  EXPECT_FALSE(rep.records_lost_exact);
+  EXPECT_EQ(rep.records_kept, 640u);
+  EXPECT_FALSE(rep.first_bad_offset.has_value());
+  EXPECT_FALSE(rep.clean());
   std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include "core/study.hpp"
 #include "telemetry/consumers.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "telemetry/snapshot.hpp"
 #include "trace/io.hpp"
 
@@ -68,8 +69,7 @@ TEST(StreamStudy, DrainSinkCapturesEsstEquivalentToReturnedTrace) {
     ASSERT_GT(res.trace.size(), 0u);
     EXPECT_EQ(drain.records_written(), res.trace.size());
 
-    std::ifstream in(path, std::ios::binary);
-    EsstReader reader(in);
+    const EsstView reader(path);
     EXPECT_FALSE(reader.salvaged());
     EXPECT_EQ(reader.meta().experiment, "wavelet");
     const auto captured = reader.read_all();
@@ -122,7 +122,8 @@ TEST(StreamStudy, WaveletCsvToEsstToCsvIsByteIdentical) {
   const auto parsed = trace::read_csv(first_csv);
   std::stringstream esst;
   write_esst(parsed, esst);
-  const auto decoded = read_esst(esst);
+  const auto decoded =
+      EsstView(util::MmapFile::from_bytes(esst.str())).read_all();
 
   std::stringstream second_csv;
   trace::write_csv(decoded, second_csv);

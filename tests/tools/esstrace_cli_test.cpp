@@ -15,6 +15,7 @@
 
 #include "fault/fault.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "trace/io.hpp"
 
 namespace ess::esstrace {
@@ -159,6 +160,20 @@ TEST_F(EsstraceCli, MissingFileFailsWithExitCode2) {
   EXPECT_FALSE(err.str().empty());
 }
 
+TEST_F(EsstraceCli, MissingFileErrorNamesThePathOnce) {
+  const auto gone = tmp_path("gone.csv");
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(cmd_cat(gone, out, err), 2);
+    EXPECT_EQ(err.str(), "esstrace cat: cannot open " + gone + "\n");
+  }
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(cmd_verify(gone, out, err), 2);
+    EXPECT_EQ(err.str(), "esstrace verify: cannot open " + gone + "\n");
+  }
+}
+
 TEST_F(EsstraceCli, FilterPrunesChunksThroughTheIndex) {
   // Multi-chunk input so time-range pruning has chunks to skip.
   const auto chunked = tmp_path("cli_chunked.esst");
@@ -167,7 +182,7 @@ TEST_F(EsstraceCli, FilterPrunesChunksThroughTheIndex) {
   telemetry::write_esst_file(sample(), chunked, meta);
 
   const auto out_path = tmp_path("cli_filtered.esst");
-  telemetry::EsstReader::Filter f;
+  telemetry::EsstView::Filter f;
   f.ts_min = sec(32);
   f.ts_max = sec(47);
   std::ostringstream out, err;
@@ -187,7 +202,7 @@ TEST_F(EsstraceCli, FilterPrunesChunksThroughTheIndex) {
 
 TEST_F(EsstraceCli, FilterByRwOnCsvInput) {
   const auto out_path = tmp_path("cli_reads.csv");
-  telemetry::EsstReader::Filter f;
+  telemetry::EsstView::Filter f;
   f.rw = 0;
   std::ostringstream out, err;
   ASSERT_EQ(cmd_filter(csv_, out_path, f, out, err), 0) << err.str();

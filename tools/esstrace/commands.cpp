@@ -18,6 +18,7 @@
 #include "exec/experiments.hpp"
 #include "exec/thread_pool.hpp"
 #include "pvm/combined.hpp"
+#include "telemetry/esst_view.hpp"
 #include "trace/io.hpp"
 
 namespace ess::esstrace {
@@ -99,7 +100,7 @@ bool parse_jobs(const std::string& text, std::size_t& jobs) {
 
 TraceFormat sniff_format(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("esstrace: cannot open " + path);
+  if (!f) throw std::runtime_error("cannot open " + path);
   char magic[8] = {};
   f.read(magic, sizeof magic);
   if (f.gcount() == 8) {
@@ -144,11 +145,10 @@ int cmd_info(const std::string& path, std::ostream& out, std::ostream& err) {
     err << "esstrace info: " << path << " is not an ESST file\n";
     return 2;
   }
-  std::ifstream f(path, std::ios::binary);
-  telemetry::EsstReader reader(f);
-  const auto& m = reader.meta();
-  const std::uint64_t records = reader.total_records();
-  const std::uint64_t bytes = file_size(path);
+  const telemetry::EsstView view(path);
+  const auto& m = view.meta();
+  const std::uint64_t records = view.total_records();
+  const std::uint64_t bytes = view.file_size();
   put(out, "file            %s  (%llu bytes)\n", path.c_str(),
       static_cast<unsigned long long>(bytes));
   put(out, "experiment      %s   node %d\n",
@@ -158,23 +158,23 @@ int cmd_info(const std::string& path, std::ostream& out, std::ostream& err) {
   put(out, "sim params      seed=0x%llx  ram=%llu MB\n",
       static_cast<unsigned long long>(m.seed),
       static_cast<unsigned long long>(m.ram_bytes / (1024 * 1024)));
-  put(out, "duration        %.1f s\n", to_seconds(reader.duration()));
+  put(out, "duration        %.1f s\n", to_seconds(view.duration()));
   put(out, "records         %llu  (%.1f bytes/record)\n",
       static_cast<unsigned long long>(records),
       records > 0 ? static_cast<double>(bytes) / static_cast<double>(records)
                   : 0.0);
   put(out, "chunks          %zu  (%u records/chunk max)\n",
-      reader.chunks().size(), m.records_per_chunk);
-  if (reader.salvaged()) {
+      view.chunks().size(), m.records_per_chunk);
+  if (view.salvaged()) {
     put(out, "index           MISSING/BAD — rebuilt by scan, %zu corrupt "
              "chunk(s) dropped\n",
-        reader.corrupt_chunks());
+        view.corrupt_chunks());
   } else {
     out << "index           ok\n";
   }
-  if (reader.capture_dropped() > 0) {
+  if (view.capture_dropped() > 0) {
     put(out, "capture drops   %llu record(s) overflowed the kernel ring\n",
-        static_cast<unsigned long long>(reader.capture_dropped()));
+        static_cast<unsigned long long>(view.capture_dropped()));
   }
   if (m.multi_node) {
     // A v2 (merged) file: every record carries its origin node, so one
@@ -188,9 +188,9 @@ int cmd_info(const std::string& path, std::ostream& out, std::ostream& err) {
     };
     std::map<std::int32_t, NodeTotals> per_node;
     std::vector<trace::Record> recs;
-    for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
+    for (std::size_t i = 0; i < view.chunks().size(); ++i) {
       try {
-        reader.read_chunk_into(i, recs);
+        view.decode_chunk(i, recs);
       } catch (const std::runtime_error&) {
         continue;  // damaged chunks are already reported above
       }
@@ -215,8 +215,8 @@ int cmd_info(const std::string& path, std::ostream& out, std::ostream& err) {
   }
   out << "  chunk     offset   records        t_first..t_last      "
          "sectors\n";
-  for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
-    const auto& c = reader.chunks()[i];
+  for (std::size_t i = 0; i < view.chunks().size(); ++i) {
+    const auto& c = view.chunks()[i];
     put(out, "  %5zu %10llu %9u %12.1fs..%.1fs  %u..%u\n", i,
         static_cast<unsigned long long>(c.offset), c.records,
         to_seconds(c.ts_first), to_seconds(c.ts_last), c.sector_min,
@@ -231,13 +231,12 @@ int cmd_cat(const std::string& path, std::ostream& out, std::ostream& err) {
       // Stream chunk by chunk through one reused decode buffer instead of
       // materializing the whole capture; damaged chunks cost only their own
       // records, matching read_all()'s tolerance.
-      std::ifstream file(path, std::ios::binary);
-      telemetry::EsstReader reader(file);
+      const telemetry::EsstView view(path);
       trace::write_csv_header(out);
       std::vector<trace::Record> recs;
-      for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
+      for (std::size_t i = 0; i < view.chunks().size(); ++i) {
         try {
-          reader.read_chunk_into(i, recs);
+          view.decode_chunk(i, recs);
         } catch (const std::runtime_error&) {
           continue;
         }
@@ -270,17 +269,16 @@ int cmd_convert(const std::string& in, const std::string& out_path,
 }
 
 int cmd_filter(const std::string& in, const std::string& out_path,
-               const telemetry::EsstReader::Filter& f, std::ostream& out,
+               const telemetry::EsstView::Filter& f, std::ostream& out,
                std::ostream& err) {
   try {
     trace::TraceSet kept;
     std::size_t pruned = 0;
     std::size_t total_chunks = 0;
     if (sniff_format(in) == TraceFormat::kEsst) {
-      std::ifstream file(in, std::ios::binary);
-      telemetry::EsstReader reader(file);
-      total_chunks = reader.chunks().size();
-      kept = reader.read_filtered(f, &pruned);
+      const telemetry::EsstView view(in);
+      total_chunks = view.chunks().size();
+      kept = view.read_filtered(f, &pruned);
     } else {
       const auto ts = load_any(in);
       kept = trace::TraceSet(ts.experiment(), ts.node_id());
@@ -353,10 +351,16 @@ int cmd_diff(const std::string& a, const std::string& b,
 int cmd_verify(const std::string& path, std::ostream& out, std::ostream& err,
                std::size_t jobs) {
   try {
+    // Sniff errors name the path themselves; read errors below do not.
     if (sniff_format(path) != TraceFormat::kEsst) {
       err << "esstrace verify: " << path << " is not an ESST file\n";
       return 2;
     }
+  } catch (const std::exception& e) {
+    err << "esstrace verify: " << e.what() << "\n";
+    return 2;
+  }
+  try {
     const auto rep = analysis::verify_esst(path, jobs);
     put(out, "file            %s\n", path.c_str());
     put(out, "index           %s\n",
@@ -410,9 +414,7 @@ bool glob_match(const char* pat, const char* name) {
 /// they pass through expansion so cmd_merge reports them itself.
 bool is_merged_capture(const std::string& path) {
   try {
-    std::ifstream f(path, std::ios::binary);
-    telemetry::EsstReader reader(f);
-    return reader.meta().multi_node;
+    return telemetry::EsstView(path).meta().multi_node;
   } catch (const std::exception&) {
     return false;
   }

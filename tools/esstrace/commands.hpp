@@ -13,6 +13,7 @@
 #include "exec/thread_pool.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "trace/trace_set.hpp"
 
 namespace ess::esstrace {
@@ -56,7 +57,7 @@ int cmd_convert(const std::string& in, const std::string& out_path,
 /// `filter IN OUT` — keep records matching `f`. For ESST input the chunk
 /// index prunes whole chunks without decoding them.
 int cmd_filter(const std::string& in, const std::string& out_path,
-               const telemetry::EsstReader::Filter& f, std::ostream& out,
+               const telemetry::EsstView::Filter& f, std::ostream& out,
                std::ostream& err);
 
 /// `stats FILE [--jobs N]` — run the streaming consumers over the trace

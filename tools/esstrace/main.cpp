@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> paths;
-  ess::telemetry::EsstReader::Filter filter;
+  ess::telemetry::EsstView::Filter filter;
   ess::telemetry::DiffTolerance tol;
   std::size_t jobs = 0;
   int nodes = 16;
