@@ -17,7 +17,7 @@ namespace ess::telemetry {
 
 // The wire format itself — constants, scalar packing, varint/record codec,
 // header/trailer/index parsing — lives in esst_codec.hpp, shared with the
-// zero-copy EsstView so the two read paths cannot drift.
+// reader, EsstView (esst_view.cpp).
 using namespace codec;
 
 namespace {
@@ -405,295 +405,6 @@ bool EsstFileSink::failed() const { return impl_->failed; }
 
 const std::string& EsstFileSink::error() const { return impl_->error; }
 
-// ---------------------------------------------------------------- reader
-
-namespace {
-
-/// Reads the chunk at the current stream position. Returns false (leaving
-/// `info`/`payload` unspecified) when the bytes there are not a structurally
-/// complete chunk. `crc_ok` reports payload+footer integrity.
-bool read_chunk_at(std::istream& is, std::uint64_t offset,
-                   std::uint64_t file_size, ChunkInfo& info,
-                   std::vector<std::uint8_t>& payload, bool& crc_ok) {
-  if (offset + kChunkHeaderBytes + kChunkFooterBytes > file_size) return false;
-  is.clear();
-  is.seekg(static_cast<std::streamoff>(offset));
-  std::uint8_t hdr[kChunkHeaderBytes];
-  is.read(reinterpret_cast<char*>(hdr), sizeof hdr);
-  if (!is || get_u32(hdr) != kChunkMagic) return false;
-  const std::uint32_t payload_bytes = get_u32(hdr + 4);
-  if (offset + kChunkHeaderBytes + payload_bytes + kChunkFooterBytes >
-      file_size) {
-    return false;
-  }
-  payload.resize(payload_bytes);
-  is.read(reinterpret_cast<char*>(payload.data()), payload_bytes);
-  std::uint8_t ftr[kChunkFooterBytes];
-  is.read(reinterpret_cast<char*>(ftr), sizeof ftr);
-  if (!is) return false;
-  info.offset = offset;
-  const std::uint32_t want = parse_chunk_footer(ftr, info);
-  crc_ok = chunk_crc(payload.data(), payload.size(), ftr) == want;
-  return true;
-}
-
-std::uint64_t stream_size(std::istream& is) {
-  is.clear();
-  is.seekg(0, std::ios::end);
-  const auto end = is.tellg();
-  return end < 0 ? 0 : static_cast<std::uint64_t>(end);
-}
-
-}  // namespace
-
-EsstReader::EsstReader(std::istream& is) : is_(is) {
-  // Measure the file once; every later bounds check reuses file_size_. A
-  // stream_size() per chunk read seeks to EOF and back, which discards the
-  // stream's read buffer and turns a forward pass into a seek storm.
-  const std::uint64_t size = stream_size(is_);
-  file_size_ = size;
-  if (size < kHeaderBytes) throw std::runtime_error("esst: file too short");
-  is_.seekg(0);
-  std::uint8_t h[kHeaderBytes];
-  is_.read(reinterpret_cast<char*>(h), sizeof h);
-  if (!is_) throw std::runtime_error("esst: bad magic");
-  meta_ = parse_header(h);  // throws when the header is unusable
-
-  // Fast path: the trailing index. The trailer comes in two sizes —
-  // "ESSTIDX2" (48 bytes, carries the capture drop count) and the legacy
-  // "ESSTIDX1" (40 bytes) — distinguished by the magic at the very end.
-  std::size_t trailer_bytes = 0;
-  TrailerInfo trailer;
-  const std::size_t tail_len =
-      static_cast<std::size_t>(std::min<std::uint64_t>(
-          size - kHeaderBytes, kTrailer2Bytes));
-  if (tail_len >= kTrailer1Bytes) {
-    std::uint8_t t[kTrailer2Bytes] = {};
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(size - tail_len));
-    is_.read(reinterpret_cast<char*>(t), static_cast<std::streamsize>(tail_len));
-    if (is_) trailer_bytes = parse_trailer(t, tail_len, trailer);
-  }
-  if (trailer_bytes != 0) {
-    capture_dropped_ = trailer.capture_dropped;
-    const std::uint64_t index_bytes =
-        std::uint64_t{trailer.chunk_count} * kIndexEntryBytes;
-    if (trailer.index_offset >= kHeaderBytes &&
-        trailer.index_offset + index_bytes + trailer_bytes == size) {
-      std::vector<std::uint8_t> entries(index_bytes);
-      is_.clear();
-      is_.seekg(static_cast<std::streamoff>(trailer.index_offset));
-      is_.read(reinterpret_cast<char*>(entries.data()),
-               static_cast<std::streamsize>(entries.size()));
-      if (is_ && crc32(entries.data(), entries.size()) == trailer.index_crc) {
-        parse_index_entries(entries.data(), trailer.chunk_count, chunks_);
-        duration_ = trailer.duration;
-        expected_records_ = trailer.total_records;
-        return;
-      }
-    }
-  }
-
-  // Salvage path: forward scan, keep every chunk whose CRC passes. A
-  // trailerless file carries no capture drop count; don't trust one parsed
-  // from a trailer that failed validation above.
-  salvage_scan(size);
-}
-
-/// Rebuild the chunk list by one buffered forward pass. A single seek to
-/// the first chunk, then strictly sequential reads: frame header, payload,
-/// footer, repeat — no per-chunk re-seek, so salvaging a corrupt multi-GB
-/// capture streams at disk speed instead of degrading with chunk count.
-void EsstReader::salvage_scan(std::uint64_t size) {
-  salvaged_ = true;
-  capture_dropped_ = 0;
-  std::uint64_t off = kHeaderBytes;
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(off));
-  while (off + kChunkHeaderBytes + kChunkFooterBytes <= size) {
-    std::uint8_t hdr[kChunkHeaderBytes];
-    is_.read(reinterpret_cast<char*>(hdr), sizeof hdr);
-    if (!is_ || get_u32(hdr) != kChunkMagic) {
-      // The trace ends here: index/trailer bytes, EOF, or torn framing.
-      break;
-    }
-    const std::uint32_t payload_bytes = get_u32(hdr + 4);
-    if (off + kChunkHeaderBytes + payload_bytes + kChunkFooterBytes > size) {
-      // Chunk framing is intact but the body runs past EOF: a truncated
-      // tail. Everything from `off` on is unaccounted for.
-      ++scan_lost_chunks_;
-      if (scan_first_bad_ == 0) scan_first_bad_ = off;
-      break;
-    }
-    payload_scratch_.resize(payload_bytes);
-    is_.read(reinterpret_cast<char*>(payload_scratch_.data()), payload_bytes);
-    std::uint8_t ftr[kChunkFooterBytes];
-    is_.read(reinterpret_cast<char*>(ftr), sizeof ftr);
-    if (!is_) break;
-    ChunkInfo info;
-    info.offset = off;
-    const std::uint32_t want = parse_chunk_footer(ftr, info);
-    const bool crc_ok =
-        chunk_crc(payload_scratch_.data(), payload_scratch_.size(), ftr) ==
-        want;
-    if (crc_ok) {
-      chunks_.push_back(info);
-      duration_ = std::max(duration_, info.ts_last);
-    } else {
-      ++corrupt_chunks_;
-      ++scan_lost_chunks_;
-      // The footer is untrusted (its CRC just failed); clamp its record
-      // claim so a garbage count cannot dominate the report.
-      scan_lost_records_ += std::min<std::uint64_t>(
-          info.records,
-          meta_.records_per_chunk > 0 ? meta_.records_per_chunk : info.records);
-      if (scan_first_bad_ == 0) scan_first_bad_ = off;
-    }
-    off += kChunkHeaderBytes + payload_bytes + kChunkFooterBytes;
-  }
-  // A tail too short for a whole frame can still start with chunk magic —
-  // that is a torn chunk, not trailer bytes, and it counts as lost.
-  if (scan_first_bad_ == 0 && off + kChunkHeaderBytes <= size &&
-      off + kChunkHeaderBytes + kChunkFooterBytes > size) {
-    std::uint8_t hdr[kChunkHeaderBytes];
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(off));
-    is_.read(reinterpret_cast<char*>(hdr), sizeof hdr);
-    if (is_ && get_u32(hdr) == kChunkMagic) {
-      ++scan_lost_chunks_;
-      scan_first_bad_ = off;
-    }
-  }
-}
-
-std::uint64_t EsstReader::total_records() const {
-  std::uint64_t n = 0;
-  for (const auto& c : chunks_) n += c.records;
-  return n;
-}
-
-SalvageReport EsstReader::verify() {
-  SalvageReport rep;
-  rep.index_ok = !salvaged_;
-  rep.capture_dropped = capture_dropped_;
-  std::vector<trace::Record> recs;
-  for (const auto& c : chunks_) {
-    ChunkInfo info;
-    bool crc_ok = false;
-    bool decoded = false;
-    if (read_chunk_at(is_, c.offset, file_size_, info, payload_scratch_,
-                      crc_ok) &&
-        crc_ok) {
-      try {
-        decode_payload_into(payload_scratch_.data(), payload_scratch_.size(),
-                            info.records, meta_.multi_node, recs);
-        decoded = true;
-      } catch (const std::runtime_error&) {
-        // CRC passed but the payload does not decode — counts as lost.
-      }
-    }
-    if (decoded) {
-      ++rep.chunks_kept;
-      rep.records_kept += info.records;
-    } else {
-      ++rep.chunks_lost;
-      rep.records_lost += c.records;
-      if (!rep.first_bad_offset) rep.first_bad_offset = c.offset;
-    }
-  }
-  // Fold in damage the constructor's salvage scan already discarded (those
-  // chunks never made it into chunks_).
-  rep.chunks_lost += scan_lost_chunks_;
-  rep.records_lost += scan_lost_records_;
-  if (scan_first_bad_ != 0 &&
-      (!rep.first_bad_offset || scan_first_bad_ < *rep.first_bad_offset)) {
-    rep.first_bad_offset = scan_first_bad_;
-  }
-  if (salvaged_) {
-    // No trusted index: lost-record figures come from untrusted footers (a
-    // clamped lower bound), and a truncated tail may hide more.
-    rep.records_lost_exact = false;
-  } else if (expected_records_ > rep.records_kept + rep.records_lost) {
-    // The trailer's total outruns the index's per-chunk sum; trust the
-    // larger claim so the report never understates loss.
-    rep.records_lost = expected_records_ - rep.records_kept;
-  }
-  return rep;
-}
-
-void EsstReader::read_chunk_into(std::size_t idx,
-                                 std::vector<trace::Record>& out) {
-  const ChunkInfo& c = chunks_.at(idx);
-  ChunkInfo read_info;
-  bool crc_ok = false;
-  if (!read_chunk_at(is_, c.offset, file_size_, read_info, payload_scratch_,
-                     crc_ok)) {
-    throw std::runtime_error("esst: chunk unreadable");
-  }
-  if (!crc_ok) throw std::runtime_error("esst: chunk CRC mismatch");
-  decode_payload_into(payload_scratch_.data(), payload_scratch_.size(),
-                      read_info.records, meta_.multi_node, out);
-}
-
-std::vector<trace::Record> EsstReader::read_chunk(std::size_t idx) {
-  std::vector<trace::Record> out;
-  read_chunk_into(idx, out);
-  return out;
-}
-
-trace::TraceSet EsstReader::read_all() {
-  trace::TraceSet ts(meta_.experiment, meta_.node_id);
-  std::vector<trace::Record> recs;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    try {
-      read_chunk_into(i, recs);
-      ts.add_all(recs);
-    } catch (const std::runtime_error&) {
-      ++corrupt_chunks_;  // indexed file with a damaged chunk body
-    }
-  }
-  ts.set_duration(duration_);
-  return ts;
-}
-
-bool EsstReader::Filter::chunk_may_match(const ChunkInfo& c) const {
-  return c.ts_last >= ts_min && c.ts_first <= ts_max &&
-         std::uint64_t{c.sector_max} >= sector_min &&
-         std::uint64_t{c.sector_min} <= sector_max;
-}
-
-bool EsstReader::Filter::record_matches(const trace::Record& r) const {
-  if (r.timestamp < ts_min || r.timestamp > ts_max) return false;
-  if (r.sector < sector_min || r.sector > sector_max) return false;
-  if (rw >= 0 && (r.is_write != 0) != (rw != 0)) return false;
-  return true;
-}
-
-trace::TraceSet EsstReader::read_filtered(const Filter& f,
-                                          std::size_t* chunks_skipped) {
-  trace::TraceSet ts(meta_.experiment, meta_.node_id);
-  std::vector<trace::Record> recs;
-  std::size_t skipped = 0;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    if (!f.chunk_may_match(chunks_[i])) {
-      ++skipped;
-      continue;
-    }
-    try {
-      read_chunk_into(i, recs);
-    } catch (const std::runtime_error&) {
-      ++corrupt_chunks_;
-      continue;
-    }
-    for (const auto& r : recs) {
-      if (f.record_matches(r)) ts.add(r);
-    }
-  }
-  ts.set_duration(duration_);
-  if (chunks_skipped != nullptr) *chunks_skipped = skipped;
-  return ts;
-}
-
 // ---------------------------------------------------------------- wrappers
 
 void write_esst(const trace::TraceSet& ts, std::ostream& os, EsstMeta meta) {
@@ -709,11 +420,6 @@ void write_esst_file(const trace::TraceSet& ts, const std::string& path,
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) throw std::runtime_error("esst: cannot open " + path);
   write_esst(ts, f, std::move(meta));
-}
-
-trace::TraceSet read_esst(std::istream& is) {
-  EsstReader r(is);
-  return r.read_all();
 }
 
 bool is_esst(std::istream& is) {

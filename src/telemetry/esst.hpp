@@ -29,18 +29,17 @@
 //     run. Files with the 40-byte "ESSTIDX1" trailer (no drop count) are
 //     still read.
 //
-// Readers seek to the trailer and load the index; `filter`-style queries
-// skip whole chunks whose [ts, sector] ranges cannot match. When the index
-// is missing or bad (the writer died mid-run, the tail was truncated), the
-// reader falls back to a forward scan and salvages every chunk whose CRC
-// passes — a crash loses at most the unflushed chunk, never the file. All
-// degraded-mode results carry a structured SalvageReport instead of being
-// silently partial.
+// The reader (EsstView, esst_view.hpp) seeks to the trailer and loads the
+// index; `filter`-style queries skip whole chunks whose [ts, sector] ranges
+// cannot match. When the index is missing or bad (the writer died mid-run,
+// the tail was truncated), it falls back to a forward scan and salvages
+// every chunk whose CRC passes — a crash loses at most the unflushed chunk,
+// never the file. All degraded-mode results carry a structured
+// SalvageReport instead of being silently partial.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -203,7 +202,7 @@ class EsstFileSink final : public Sink {
 };
 
 /// Structured account of how much of a capture survived — populated by
-/// EsstReader::verify() so degraded reads are reported, never silent.
+/// analysis::verify_esst so degraded reads are reported, never silent.
 struct SalvageReport {
   /// Trailer index present and CRC-clean (false => chunk list was rebuilt
   /// by a forward scan).
@@ -232,94 +231,13 @@ struct SalvageReport {
   }
 };
 
-/// Reader: loads the header and the chunk index (or scan-salvages when the
-/// index is missing/corrupt), then decodes chunks on demand.
-class EsstReader {
- public:
-  /// Parses the header and locates chunks. Throws std::runtime_error only
-  /// when the header itself is unusable; damaged chunks and a damaged/
-  /// missing index are recovered around, not fatal.
-  explicit EsstReader(std::istream& is);
-
-  const EsstMeta& meta() const { return meta_; }
-  const std::vector<ChunkInfo>& chunks() const { return chunks_; }
-
-  /// True when the trailing index was missing or bad and the chunk list was
-  /// rebuilt by a forward scan.
-  bool salvaged() const { return salvaged_; }
-  /// Chunks dropped during the scan because their CRC failed.
-  std::size_t corrupt_chunks() const { return corrupt_chunks_; }
-  /// Capture-time ring overflow recorded in the trailer (0 for v1 trailers
-  /// and salvaged files, where the count did not survive).
-  std::uint64_t capture_dropped() const { return capture_dropped_; }
-
-  /// Integrity pass: decode every chunk and account for what survived.
-  /// Never throws for damaged chunks — damage becomes report fields.
-  SalvageReport verify();
-
-  SimTime duration() const { return duration_; }
-  std::uint64_t total_records() const;
-  /// The trailer's record-count claim (0 when the index did not survive).
-  /// total_records() sums the per-chunk index counts instead; a shortfall
-  /// between the two means the index itself lost entries.
-  std::uint64_t trailer_records() const { return expected_records_; }
-
-  /// Decode chunk `idx`. Throws on CRC mismatch (read_all()/read_filtered()
-  /// catch and skip instead).
-  std::vector<trace::Record> read_chunk(std::size_t idx);
-
-  /// Decode chunk `idx` into `out` (cleared first), reusing `out`'s capacity
-  /// and the reader's internal payload scratch — the allocation-free loop
-  /// for whole-file passes (stats, cat, verify over multi-GB captures).
-  /// Same error behavior as read_chunk.
-  void read_chunk_into(std::size_t idx, std::vector<trace::Record>& out);
-
-  trace::TraceSet read_all();
-
-  struct Filter {
-    SimTime ts_min = 0;
-    SimTime ts_max = std::numeric_limits<SimTime>::max();
-    std::uint64_t sector_min = 0;
-    std::uint64_t sector_max = std::numeric_limits<std::uint64_t>::max();
-    int rw = -1;  // -1 = both, 0 = reads only, 1 = writes only
-
-    bool chunk_may_match(const ChunkInfo& c) const;
-    bool record_matches(const trace::Record& r) const;
-  };
-
-  /// Decode only chunks whose index ranges can intersect the filter; the
-  /// point of the format. `chunks_skipped` (optional) reports how many
-  /// chunks the index pruned without decoding.
-  trace::TraceSet read_filtered(const Filter& f,
-                                std::size_t* chunks_skipped = nullptr);
-
- private:
-  void salvage_scan(std::uint64_t size);
-
-  std::istream& is_;
-  EsstMeta meta_;
-  std::vector<ChunkInfo> chunks_;
-  std::vector<std::uint8_t> payload_scratch_;  // reused across chunk reads
-  std::uint64_t file_size_ = 0;  // measured once; seeking to EOF per chunk
-                                 // defeated stream buffering (see ctor)
-  SimTime duration_ = 0;
-  bool salvaged_ = false;
-  std::size_t corrupt_chunks_ = 0;
-  std::uint64_t capture_dropped_ = 0;
-  std::uint64_t expected_records_ = 0;   // trailer claim (index_ok only)
-  // Scan-time damage accounting, folded into verify()'s report.
-  std::size_t scan_lost_chunks_ = 0;
-  std::uint64_t scan_lost_records_ = 0;  // from untrusted footers, clamped
-  std::uint64_t scan_first_bad_ = 0;
-};
-
 // Whole-file conveniences. write_esst_file fills meta.experiment/node_id
-// from the TraceSet when left at defaults.
+// from the TraceSet when left at defaults. The read side is EsstView
+// (telemetry/esst_view.hpp).
 void write_esst(const trace::TraceSet& ts, std::ostream& os,
                 EsstMeta meta = {});
 void write_esst_file(const trace::TraceSet& ts, const std::string& path,
                      EsstMeta meta = {});
-trace::TraceSet read_esst(std::istream& is);
 
 /// True when the stream starts with the ESST magic (position restored).
 bool is_esst(std::istream& is);

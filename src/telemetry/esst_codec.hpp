@@ -1,10 +1,8 @@
 // ESST wire-format codec: the one place the byte layout lives.
 //
-// Both ESST read paths — the streaming/salvaging `EsstReader` (esst.cpp)
-// and the zero-copy `EsstView` (esst_view.cpp) — and the writer decode and
-// encode through these helpers, so the two paths cannot drift: same header
-// and trailer parsing, same varint rules, same record decode, byte for
-// byte.
+// The reader (`EsstView`, esst_view.cpp) and the writer (esst.cpp) decode
+// and encode through these helpers, so the two sides cannot drift: one
+// header and trailer layout, one set of varint rules, one record codec.
 //
 // Decode is the analysis hot loop (a multi-GB capture is nothing but these
 // varints), so it comes in two forms:
@@ -377,8 +375,7 @@ inline void decode_payload_into(const std::uint8_t* p, std::size_t len,
 // ---- header / index / trailer ---------------------------------------------
 
 /// Parse and validate the 128-byte fixed header (magic, version, CRC).
-/// Throws std::runtime_error when the header is unusable — the same
-/// contract as the EsstReader constructor.
+/// Throws std::runtime_error when the header is unusable.
 inline EsstMeta parse_header(const std::uint8_t* h) {
   if (std::memcmp(h, kMagic, sizeof kMagic) != 0) {
     throw std::runtime_error("esst: bad magic");

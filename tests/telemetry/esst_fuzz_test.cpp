@@ -24,8 +24,6 @@
 
 #include "analysis/parallel.hpp"
 #include "commands.hpp"
-#include "fault/fault.hpp"
-#include "telemetry/esst.hpp"
 #include "telemetry/esst_view.hpp"
 #include "util/rng.hpp"
 
@@ -266,225 +264,6 @@ TEST_P(EsstFuzzTest, InvariantsHoldUnderRandomDamage) {
   }
   std::remove(path.c_str());
   std::remove(partner.c_str());
-}
-
-
-// ---- equivalence with the streaming EsstReader (removed with it) ----
-
-void expect_reader_agrees(const std::string& bytes, const std::string& what) {
-  SCOPED_TRACE(what);
-  std::istringstream is(bytes);
-  std::optional<EsstReader> reader;
-  std::optional<EsstView> view;
-  std::string reader_err, view_err;
-  try {
-    reader.emplace(is);
-  } catch (const std::runtime_error& e) {
-    reader_err = e.what();
-  }
-  try {
-    view.emplace(util::MmapFile::from_bytes(bytes));
-  } catch (const std::runtime_error& e) {
-    view_err = e.what();
-  }
-  ASSERT_EQ(reader_err, view_err);
-  if (!reader) return;
-  EXPECT_EQ(view->salvaged(), reader->salvaged());
-  EXPECT_EQ(view->corrupt_chunks(), reader->corrupt_chunks());
-  EXPECT_EQ(view->capture_dropped(), reader->capture_dropped());
-  EXPECT_EQ(view->duration(), reader->duration());
-  EXPECT_EQ(view->trailer_records(), reader->trailer_records());
-  EXPECT_EQ(view->total_records(), reader->total_records());
-  EXPECT_EQ(view->meta().experiment, reader->meta().experiment);
-  EXPECT_EQ(view->meta().node_id, reader->meta().node_id);
-  EXPECT_EQ(view->meta().multi_node, reader->meta().multi_node);
-  ASSERT_EQ(view->chunks().size(), reader->chunks().size());
-  std::vector<trace::Record> got, want;
-  for (std::size_t i = 0; i < view->chunks().size(); ++i) {
-    const ChunkInfo& a = view->chunks()[i];
-    const ChunkInfo& b = reader->chunks()[i];
-    EXPECT_EQ(a.offset, b.offset) << "chunk " << i;
-    EXPECT_EQ(a.records, b.records) << "chunk " << i;
-    EXPECT_EQ(a.ts_first, b.ts_first) << "chunk " << i;
-    EXPECT_EQ(a.ts_last, b.ts_last) << "chunk " << i;
-    EXPECT_EQ(a.sector_min, b.sector_min) << "chunk " << i;
-    EXPECT_EQ(a.sector_max, b.sector_max) << "chunk " << i;
-    std::string ge, we;
-    try {
-      view->decode_chunk(i, got);
-    } catch (const std::runtime_error& e) {
-      ge = e.what();
-    }
-    try {
-      reader->read_chunk_into(i, want);
-    } catch (const std::runtime_error& e) {
-      we = e.what();
-    }
-    EXPECT_EQ(ge, we) << "chunk " << i;
-    if (ge.empty() && we.empty()) {
-      EXPECT_EQ(got, want) << "chunk " << i;
-    }
-  }
-  const auto va = view->read_all();
-  std::istringstream is2(bytes);
-  EsstReader r2(is2);
-  const auto ra = r2.read_all();
-  EXPECT_EQ(va.records(), ra.records());
-  EXPECT_EQ(va.duration(), ra.duration());
-  const SalvageReport want_rep = reader->verify();
-  for (const std::size_t jobs : {1u, 4u}) {
-    const SalvageReport r = analysis::verify_esst(*view, jobs);
-    EXPECT_EQ(r.index_ok, want_rep.index_ok) << "jobs=" << jobs;
-    EXPECT_EQ(r.chunks_kept, want_rep.chunks_kept) << "jobs=" << jobs;
-    EXPECT_EQ(r.chunks_lost, want_rep.chunks_lost) << "jobs=" << jobs;
-    EXPECT_EQ(r.records_kept, want_rep.records_kept) << "jobs=" << jobs;
-    EXPECT_EQ(r.records_lost, want_rep.records_lost) << "jobs=" << jobs;
-    EXPECT_EQ(r.records_lost_exact, want_rep.records_lost_exact)
-        << "jobs=" << jobs;
-    EXPECT_EQ(r.first_bad_offset, want_rep.first_bad_offset)
-        << "jobs=" << jobs;
-    EXPECT_EQ(r.capture_dropped, want_rep.capture_dropped) << "jobs=" << jobs;
-  }
-}
-
-TEST_P(EsstFuzzTest, StreamingReaderAgreesOnEveryMutant) {
-  static const Capture v1 = make_capture(false);
-  static const Capture v2 = make_capture(true);
-  Rng rng(GetParam());
-  for (int i = 0; i < 200; ++i) {
-    const Capture& c = (i % 2 == 0) ? v1 : v2;
-    const Mutant m = mutate(c, rng);
-    expect_reader_agrees(m.bytes, m.what);
-    if (HasFailure()) break;
-  }
-  // Exhaustive truncation and per-byte damage of the v1 capture's last
-  // chunk, index and trailer.
-  for (std::size_t at = 0; at <= v1.bytes.size(); ++at) {
-    expect_reader_agrees(v1.bytes.substr(0, at),
-                         "truncate@" + std::to_string(at));
-  }
-  for (std::size_t at = v1.chunks.back().offset; at < v1.bytes.size(); ++at) {
-    std::string b = v1.bytes;
-    b[at] = static_cast<char>(b[at] ^ 0x10);
-    expect_reader_agrees(b, "flip@" + std::to_string(at));
-  }
-}
-
-/// The damage cases of esst_test.cpp, rebuilt byte for byte.
-trace::TraceSet esst_test_sample(std::size_t n) {
-  trace::TraceSet ts("esst-roundtrip", 3);
-  for (std::size_t i = 0; i < n; ++i) {
-    trace::Record r;
-    r.timestamp = static_cast<SimTime>(i) * 1000;
-    r.sector = static_cast<std::uint32_t>((i * 9973) % 1'018'080);
-    r.size_bytes = 1024u << (i % 5);
-    r.is_write = static_cast<std::uint8_t>(i % 3 == 0);
-    r.outstanding = static_cast<std::uint16_t>(i % 7);
-    ts.add(r);
-  }
-  ts.set_duration(sec(1));
-  return ts;
-}
-
-std::string esst_test_encode(std::size_t n, std::uint32_t rpc) {
-  EsstMeta meta;
-  if (rpc != 0) meta.records_per_chunk = rpc;
-  std::ostringstream os;
-  write_esst(esst_test_sample(n), os, meta);
-  return os.str();
-}
-
-TEST(EsstEquivalence, EsstTestDamageCasesReadIdentically) {
-  std::vector<std::pair<std::string, std::string>> cases;
-  cases.emplace_back("empty", [] {
-    std::ostringstream os;
-    write_esst(trace::TraceSet("empty", 0), os);
-    return os.str();
-  }());
-  cases.emplace_back("intact", esst_test_encode(100, 16));
-  {
-    auto d = esst_test_encode(100, 16);
-    d.resize(d.size() * 3 / 5);
-    cases.emplace_back("truncated 3/5", d);
-  }
-  {
-    auto d = esst_test_encode(64, 16);
-    const EsstView v(util::MmapFile::from_bytes(d));
-    d.resize(v.chunks().back().offset + 8 +
-             v.chunk_span(v.chunks().size() - 1).payload_len + 28);
-    cases.emplace_back("truncated after last chunk", d);
-  }
-  for (const std::size_t k : {1u, 2u}) {
-    auto d = esst_test_encode(100, 16);
-    const EsstView v(util::MmapFile::from_bytes(d));
-    d[v.chunks()[k].offset + 8 + (k == 1 ? 2 : 1)] ^= (k == 1 ? 0x5a : 0x40);
-    cases.emplace_back("payload flip chunk " + std::to_string(k), d);
-  }
-  {
-    auto d = esst_test_encode(50, 0);
-    d[d.size() - 1] ^= 0xff;
-    cases.emplace_back("trailer magic", d);
-  }
-  cases.emplace_back("bad header: short",
-                     "not an esst file at all, nowhere near long enough");
-  {
-    auto d = esst_test_encode(10, 0);
-    d[3] ^= 0x01;
-    cases.emplace_back("bad header: magic", d);
-    d = esst_test_encode(10, 0);
-    d[40] ^= 0x01;
-    cases.emplace_back("bad header: crc", d);
-  }
-  {
-    std::ostringstream os;
-    {
-      EsstWriter w(os, EsstMeta{});
-      const auto ts = esst_test_sample(20);
-      for (const auto& r : ts.records()) w.append(r);
-      w.set_dropped_records(37);
-      w.finish(sec(1));
-    }
-    cases.emplace_back("capture drops", os.str());
-  }
-  {
-    auto d = esst_test_encode(30, 0);
-    d = d.substr(0, d.size() - 16) + "ESSTIDX1";
-    cases.emplace_back("v1 trailer", d);
-  }
-  {
-    std::stringstream backing;
-    fault::FailAfterStream failing(backing, 2000);
-    EsstMeta meta;
-    meta.records_per_chunk = 16;
-    {
-      EsstFileSink sink(failing, meta);
-      const auto ts = esst_test_sample(400);
-      for (const auto& r : ts.records()) sink.on_record(r);
-      sink.on_finish(ts.duration());
-    }
-    cases.emplace_back("writer died", backing.str());
-  }
-  {
-    auto d = esst_test_encode(100, 16);
-    d.resize(d.size() * 55 / 100);
-    cases.emplace_back("truncated 55%", d);
-  }
-  {
-    const std::string path = tmp_path("corrupt_helper.esst");
-    EsstMeta meta;
-    meta.records_per_chunk = 16;
-    write_esst_file(esst_test_sample(100), path, meta);
-    fault::TraceIoFaults f;
-    f.truncate_tail_bytes = 64;
-    f.bitflips = 4;
-    fault::corrupt_file(path, f, /*seed=*/3);
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    cases.emplace_back("corrupt_file seed 3", ss.str());
-    std::remove(path.c_str());
-  }
-  for (const auto& [what, bytes] : cases) expect_reader_agrees(bytes, what);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EsstFuzzTest,
