@@ -7,7 +7,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -194,22 +193,15 @@ telemetry::SalvageReport verify_esst(const std::string& path,
 telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
                                      std::size_t jobs) {
   const std::size_t workers = resolve_jobs(jobs);
-  struct ShardReport {
-    std::size_t chunks_kept = 0;
-    std::size_t chunks_lost = 0;
-    std::uint64_t records_kept = 0;
-    std::uint64_t records_lost = 0;
-    std::optional<std::uint64_t> first_bad_offset;
-  };
   const std::size_t nchunks = view.chunks().size();
   const auto ranges =
       workers <= 1 ? shard_ranges(nchunks, 1)
                    : shard_ranges_weighted(chunk_weights(view), workers);
-  std::vector<std::function<ShardReport()>> shard_jobs;
+  std::vector<std::function<telemetry::SalvageReport()>> shard_jobs;
   shard_jobs.reserve(ranges.size());
   for (const auto& [lo, hi] : ranges) {
     shard_jobs.push_back([&, lo = lo, hi = hi] {
-      ShardReport shard;
+      telemetry::SalvageReport shard;
       std::vector<trace::Record> recs;
       recs.reserve(view.meta().records_per_chunk);
       for (std::size_t i = lo; i < hi; ++i) {
@@ -229,8 +221,10 @@ telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
     });
   }
 
-  telemetry::SalvageReport rep;
-  std::optional<std::uint64_t> first_bad_chunk;
+  // Start from what opening the file established — index state, capture
+  // drops, and the damage a salvage scan already discarded (those chunks
+  // never made it into the chunk list) — and add the decode pass.
+  telemetry::SalvageReport rep = view.scan_losses();
   // workers == 1 runs the same shard jobs inline (ThreadPool(0)): the
   // serial reference path through identical code.
   for (const auto& shard : exec::run_ordered(
@@ -239,23 +233,10 @@ telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
     rep.chunks_lost += shard.chunks_lost;
     rep.records_kept += shard.records_kept;
     rep.records_lost += shard.records_lost;
-    // Shards come back in chunk order, so the first shard that saw damage
-    // holds the first damaged chunk's offset.
-    if (!first_bad_chunk) first_bad_chunk = shard.first_bad_offset;
-  }
-  // Fold in what opening the file established: index state, capture drops,
-  // and the damage a salvage scan already discarded (those chunks never
-  // made it into the chunk list).
-  const telemetry::SalvageReport& scan = view.scan_losses();
-  rep.index_ok = scan.index_ok;
-  rep.capture_dropped = scan.capture_dropped;
-  rep.records_lost_exact = scan.records_lost_exact;
-  rep.chunks_lost += scan.chunks_lost;
-  rep.records_lost += scan.records_lost;
-  rep.first_bad_offset = first_bad_chunk;
-  if (scan.first_bad_offset &&
-      (!rep.first_bad_offset || *scan.first_bad_offset < *rep.first_bad_offset)) {
-    rep.first_bad_offset = scan.first_bad_offset;
+    const auto& bad = shard.first_bad_offset;
+    if (bad && (!rep.first_bad_offset || *bad < *rep.first_bad_offset)) {
+      rep.first_bad_offset = bad;
+    }
   }
   // The trailer's total outrunning the index's per-chunk sum means the
   // index itself lost entries; trust the larger claim so the report never

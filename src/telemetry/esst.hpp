@@ -224,6 +224,8 @@ struct SalvageReport {
   /// trailer): loss upstream of the file itself.
   std::uint64_t capture_dropped = 0;
 
+  bool operator==(const SalvageReport&) const = default;
+
   /// Full-fidelity capture: indexed, nothing lost at capture or since.
   bool clean() const {
     return index_ok && chunks_lost == 0 && records_lost == 0 &&
