@@ -13,6 +13,35 @@ std::uint64_t first_sector(BlockNo b) { return b * kSectorsPerBlock; }
 BufferCache::BufferCache(driver::IdeDriver& drv, CacheConfig cfg)
     : drv_(drv), cfg_(cfg) {}
 
+BufferCache::DeadlineKey BufferCache::deadline_key(BlockNo b,
+                                                   const Buffer& buf) const {
+  const SimTime limit =
+      buf.metadata ? cfg_.metadata_age_limit : cfg_.dirty_age_limit;
+  return {buf.dirty_since + limit, b};
+}
+
+void BufferCache::mark_dirty(BlockNo b, Buffer& buf, bool metadata,
+                             SimTime now) {
+  if (buf.dirty) {
+    // Already dirty: dirty_since stays, but a change of class moves the
+    // deadline, so the block is re-keyed.
+    if (buf.metadata == metadata) return;
+    by_deadline_.erase(deadline_key(b, buf));
+    buf.metadata = metadata;
+  } else {
+    buf.dirty = true;
+    buf.metadata = metadata;
+    buf.dirty_since = now;
+  }
+  by_deadline_.insert(deadline_key(b, buf));
+}
+
+void BufferCache::mark_clean(BlockNo b, Buffer& buf) {
+  if (!buf.dirty) return;
+  by_deadline_.erase(deadline_key(b, buf));
+  buf.dirty = false;
+}
+
 void BufferCache::touch(BlockNo b) {
   const auto it = map_.find(b);
   lru_.erase(it->second.lru_pos);
@@ -133,22 +162,13 @@ void BufferCache::write_range(BlockNo first, std::uint32_t count,
     const auto it = map_.find(b);
     if (it != map_.end()) {
       touch(b);
-      it->second.metadata = metadata;
-      if (!it->second.dirty) {
-        it->second.dirty = true;
-        it->second.dirty_since = now;
-        ++dirty_count_;
-      }
+      mark_dirty(b, it->second, metadata, now);
     } else {
-      Buffer& buf = insert(b);
-      buf.dirty = true;
-      buf.metadata = metadata;
-      buf.dirty_since = now;
-      ++dirty_count_;
+      mark_dirty(b, insert(b), metadata, now);
     }
   }
   // Over the dirty ratio: flush the oldest dirty blocks (bdflush wakeup).
-  if (static_cast<double>(dirty_count_) >
+  if (static_cast<double>(by_deadline_.size()) >
       cfg_.dirty_ratio_limit * static_cast<double>(cfg_.capacity_blocks)) {
     bdflush_pass();
   }
@@ -156,7 +176,6 @@ void BufferCache::write_range(BlockNo first, std::uint32_t count,
 
 void BufferCache::write_through(BlockNo first, std::uint32_t count,
                                 Done done) {
-  const SimTime now = drv_.drive().now();
   for (std::uint32_t i = 0; i < count; ++i) {
     const BlockNo b = first + i;
     ++stats_.writes;
@@ -165,13 +184,9 @@ void BufferCache::write_through(BlockNo first, std::uint32_t count,
       insert(b);
     } else {
       touch(b);
-      if (it->second.dirty) {
-        it->second.dirty = false;
-        --dirty_count_;
-      }
+      mark_clean(b, it->second);
     }
   }
-  (void)now;
   std::uint32_t issued = 0;
   auto remaining = std::make_shared<std::size_t>(0);
   auto fire = [remaining, done = std::move(done)]() {
@@ -195,35 +210,26 @@ void BufferCache::write_through(BlockNo first, std::uint32_t count,
 
 void BufferCache::sync() {
   std::vector<BlockNo> dirty;
-  dirty.reserve(dirty_count_);
-  for (const auto& [b, buf] : map_) {
-    if (buf.dirty) dirty.push_back(b);
-  }
+  dirty.reserve(by_deadline_.size());
+  for (const auto& [deadline, b] : by_deadline_) dirty.push_back(b);
   flush_blocks(std::move(dirty));
 }
 
 std::size_t BufferCache::bdflush_pass() {
   const SimTime now = drv_.drive().now();
-  std::vector<std::pair<SimTime, BlockNo>> aged;  // (deadline, block)
-  for (const auto& [b, buf] : map_) {
-    if (!buf.dirty) continue;
-    const SimTime limit =
-        buf.metadata ? cfg_.metadata_age_limit : cfg_.dirty_age_limit;
-    // Normalize: sort by flush deadline so the age test below is uniform.
-    aged.emplace_back(buf.dirty_since + limit, b);
-  }
-  std::sort(aged.begin(), aged.end());
-
-  // Flush every block past the age limit; additionally, if the dirty ratio
+  // Flush every block past its deadline; additionally, if the dirty ratio
   // is exceeded, flush the oldest blocks until only `lo` remain dirty.
   const auto hi = static_cast<std::size_t>(
       cfg_.dirty_ratio_limit * static_cast<double>(cfg_.capacity_blocks));
   const std::size_t lo = hi / 2;
-  const std::size_t must_drop = aged.size() > hi ? aged.size() - lo : 0;
+  const std::size_t dirty = by_deadline_.size();
+  const std::size_t must_drop = dirty > hi ? dirty - lo : 0;
+  // Both rules pick a prefix of the deadline order, so their union is one
+  // too: the pass stops at the first block that neither picks.
   std::vector<BlockNo> to_flush;
-  for (std::size_t i = 0; i < aged.size(); ++i) {
-    const auto [deadline, b] = aged[i];
-    if (deadline <= now || i < must_drop) to_flush.push_back(b);
+  for (const auto& [deadline, b] : by_deadline_) {
+    if (deadline > now && to_flush.size() >= must_drop) break;
+    to_flush.push_back(b);
   }
   const std::size_t n = to_flush.size();
   flush_blocks(std::move(to_flush));
@@ -248,8 +254,7 @@ void BufferCache::flush_blocks(std::vector<BlockNo> blocks) {
   for (const BlockNo b : blocks) {
     const auto it = map_.find(b);
     if (it == map_.end() || !it->second.dirty) continue;
-    it->second.dirty = false;
-    --dirty_count_;
+    mark_clean(b, it->second);
     if (run_len > 0 && b == run_first + run_len &&
         run_len < cfg_.max_coalesce_blocks) {
       ++run_len;
@@ -266,7 +271,7 @@ void BufferCache::invalidate(BlockNo b) {
   const auto it = map_.find(b);
   if (it == map_.end()) return;
   if (it->second.io_pending) return;  // keep; completion will clear state
-  if (it->second.dirty) --dirty_count_;
+  mark_clean(b, it->second);
   lru_.erase(it->second.lru_pos);
   map_.erase(it);
 }

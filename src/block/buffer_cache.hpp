@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -77,7 +78,7 @@ class BufferCache {
 
   bool resident(BlockNo b) const { return map_.count(b) != 0; }
   std::size_t resident_blocks() const { return map_.size(); }
-  std::size_t dirty_blocks() const { return dirty_count_; }
+  std::size_t dirty_blocks() const { return by_deadline_.size(); }
   /// Blocks pinned by in-flight reads; these cannot be evicted, so
   /// residency may transiently exceed capacity by up to this many.
   std::size_t pinned_blocks() const { return pinned_count_; }
@@ -101,6 +102,13 @@ class BufferCache {
     std::list<BlockNo>::iterator lru_pos;
   };
 
+  using DeadlineKey = std::pair<SimTime, BlockNo>;
+
+  /// A dirty buffer's place in the write-back order: its flush deadline
+  /// (dirty_since plus its class's age limit), ties broken by block.
+  DeadlineKey deadline_key(BlockNo b, const Buffer& buf) const;
+  void mark_dirty(BlockNo b, Buffer& buf, bool metadata, SimTime now);
+  void mark_clean(BlockNo b, Buffer& buf);
   void touch(BlockNo b);
   Buffer& insert(BlockNo b);
   void maybe_evict();
@@ -112,7 +120,10 @@ class BufferCache {
   CacheConfig cfg_;
   std::unordered_map<BlockNo, Buffer> map_;
   std::list<BlockNo> lru_;  // front = most recent
-  std::size_t dirty_count_ = 0;
+  // Invariant: holds exactly the dirty blocks, each keyed by its current
+  // deadline_key(), so bdflush reads the oldest off the front and no pass
+  // walks the clean residents.
+  std::set<DeadlineKey> by_deadline_;
   std::size_t pinned_count_ = 0;
   CacheStats stats_;
   // Readers waiting for an in-flight block.
