@@ -127,6 +127,9 @@ ScanResult scan_esst(const std::string& path, std::size_t jobs,
   out.salvaged = view.salvaged();
   out.experiment = view.meta().experiment;
   out.capture_dropped = view.capture_dropped();
+  // The chunks a salvage scan discarded never reach the chunk list; count
+  // their records once, before either decode path adds its own failures.
+  out.lost_records = view.scan_losses().records_lost;
   const std::size_t nchunks = view.chunks().size();
   const auto ranges =
       workers <= 1 ? shard_ranges(nchunks, 1)
@@ -519,7 +522,12 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
     tree.replay(i);
   }
 
-  for (const auto& c : cursors) result.dropped_records += c.lost_records;
+  // Each input's losses: chunks that failed to decode here, plus those its
+  // salvage scan already discarded.
+  for (const auto& c : cursors) {
+    result.dropped_records +=
+        c.lost_records + c.view->scan_losses().records_lost;
+  }
   result.dropped_records += capture_dropped;
   writer.set_dropped_records(result.dropped_records);
   writer.finish(result.duration);

@@ -70,8 +70,9 @@ std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_weighted(
 struct ScanResult {
   telemetry::StreamSummary summary;  // merged + finished; result() ready
   std::string experiment;            // header name ("" when unnamed)
-  /// Records in chunks that failed CRC/decode during this scan (already
-  /// folded into the summary's drop tally together with capture drops).
+  /// Records in chunks that failed CRC/decode during this scan or that the
+  /// view's salvage scan discarded (already folded into the summary's drop
+  /// tally together with capture drops).
   std::uint64_t lost_records = 0;
   /// Index was missing/bad (chunk list rebuilt by scan) or chunks were
   /// discarded — the capture is not a complete record of the run.
@@ -100,8 +101,8 @@ telemetry::SalvageReport verify_esst(const std::string& path,
 struct MergeResult {
   std::uint64_t records_written = 0;
   /// Aggregated loss carried into the output trailer: the sum of every
-  /// input's capture-time drops plus records in chunks that failed to
-  /// decode during the merge.
+  /// input's capture-time drops, the records its salvage scan discarded,
+  /// and records in chunks that failed to decode during the merge.
   std::uint64_t dropped_records = 0;
   std::size_t inputs = 0;
   SimTime duration = 0;  // max over the inputs

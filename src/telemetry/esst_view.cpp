@@ -103,13 +103,14 @@ void EsstView::salvage_scan() {
     off += kChunkHeaderBytes + s.payload_len + kChunkFooterBytes;
   }
   // A tail too short for a whole frame can still start with chunk magic —
-  // that is a torn chunk, not trailer bytes, and it counts as lost.
+  // that is a torn chunk, not trailer bytes, and it counts as lost, however
+  // much was lost before it. The loop breaks on a torn frame only with a
+  // whole frame's bytes left, so this never counts that frame twice.
   ChunkSpan s;
-  if (!scan_.first_bad_offset &&
-      size - off < kChunkHeaderBytes + kChunkFooterBytes &&
+  if (size - off < kChunkHeaderBytes + kChunkFooterBytes &&
       frame_at(off, s) == Frame::kTorn) {
     ++scan_.chunks_lost;
-    scan_.first_bad_offset = off;
+    if (!scan_.first_bad_offset) scan_.first_bad_offset = off;
   }
 }
 

@@ -395,6 +395,47 @@ TEST(MergeGolden, ClusterNodeGoldensMergeToTheCommittedClusterGolden) {
   std::filesystem::remove(out);
 }
 
+TEST(MergeGolden, SalvagedInputCarriesItsLossesIntoTheMerge) {
+  // A 15-chunk capture whose trailer magic and chunk 2's payload are both
+  // flipped: the view salvages it and its scan drops chunk 2. stats and
+  // the merge must count those records as the verify does, so the merged
+  // file is not clean.
+  const auto node1 = std::filesystem::path(__FILE__).parent_path()
+                         .parent_path() / "golden" / "cluster_node1.esst";
+  if (!std::filesystem::exists(node1)) {
+    GTEST_SKIP() << "golden captures not present";
+  }
+  const std::string damaged = tmp_path("salvaged_input.esst");
+  write_chunked(sample_trace("salvage", 4, 700, 7), damaged, 48);
+  auto bytes = slurp(damaged);
+  std::uint64_t chunk2 = 0;
+  {
+    const telemetry::EsstView view(damaged);
+    ASSERT_EQ(view.chunks().size(), 15u);
+    chunk2 = view.chunks()[2].offset;
+  }
+  bytes.back() ^= 0x5a;
+  bytes[chunk2 + 8 + 10] ^= 0x5a;
+  std::ofstream(damaged, std::ios::binary | std::ios::trunc) << bytes;
+
+  const auto rep = verify_esst(damaged, 1);
+  EXPECT_FALSE(rep.index_ok);
+  EXPECT_GE(rep.records_lost, 48u);
+  for (const std::size_t jobs : {1u, 4u}) {
+    EXPECT_EQ(scan_esst(damaged, jobs).lost_records, rep.records_lost)
+        << "jobs=" << jobs;
+  }
+
+  const std::string out = tmp_path("salvaged_merged.esst");
+  const auto res = merge_esst({damaged, node1.string()}, out, 2);
+  EXPECT_GE(res.dropped_records, 48u);
+  const auto merged = verify_esst(out, 1);
+  EXPECT_FALSE(merged.clean());
+  EXPECT_GE(merged.capture_dropped, 48u);
+  std::filesystem::remove(damaged);
+  std::filesystem::remove(out);
+}
+
 TEST(MergeErrors, WriteFailureNamesTheOutputPath) {
   // Full-disk during a merge must say *which* file failed: the writer
   // carries the output path into the error text. /dev/full fails every

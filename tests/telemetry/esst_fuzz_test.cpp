@@ -8,7 +8,11 @@
 //    in the original order;
 //  * damage to any chunk's or the index's bytes makes verify_esst
 //    unclean, and a report that claims exact loss never understates it;
-//  * scan_esst and verify_esst agree at jobs 1, 2, 4 and 8.
+//  * a salvage scan counts a torn tail even after an earlier lost chunk,
+//    and counts it once;
+//  * scan_esst and verify_esst agree at jobs 1, 2, 4 and 8, and on the
+//    records a salvaged file lost; a merge carries those losses into its
+//    trailer.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -94,10 +98,12 @@ struct Mutant {
   /// Set when a truncation cut a chunk after its 8-byte framing header:
   /// the torn chunk must be reported as damage at or before the cut.
   std::optional<std::size_t> torn_at;
+  /// Set when the damage fixes how many chunks a report must count lost.
+  std::optional<std::size_t> chunks_lost;
 };
 
 Mutant mutate(const Capture& c, Rng& rng) {
-  Mutant m{c.bytes, "", false, false, std::nullopt};
+  Mutant m{c.bytes, "", false, false, std::nullopt, std::nullopt};
   const auto in = [&](std::size_t lo, std::size_t hi) {
     return lo + static_cast<std::size_t>(rng.uniform(hi - lo));
   };
@@ -105,7 +111,10 @@ Mutant mutate(const Capture& c, Rng& rng) {
     m.bytes[at] = static_cast<char>(m.bytes[at] ^ (1u << rng.uniform(8)));
     m.what += " flip@" + std::to_string(at);
   };
-  switch (rng.uniform(5)) {
+  const auto chunk_end = [&](std::size_t k) {
+    return k + 1 < c.chunks.size() ? c.chunks[k + 1].offset : c.index_begin;
+  };
+  switch (rng.uniform(6)) {
     case 0:  // bit flips anywhere
       for (std::uint64_t n = 1 + rng.uniform(3); n > 0; --n) {
         flip(in(0, m.bytes.size()));
@@ -116,17 +125,27 @@ Mutant mutate(const Capture& c, Rng& rng) {
       m.bytes.resize(at);
       m.what = " truncate@" + std::to_string(at);
       for (std::size_t k = 0; k < c.chunks.size(); ++k) {
-        const std::size_t end =
-            k + 1 < c.chunks.size() ? c.chunks[k + 1].offset : c.index_begin;
-        if (at >= c.chunks[k].offset + 8 && at < end) m.torn_at = at;
+        if (at >= c.chunks[k].offset + 8 && at < chunk_end(k)) m.torn_at = at;
       }
       break;
     }
     case 2: {  // one chunk's bytes: framing, payload or footer
       const std::size_t k = in(0, c.chunks.size());
-      const std::size_t end =
-          k + 1 < c.chunks.size() ? c.chunks[k + 1].offset : c.index_begin;
-      flip(in(c.chunks[k].offset, end));
+      flip(in(c.chunks[k].offset, chunk_end(k)));
+      break;
+    }
+    case 5: {  // one chunk's payload, then a torn tail further on
+      const std::size_t j = in(0, c.chunks.size() - 2);
+      const std::size_t k = in(j + 1, c.chunks.size());
+      flip(in(c.chunks[j].offset + 8, chunk_end(j) - 28));
+      // Half the cuts leave a tail too short for a whole chunk frame.
+      const std::size_t body = chunk_end(k) - c.chunks[k].offset - 8;
+      const std::size_t at =
+          c.chunks[k].offset + 8 + in(0, rng.chance(0.5) ? 28 : body);
+      m.bytes.resize(at);
+      m.what += " truncate@" + std::to_string(at);
+      m.torn_at = at;
+      m.chunks_lost = 2;
       break;
     }
     case 3:  // the index entries
@@ -216,6 +235,9 @@ void check_mutant(const Capture& c, const Mutant& m, const std::string& path,
     ASSERT_TRUE(rep.first_bad_offset.has_value());
     EXPECT_LE(*rep.first_bad_offset, *m.torn_at);
   }
+  if (m.chunks_lost) {
+    EXPECT_EQ(rep.chunks_lost, *m.chunks_lost);
+  }
   for (const std::size_t jobs : {2u, 4u, 8u}) {
     EXPECT_TRUE(analysis::verify_esst(path, jobs) == rep) << "jobs=" << jobs;
   }
@@ -224,6 +246,12 @@ void check_mutant(const Capture& c, const Mutant& m, const std::string& path,
   const auto scan = analysis::scan_esst(path, 1);
   EXPECT_EQ(scan.summary.records(), kept.size());
   EXPECT_EQ(scan.salvaged, view->salvaged());
+  // stats counts what verify counts: the salvage scan's losses once, plus
+  // decode failures (verify may add an index's unlisted records on top).
+  EXPECT_LE(scan.lost_records, rep.records_lost);
+  if (view->salvaged()) {
+    EXPECT_EQ(scan.lost_records, rep.records_lost);
+  }
   const std::string stats = stats_at(path, 1);
   for (const std::size_t jobs : {2u, 4u, 8u}) {
     EXPECT_EQ(analysis::scan_esst(path, jobs).lost_records,
@@ -245,6 +273,10 @@ void check_mutant(const Capture& c, const Mutant& m, const std::string& path,
   }
   EXPECT_EQ(mine, kept.records());
   EXPECT_GE(res.records_written, mine.size());
+  // The intact partner loses nothing, so the merge's drop count is the
+  // mutant's known loss, and the merged file is clean only without one.
+  EXPECT_EQ(res.dropped_records, scan.lost_records + scan.capture_dropped);
+  EXPECT_EQ(analysis::verify_esst(out, 1).clean(), res.dropped_records == 0);
   std::remove(out.c_str());
 }
 
@@ -267,6 +299,29 @@ TEST_P(EsstFuzzTest, InvariantsHoldUnderRandomDamage) {
   }
   std::remove(path.c_str());
   std::remove(partner.c_str());
+}
+
+TEST(EsstSalvage, TornTailAfterALostChunkCountsOnce) {
+  // Chunk 1's payload fails its CRC, and the file ends inside chunk 5:
+  // 20 bytes in leaves a tail too short for a whole frame, 100 bytes in a
+  // frame whose body runs past the end. Either way chunks 0, 2, 3 and 4
+  // survive, and chunks 1 and 5 are lost, each counted once.
+  const Capture c = make_capture(false);
+  for (const std::size_t cut : {20u, 100u}) {
+    SCOPED_TRACE("cut " + std::to_string(cut) + " bytes into chunk 5");
+    std::string bytes = c.bytes;
+    bytes[c.chunks[1].offset + 8 + 10] ^= 0x04;
+    bytes.resize(c.chunks[5].offset + cut);
+    const EsstView view(util::MmapFile::from_bytes(bytes));
+    ASSERT_TRUE(view.salvaged());
+    EXPECT_EQ(view.chunks().size(), 4u);
+    EXPECT_EQ(view.scan_losses().chunks_lost, 2u);
+    EXPECT_EQ(view.scan_losses().first_bad_offset, c.chunks[1].offset);
+    const SalvageReport rep = analysis::verify_esst(view, 1);
+    EXPECT_EQ(rep.chunks_kept, 4u);
+    EXPECT_EQ(rep.chunks_lost, 2u);
+    EXPECT_EQ(rep.records_lost, c.chunks[1].records);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EsstFuzzTest,
