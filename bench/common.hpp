@@ -7,6 +7,8 @@
 // shrinks the experiments for smoke runs.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -75,6 +77,23 @@ inline std::string fmt(const char* spec, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, spec, v);
   return buf;
+}
+
+/// Median wall seconds over `reps` runs of `fn`. The host-timing gates read
+/// the median, not the best run: on a shared host one lucky run of either
+/// side of a ratio can pass or fail a gate on its own.
+template <typename Fn>
+double median_seconds(int reps, Fn&& fn) {
+  std::vector<double> secs;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs.empty() ? 0.0 : secs[secs.size() / 2];
 }
 
 }  // namespace ess::bench

@@ -8,7 +8,7 @@
 //             a >=2x CRC win is what the acceptance bar is made of.
 //   merge   — does `esstrace merge --jobs N` beat the serial merge on a
 //             many-node cluster capture set (256 nodes in full mode)? The
-//             loser tree + galloping core is identical at every level; the
+//             loser tree core is identical at every level; the
 //             decode prefetch and encode offload are what jobs buys.
 //   rewrite — the encode-offload half in isolation: EsstWriter over an
 //             already-decoded record stream, serial vs with an encode
@@ -19,10 +19,10 @@
 // Gates: every jobs level byte-identical to jobs=1 (always); crc >= 2x
 // bytewise (always); merge/rewrite jobs=4 not slower than jobs=1 with
 // generous tolerance (always); on >=4-core hosts in full mode, merge
-// jobs=4 must win >= min(2.0, hw/2).
+// jobs=4 must win >= min(2.0, hw/2). Every time is the median of three
+// runs.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -112,23 +112,6 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    fn();
-    best = std::min(best, now_s() - t0);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -162,10 +145,10 @@ int main() {
     Rng rng(41);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
     volatile std::uint32_t sink = 0;
-    const double t_slice = best_of(
+    const double t_slice = bench::median_seconds(
         reps, [&] { sink = telemetry::crc32(buf.data(), buf.size()); });
     const std::uint32_t got = sink;
-    const double t_byte = best_of(
+    const double t_byte = bench::median_seconds(
         reps, [&] { sink = crc32_bytewise(buf.data(), buf.size(), 0); });
     const double mbuf = static_cast<double>(buf_len) / (1024.0 * 1024.0);
     std::printf("CRC32 over %.0f MB: slicing-by-8 %.1f MB/s, bytewise"
@@ -218,8 +201,8 @@ int main() {
   for (const std::size_t jobs : job_levels) {
     const std::string out = dir + "/merged_j" + std::to_string(jobs) + ".esst";
     analysis::MergeResult mr;
-    const double s =
-        best_of(reps, [&] { mr = analysis::merge_esst(inputs, out, jobs); });
+    const double s = bench::median_seconds(
+        reps, [&] { mr = analysis::merge_esst(inputs, out, jobs); });
     merge_secs[jobs] = s;
     const double mb =
         static_cast<double>(std::filesystem::file_size(out)) /
@@ -260,7 +243,7 @@ int main() {
     std::string bytes;
     std::optional<exec::ThreadPool> pool;  // outlives the timed region:
     if (jobs > 1) pool.emplace(jobs);      // thread spawn is not encode cost
-    const double s = best_of(reps, [&] {
+    const double s = bench::median_seconds(reps, [&] {
       std::ostringstream os;
       telemetry::EsstWriter w(os, wmeta);
       if (pool) w.set_encode_pool(&*pool);

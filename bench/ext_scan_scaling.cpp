@@ -10,7 +10,7 @@
 //   verify — analysis::verify_esst, decode + CRC only, i.e. the raw
 //            bandwidth of the zero-copy decode loop with no consumer cost.
 //
-// at jobs 1/2/4/8, best-of-three per level. Three gates:
+// at jobs 1/2/4/8, the median of three runs per level. Three gates:
 //   * every jobs level is field-identical to the jobs=1 result (always);
 //   * jobs=4 is not slower than jobs=1, with generous tolerance for
 //     scheduler noise — this must hold even on a single-core container,
@@ -19,7 +19,6 @@
 //     actually win: jobs=4 by >= min(2.0, hw/2), and the best of jobs
 //     2/4/8 by >= min(3.0, hw/2).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -85,25 +84,6 @@ bool same_scan(const telemetry::StreamSummary::Result& a,
   return true;
 }
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`reps` wall time for `fn` — the minimum is the least noisy
-/// estimator for a deterministic workload on a shared host.
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    fn();
-    best = std::min(best, now_s() - t0);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -144,11 +124,11 @@ int main() {
   telemetry::SalvageReport verify_ref;
   for (const std::size_t jobs : job_levels) {
     telemetry::StreamSummary::Result r;
-    const double ss = best_of(
+    const double ss = bench::median_seconds(
         reps, [&] { r = analysis::scan_esst(path, jobs).summary.result(""); });
     telemetry::SalvageReport v;
-    const double vs =
-        best_of(reps, [&] { v = analysis::verify_esst(path, jobs); });
+    const double vs = bench::median_seconds(
+        reps, [&] { v = analysis::verify_esst(path, jobs); });
     if (jobs == 1) {
       scan_ref = r;
       verify_ref = v;

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <functional>
 #include <future>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -24,11 +23,15 @@ constexpr std::size_t kShardsPerWorker = 4;
 
 /// Floor on a byte-weighted shard's size. A shard must carry enough
 /// decode+consume work to amortize folding its StreamSummary into the
-/// running result — the fold's top-K union costs up to ~entries-tracked
-/// hash probes plus a re-rank, a near-constant toll per shard — so small
-/// captures run as a single serial pass instead of shattering into shards
-/// whose merges eat the fan-out's winnings. ESS_SHARD_MIN_BYTES overrides
-/// (tests force tiny shards through the parallel path with it).
+/// running result — the fold's top-K union costs up to one probe per
+/// tracked sector plus a re-rank, a near-constant toll per shard — so
+/// small captures run as a single serial pass instead of shattering into
+/// shards whose merges eat the fan-out's winnings. Re-measured with the
+/// flat-table fold (4-thread x86-64 host, a 14.9 MB capture whose sketch
+/// overflows, median of 7): floors of 1/2/4/8/16 MiB scan in 278/178/
+/// 134/153/184 ms at 2 jobs and 214/137/104/158/161 ms at 4 jobs, against
+/// 197 ms serial, so 4 MiB still sits at the optimum. ESS_SHARD_MIN_BYTES
+/// overrides (tests force tiny shards through the parallel path with it).
 constexpr std::uint64_t kDefaultMinShardBytes = 4 * 1024 * 1024;
 
 std::uint64_t default_min_shard_bytes() {
@@ -256,26 +259,29 @@ namespace {
 /// timestamp ties, input position makes even equal (timestamp, node)
 /// pairs — two inputs from the same node — stable. Distinct inputs can
 /// therefore never compare equal, which the loser tree below relies on.
-struct MergeKey {
-  SimTime ts = 0;
-  std::int32_t node = 0;
-  std::size_t input = 0;
-};
+///
+/// The tuple is packed into one 128-bit integer so each tournament match
+/// is a single unsigned compare: the timestamp in the high 64 bits, then
+/// the node id with its sign bit flipped (which maps INT32_MIN..INT32_MAX
+/// onto 0..UINT32_MAX in order), then the input position in the low 32.
+using MergeKey = unsigned __int128;
 
-inline bool key_less(const MergeKey& a, const MergeKey& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  if (a.node != b.node) return a.node < b.node;
-  return a.input < b.input;
+inline MergeKey merge_key(SimTime ts, std::int32_t node,
+                          std::size_t input) {
+  const std::uint32_t biased_node =
+      static_cast<std::uint32_t>(node) ^ 0x80000000u;
+  return (static_cast<MergeKey>(ts) << 64) |
+         (static_cast<MergeKey>(biased_node) << 32) |
+         static_cast<MergeKey>(input);
 }
 
-/// The "no cursor here" sentinel: sorts after every real key (a real
-/// record at the max timestamp still wins on the input tie-break, since
-/// real inputs are < SIZE_MAX).
-inline MergeKey exhausted_key() {
-  return {std::numeric_limits<SimTime>::max(),
-          std::numeric_limits<std::int32_t>::max(),
-          std::numeric_limits<std::size_t>::max()};
-}
+/// The "no cursor here" sentinel: all ones, so it sorts after every real
+/// key — a real record at the maximum timestamp and node id still wins on
+/// the input field, since real input positions are < UINT32_MAX.
+constexpr MergeKey kExhaustedKey = ~MergeKey{0};
+/// merge_esst refuses this many inputs or more, which keeps every input
+/// position inside the key's 32-bit field and below the sentinel's.
+constexpr std::size_t kMergeInputLimit = 0xFFFFFFFFu;
 
 /// One input of the k-way merge: its decoded-chunk double buffer and at
 /// most one chunk-decode in flight on the pool. Each input decodes
@@ -296,6 +302,15 @@ struct MergeCursor {
   std::uint64_t lost_records = 0;  // damaged chunks skipped here
 
   const trace::Record& front() const { return recs[pos]; }
+
+  /// Start loading the front buffer a few records ahead. With many inputs
+  /// interleaved record by record, a cursor comes up again only after
+  /// every other one had its turn — too many streams for the hardware
+  /// prefetcher to follow — so each visit fetches the line its next
+  /// visits will read.
+  void prefetch_ahead() const {
+    if (pos + 4 < recs.size()) __builtin_prefetch(recs.data() + pos + 4);
+  }
 
   void schedule(exec::ThreadPool& pool) {
     if (next_chunk >= view->chunks().size()) return;
@@ -345,7 +360,7 @@ struct MergeCursor {
   }
 
   MergeKey front_key(std::size_t input) const {
-    return {front().timestamp, front().node, input};
+    return merge_key(front().timestamp, front().node, input);
   }
 
   /// End of the emittable run: the first index in [pos, recs.size())
@@ -355,10 +370,10 @@ struct MergeCursor {
   /// proved the buffer sorted, gallop — exponential probe then bisect —
   /// so a cursor that owns a long quiet stretch of the timeline emits it
   /// in O(log run) comparisons; otherwise scan linearly, which is still
-  /// exactly the record-at-a-time heap order.
-  std::size_t run_end(const MergeKey& limit, std::size_t input) const {
+  /// exactly the record-at-a-time tournament order.
+  std::size_t run_end(MergeKey limit, std::size_t input) const {
     const auto before = [&](const trace::Record& r) {
-      return key_less({r.timestamp, r.node, input}, limit);
+      return merge_key(r.timestamp, r.node, input) < limit;
     };
     const std::size_t n = recs.size();
     if (!recs_sorted) {
@@ -388,19 +403,18 @@ struct MergeCursor {
 };
 
 /// Tournament loser tree over the k cursor fronts. Advancing the winner
-/// replays one leaf-to-root path (log k comparisons, no sift-down double
-/// compares like a binary heap), and the losers stored on that path give
-/// the runner-up key for free — which is exactly the galloping limit the
-/// run emission needs. Exhausted cursors hold the +inf sentinel; the
-/// caller tracks how many are live.
+/// replays one leaf-to-root path: log k single-integer compares against
+/// the losers stored on it, no sift-down double compares like a binary
+/// heap. Exhausted cursors hold the +inf sentinel; the caller tracks how
+/// many are live.
 class LoserTree {
  public:
   explicit LoserTree(std::size_t k)
-      : k_(k), tree_(std::max<std::size_t>(k, 1), 0), keys_(k + 1) {
-    keys_[k] = exhausted_key();
-  }
+      : k_(k),
+        tree_(std::max<std::size_t>(k, 1), 0),
+        keys_(k, kExhaustedKey) {}
 
-  void set_key(std::size_t leaf, const MergeKey& key) { keys_[leaf] = key; }
+  void set_key(std::size_t leaf, MergeKey key) { keys_[leaf] = key; }
 
   /// Full rebuild from the current keys: one post-order tournament.
   void build() { tree_[0] = k_ >= 2 ? play(1) : 0; }
@@ -410,8 +424,18 @@ class LoserTree {
   /// Re-run the winner's leaf-to-root path after its key changed.
   void replay(std::size_t leaf) {
     std::size_t w = leaf;
+    MergeKey wkey = keys_[leaf];
     for (std::size_t node = (leaf + k_) / 2; node >= 1; node /= 2) {
-      if (key_less(keys_[tree_[node]], keys_[w])) std::swap(w, tree_[node]);
+      // Branch-free: on interleaved inputs each match is a coin flip, and
+      // a branch here mispredicted about every other level. `m` is all
+      // ones when the stored loser beats the climber and they trade places.
+      const std::size_t t = tree_[node];
+      const MergeKey tkey = keys_[t];
+      const std::size_t m = 0 - static_cast<std::size_t>(tkey < wkey);
+      const MergeKey mk = (static_cast<MergeKey>(m) << 64) | m;
+      tree_[node] = (w & m) | (t & ~m);
+      w = (t & m) | (w & ~m);
+      wkey = (tkey & mk) | (wkey & ~mk);
     }
     tree_[0] = w;
   }
@@ -422,9 +446,9 @@ class LoserTree {
   /// root's loser (which may have lost higher up to a key that was
   /// already beaten below).
   MergeKey runner_up() const {
-    MergeKey best = keys_[k_];  // sentinel: +inf
+    MergeKey best = kExhaustedKey;
     for (std::size_t node = (tree_[0] + k_) / 2; node >= 1; node /= 2) {
-      if (key_less(keys_[tree_[node]], best)) best = keys_[tree_[node]];
+      best = std::min(best, keys_[tree_[node]]);
     }
     return best;
   }
@@ -436,14 +460,14 @@ class LoserTree {
     if (node >= k_) return node - k_;
     std::size_t a = play(2 * node);
     std::size_t b = play(2 * node + 1);
-    if (key_less(keys_[b], keys_[a])) std::swap(a, b);
+    if (keys_[b] < keys_[a]) std::swap(a, b);
     tree_[node] = b;  // loser rests here
     return a;         // winner plays on
   }
 
   std::size_t k_;
   std::vector<std::size_t> tree_;  // [0] champion, [1..k) losers
-  std::vector<MergeKey> keys_;     // per leaf; [k] is the +inf sentinel
+  std::vector<MergeKey> keys_;     // per leaf
 };
 
 }  // namespace
@@ -452,6 +476,9 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::size_t jobs) {
   if (inputs.empty()) {
     throw std::runtime_error("merge needs at least one input");
+  }
+  if (inputs.size() >= kMergeInputLimit) {
+    throw std::runtime_error("merge takes fewer than 2^32 - 1 inputs");
   }
   const std::size_t workers = resolve_jobs(jobs);
   // Workers only prefetch chunk decodes; the merge order below never
@@ -486,37 +513,45 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
   // still written in submission order, so bytes never depend on --jobs.
   if (workers > 1) writer.set_encode_pool(&pool);
 
-  // k-way tournament (loser tree) instead of a binary heap: advancing the
-  // winner costs one leaf-to-root replay, and the runner-up key it yields
-  // bounds how far the winner can run ahead — every record of the winner's
-  // buffer that sorts before *every* other cursor's front is emitted as
-  // one batch (galloped when the chunk is sorted). Merging k nodes whose
-  // traffic interleaves coarsely — the common shape: each node owns long
-  // stretches of the timeline — this turns per-record heap churn into a
-  // handful of comparisons per run, while remaining record-exact for
-  // arbitrary (even unsorted) inputs.
+  // k-way tournament (loser tree) instead of a binary heap: emitting a
+  // record costs one leaf-to-root replay of its cursor's next key. When
+  // the same cursor wins twice running, its buffer is likely a run ahead
+  // of the others: then the runner-up key bounds how far it can run, and
+  // every record of the buffer that sorts before *every* other cursor's
+  // front is emitted as one batch (galloped when the chunk is sorted).
+  // Interleaved inputs — one record per win — pay one replay per record;
+  // coarsely interleaved ones — each node owning long stretches of the
+  // timeline — a handful of compares per run. Record-exact for arbitrary
+  // (even unsorted) inputs either way.
   LoserTree tree(cursors.size());
   std::size_t live = 0;
   for (std::size_t i = 0; i < cursors.size(); ++i) {
     if (cursors[i].refill(pool)) {
       tree.set_key(i, cursors[i].front_key(i));
       ++live;
-    } else {
-      tree.set_key(i, exhausted_key());
     }
   }
   tree.build();
+  std::size_t last_winner = cursors.size();  // none yet
   while (live > 0) {
     const std::size_t i = tree.winner();
     auto& c = cursors[i];
-    const std::size_t end = c.run_end(tree.runner_up(), i);
-    writer.append(c.recs.data() + c.pos, end - c.pos);
-    result.records_written += end - c.pos;
-    c.pos = end;
+    if (i != last_winner) {
+      writer.append(c.recs[c.pos]);
+      ++result.records_written;
+      ++c.pos;
+    } else {
+      const std::size_t end = c.run_end(tree.runner_up(), i);
+      writer.append(c.recs.data() + c.pos, end - c.pos);
+      result.records_written += end - c.pos;
+      c.pos = end;
+    }
+    last_winner = i;
     if (c.pos < c.recs.size() || c.refill(pool)) {
       tree.set_key(i, c.front_key(i));
+      c.prefetch_ahead();
     } else {
-      tree.set_key(i, exhausted_key());
+      tree.set_key(i, kExhaustedKey);
       --live;
     }
     tree.replay(i);

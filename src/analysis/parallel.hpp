@@ -117,11 +117,13 @@ struct MergeResult {
 /// per-record ids. Memory is a couple of resident chunks per input, never
 /// a whole capture.
 ///
-/// The core is a loser tree over the k cursor fronts with run detection:
-/// whenever the winning cursor's decoded records sort wholly before every
-/// other cursor's front (the tree's runner-up key), that run is emitted
-/// as one batch — galloped in O(log run) comparisons when the chunk is
-/// sorted by (ts, node) — instead of one tournament per record. Workers
+/// The core is a loser tree over the k cursor fronts, keyed by the tuple
+/// packed into one 128-bit integer: one replay per emitted record. When
+/// the same cursor wins twice running, the records of its buffer that sort
+/// before every other cursor's front (the tree's runner-up key) are
+/// emitted as one batch — galloped in O(log run) comparisons when the
+/// chunk is sorted by (ts, node) — instead of one tournament each. The merge
+/// refuses 2^32 - 1 inputs or more (the key's input field). Workers
 /// (jobs > 1) prefetch input chunk decodes *and* encode+CRC output chunks
 /// off-thread; both sides preserve submission order, so every jobs value
 /// writes identical bytes, and jobs == 1 remains the plain serial path.

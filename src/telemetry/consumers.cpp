@@ -5,13 +5,36 @@
 
 namespace ess::telemetry {
 
+void SizeHistogramConsumer::merge(const SizeHistogramConsumer& other) {
+  other.cells_.for_each(
+      [&](std::uint32_t size, std::uint64_t n) { cells_[size] += n; });
+  total_ += other.total_;
+  max_bytes_ = std::max(max_bytes_, other.max_bytes_);
+}
+
+Histogram SizeHistogramConsumer::histogram() const {
+  Histogram h;
+  cells_.for_each([&](std::uint32_t size, std::uint64_t n) {
+    h.add(static_cast<std::int64_t>(size), n);
+  });
+  return h;
+}
+
+double SizeHistogramConsumer::fraction(std::uint32_t bytes) const {
+  if (total_ == 0) return 0.0;
+  const std::uint64_t* n = cells_.find(bytes);
+  return n != nullptr
+             ? static_cast<double>(*n) / static_cast<double>(total_)
+             : 0.0;
+}
+
 double SizeHistogramConsumer::fraction_at_least(std::uint32_t bytes) const {
-  if (hist_.total() == 0) return 0.0;
+  if (total_ == 0) return 0.0;
   std::uint64_t n = 0;
-  for (const auto& [size, count] : hist_.cells()) {
-    if (size >= static_cast<std::int64_t>(bytes)) n += count;
-  }
-  return static_cast<double>(n) / static_cast<double>(hist_.total());
+  cells_.for_each([&](std::uint32_t size, std::uint64_t count) {
+    if (size >= bytes) n += count;
+  });
+  return static_cast<double>(n) / static_cast<double>(total_);
 }
 
 double RwMixConsumer::read_pct() const {
@@ -27,13 +50,6 @@ double RwMixConsumer::write_pct() const {
 double RwMixConsumer::requests_per_sec() const {
   const double dur = to_seconds(duration_);
   return dur > 0 ? static_cast<double>(total()) / dur : 0.0;
-}
-
-void SlidingRateConsumer::on_record(const trace::Record& r) {
-  recent_.push_back(r.timestamp);
-  const SimTime horizon =
-      r.timestamp > window_ ? r.timestamp - window_ : SimTime{0};
-  while (!recent_.empty() && recent_.front() < horizon) recent_.pop_front();
 }
 
 void SlidingRateConsumer::merge(const SlidingRateConsumer& other) {
@@ -85,7 +101,8 @@ void WindowRateConsumer::merge(const WindowRateConsumer& other) {
 }
 
 void SpatialBandsConsumer::merge(const SpatialBandsConsumer& other) {
-  for (const auto& [start, n] : other.bands_) bands_[start] += n;
+  other.bands_.for_each(
+      [&](std::uint64_t band, std::uint64_t n) { bands_[band] += n; });
   total_ += other.total_;
 }
 
@@ -93,11 +110,14 @@ std::vector<SpatialBandsConsumer::Band> SpatialBandsConsumer::bands() const {
   std::vector<Band> out;
   out.reserve(bands_.size());
   const auto total = static_cast<double>(total_);
-  for (const auto& [start, n] : bands_) {
-    out.push_back(Band{start, n,
+  bands_.for_each([&](std::uint64_t band, std::uint64_t n) {
+    out.push_back(Band{band * band_sectors_, n,
                        total > 0 ? 100.0 * static_cast<double>(n) / total
                                  : 0.0});
-  }
+  });
+  std::sort(out.begin(), out.end(), [](const Band& a, const Band& b) {
+    return a.band_start_sector < b.band_start_sector;
+  });
   return out;
 }
 
@@ -106,24 +126,19 @@ TopKSectorsConsumer::TopKSectorsConsumer(std::size_t capacity)
   entries_.reserve(std::min<std::size_t>(capacity_, 1 << 16));
 }
 
-void TopKSectorsConsumer::on_record(const trace::Record& r) {
-  const std::uint64_t sector = r.sector;
-  if (const auto it = where_.find(sector); it != where_.end()) {
-    ++entries_[it->second].count;
-    return;
-  }
+void TopKSectorsConsumer::add_new(std::uint32_t sector) {
   if (entries_.size() < capacity_) {
-    where_.emplace(sector, entries_.size());
+    where_[sector] = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back(Entry{sector, 1, 0, 0.0});
     return;
   }
   // Replace the minimum counter (Space-Saving).
   exact_ = false;
   const std::size_t victim = take_min_slot();
-  where_.erase(entries_[victim].sector);
+  where_.erase(static_cast<std::uint32_t>(entries_[victim].sector));
   const std::uint64_t floor = entries_[victim].count;
   entries_[victim] = Entry{sector, floor + 1, floor, 0.0};
-  where_.emplace(sector, victim);
+  where_[sector] = static_cast<std::uint32_t>(victim);
 }
 
 std::size_t TopKSectorsConsumer::take_min_slot() {
@@ -172,11 +187,12 @@ void TopKSectorsConsumer::merge(const TopKSectorsConsumer& other) {
   std::vector<Entry> incoming;
   incoming.reserve(other.entries_.size());
   for (const auto& e : other.entries_) {
-    const auto it = where_.find(e.sector);
-    if (it != where_.end()) {
-      entries_[it->second].count += e.count;
-      entries_[it->second].error += e.error;
-      in_other[it->second] = 1;
+    // Every tracked sector came from a record's 32-bit sector field.
+    if (const std::uint32_t* slot =
+            where_.find(static_cast<std::uint32_t>(e.sector))) {
+      entries_[*slot].count += e.count;
+      entries_[*slot].error += e.error;
+      in_other[*slot] = 1;
     } else {
       incoming.push_back(e);
       incoming.back().count += floor_mine;
@@ -210,7 +226,8 @@ void TopKSectorsConsumer::merge(const TopKSectorsConsumer& other) {
   where_.clear();
   where_.reserve(entries_.size());
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    where_.emplace(entries_[i].sector, i);
+    where_[static_cast<std::uint32_t>(entries_[i].sector)] =
+        static_cast<std::uint32_t>(i);
   }
   // Slots moved; the next eviction rescans for the new minimum.
   min_candidates_.clear();
@@ -233,19 +250,40 @@ std::vector<TopKSectorsConsumer::Entry> TopKSectorsConsumer::top(
   return out;
 }
 
+void PerNodeConsumer::merge(const PerNodeConsumer& other) {
+  other.nodes_.for_each([&](std::int32_t node, const Counts& c) {
+    auto& mine = nodes_[node];
+    mine.reads += c.reads;
+    mine.writes += c.writes;
+  });
+}
+
+std::map<std::int32_t, PerNodeConsumer::Counts> PerNodeConsumer::nodes()
+    const {
+  std::map<std::int32_t, Counts> out;
+  nodes_.for_each(
+      [&](std::int32_t node, const Counts& c) { out.emplace(node, c); });
+  return out;
+}
+
 StreamSummary::StreamSummary(const Options& opts)
     : spatial_(opts.band_sectors),
       hot_(opts.topk_capacity),
       sliding_(opts.sliding_window) {}
 
-void StreamSummary::on_record(const trace::Record& r) {
-  sizes_.on_record(r);
-  rw_.on_record(r);
-  spatial_.on_record(r);
-  hot_.on_record(r);
-  sliding_.on_record(r);
-  per_node_.on_record(r);
-  last_ts_ = std::max(last_ts_, r.timestamp);
+void StreamSummary::on_records(const trace::Record* r, std::size_t n) {
+  // Consumer by consumer rather than record by record: each pass keeps one
+  // consumer's table hot in cache, and the calls are direct (the
+  // sub-consumers are final), so the chunk costs one virtual call in all.
+  sizes_.on_records(r, n);
+  rw_.on_records(r, n);
+  spatial_.on_records(r, n);
+  hot_.on_records(r, n);
+  sliding_.on_records(r, n);
+  per_node_.on_records(r, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    last_ts_ = std::max(last_ts_, r[i].timestamp);
+  }
 }
 
 void StreamSummary::merge(const StreamSummary& other) {
@@ -284,7 +322,8 @@ StreamSummary::Result StreamSummary::result(
           ? static_cast<double>(res.records) / res.duration_sec
           : 0.0;
   res.max_request_bytes = sizes_.max_request_bytes();
-  for (const auto& [size, count] : sizes_.histogram().cells()) {
+  const Histogram sizes = sizes_.histogram();
+  for (const auto& [size, count] : sizes.cells()) {
     res.size_pct[size] = res.records > 0
                              ? 100.0 * static_cast<double>(count) /
                                    static_cast<double>(res.records)

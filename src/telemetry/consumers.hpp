@@ -17,17 +17,25 @@
 // later segment of a time-ordered stream (what contiguous chunk shards
 // guarantee); the top-K sketch merge stays exact until capacity is
 // exceeded, then reports its overcount bound per entry.
+//
+// The counting state lives in flat open-addressing tables (util::FlatMap),
+// which the hot path probes once per record; the ascending views —
+// histogram(), bands(), nodes(), StreamSummary::result() — are built from
+// them only when asked for. Every consumer folds a whole span per call
+// (on_records), so a decoded chunk costs one virtual call per consumer
+// bundle, not one per record and consumer.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/sink.hpp"
+#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace ess::telemetry {
@@ -35,38 +43,41 @@ namespace ess::telemetry {
 /// Request-size histogram (exact; sizes take a handful of distinct values).
 class SizeHistogramConsumer final : public Sink {
  public:
-  void on_record(const trace::Record& r) override {
-    hist_.add(static_cast<std::int64_t>(r.size_bytes));
-    max_bytes_ = std::max(max_bytes_, r.size_bytes);
+  void on_record(const trace::Record& r) override { add(r); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) add(r[i]);
   }
 
   /// Exact: counting state sums cell-wise.
-  void merge(const SizeHistogramConsumer& other) {
-    hist_.merge(other.hist_);
-    max_bytes_ = std::max(max_bytes_, other.max_bytes_);
-  }
+  void merge(const SizeHistogramConsumer& other);
 
-  const Histogram& histogram() const { return hist_; }
+  /// The cells as a Histogram keyed by size in bytes.
+  Histogram histogram() const;
   std::uint32_t max_request_bytes() const { return max_bytes_; }
-  double fraction(std::uint32_t bytes) const {
-    return hist_.fraction(static_cast<std::int64_t>(bytes));
-  }
+  double fraction(std::uint32_t bytes) const;
   double fraction_at_least(std::uint32_t bytes) const;
 
  private:
-  Histogram hist_;
+  void add(const trace::Record& r) {
+    ++cells_[r.size_bytes];
+    ++total_;
+    max_bytes_ = std::max(max_bytes_, r.size_bytes);
+  }
+
+  util::FlatMap<std::uint32_t, std::uint64_t> cells_;  // size -> count
+  std::uint64_t total_ = 0;
   std::uint32_t max_bytes_ = 0;
 };
 
 /// Read/write mix and overall request rate (Table 1's row).
 class RwMixConsumer final : public Sink {
  public:
-  void on_record(const trace::Record& r) override {
-    if (r.is_write) {
-      ++writes_;
-    } else {
-      ++reads_;
-    }
+  void on_record(const trace::Record& r) override { on_records(&r, 1); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < n; ++i) w += r[i].is_write != 0 ? 1 : 0;
+    writes_ += w;
+    reads_ += n - w;
   }
   void on_finish(SimTime duration) override { duration_ = duration; }
 
@@ -98,7 +109,10 @@ class SlidingRateConsumer final : public Sink {
  public:
   explicit SlidingRateConsumer(SimTime window = sec(10)) : window_(window) {}
 
-  void on_record(const trace::Record& r) override;
+  void on_record(const trace::Record& r) override { add(r.timestamp); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) add(r[i].timestamp);
+  }
 
   /// Fold in the later segment of a time-partitioned stream: `other` must
   /// have consumed records at-or-after this consumer's (the contiguous
@@ -111,6 +125,12 @@ class SlidingRateConsumer final : public Sink {
   SimTime window() const { return window_; }
 
  private:
+  void add(SimTime ts) {
+    recent_.push_back(ts);
+    const SimTime horizon = ts > window_ ? ts - window_ : SimTime{0};
+    while (!recent_.empty() && recent_.front() < horizon) recent_.pop_front();
+  }
+
   SimTime window_;
   std::deque<SimTime> recent_;
 };
@@ -142,9 +162,10 @@ class SpatialBandsConsumer final : public Sink {
   explicit SpatialBandsConsumer(std::uint64_t band_sectors = 100'000)
       : band_sectors_(band_sectors) {}
 
-  void on_record(const trace::Record& r) override {
-    ++bands_[r.sector / band_sectors_ * band_sectors_];
-    ++total_;
+  void on_record(const trace::Record& r) override { on_records(&r, 1); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) ++bands_[r[i].sector / band_sectors_];
+    total_ += n;
   }
 
   /// Exact: per-band counters sum. Band widths must match.
@@ -161,7 +182,7 @@ class SpatialBandsConsumer final : public Sink {
 
  private:
   std::uint64_t band_sectors_;
-  std::map<std::uint64_t, std::uint64_t> bands_;
+  util::FlatMap<std::uint64_t, std::uint64_t> bands_;  // band index -> count
   std::uint64_t total_ = 0;
 };
 
@@ -176,7 +197,10 @@ class TopKSectorsConsumer final : public Sink {
  public:
   explicit TopKSectorsConsumer(std::size_t capacity = 65'536);
 
-  void on_record(const trace::Record& r) override;
+  void on_record(const trace::Record& r) override { add(r.sector); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) add(r[i].sector);
+  }
   void on_finish(SimTime duration) override { duration_ = duration; }
 
   struct Entry {
@@ -205,13 +229,25 @@ class TopKSectorsConsumer final : public Sink {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  void add(std::uint32_t sector) {
+    if (std::uint32_t* slot = where_.find(sector)) {
+      ++entries_[*slot].count;
+    } else {
+      add_new(sector);
+    }
+  }
+  /// A sector not tracked yet: a free counter, or the minimum's.
+  void add_new(std::uint32_t sector);
+
   /// Slot of the minimum-count entry with the lowest index (the eviction
   /// victim). Amortized O(1): counts only grow, so every entry at the
   /// current minimum is in the candidate stack from the last rescan.
   std::size_t take_min_slot();
 
   std::size_t capacity_;
-  std::unordered_map<std::uint64_t, std::size_t> where_;  // sector -> slot
+  /// sector -> slot in entries_. Sectors are 32-bit (trace::Record) and so
+  /// are slots: no more counters than distinct sectors are ever tracked.
+  util::FlatMap<std::uint32_t, std::uint32_t> where_;
   std::vector<Entry> entries_;
   std::uint64_t min_count_ = 0;              // count shared by candidates
   std::vector<std::size_t> min_candidates_;  // descending index, lazily stale
@@ -225,23 +261,16 @@ class TopKSectorsConsumer final : public Sink {
 /// single-node capture collapses to node 0.
 class PerNodeConsumer final : public Sink {
  public:
-  void on_record(const trace::Record& r) override {
-    auto& c = nodes_[r.node];
-    if (r.is_write) {
-      ++c.writes;
-    } else {
-      ++c.reads;
+  void on_record(const trace::Record& r) override { on_records(&r, 1); }
+  void on_records(const trace::Record* r, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& c = nodes_[r[i].node];
+      ++(r[i].is_write != 0 ? c.writes : c.reads);
     }
   }
 
   /// Exact: counters sum node-wise.
-  void merge(const PerNodeConsumer& other) {
-    for (const auto& [node, c] : other.nodes_) {
-      auto& mine = nodes_[node];
-      mine.reads += c.reads;
-      mine.writes += c.writes;
-    }
-  }
+  void merge(const PerNodeConsumer& other);
 
   struct Counts {
     std::uint64_t reads = 0;
@@ -249,11 +278,11 @@ class PerNodeConsumer final : public Sink {
     std::uint64_t total() const { return reads + writes; }
   };
   /// Ascending by node id.
-  const std::map<std::int32_t, Counts>& nodes() const { return nodes_; }
+  std::map<std::int32_t, Counts> nodes() const;
   std::size_t distinct_nodes() const { return nodes_.size(); }
 
  private:
-  std::map<std::int32_t, Counts> nodes_;
+  util::FlatMap<std::int32_t, Counts> nodes_;
 };
 
 /// The standard consumer bundle: everything `esstrace stats` prints, the
@@ -269,7 +298,9 @@ class StreamSummary final : public Sink {
   StreamSummary() : StreamSummary(Options{}) {}
   explicit StreamSummary(const Options& opts);
 
-  void on_record(const trace::Record& r) override;
+  void on_record(const trace::Record& r) override { on_records(&r, 1); }
+  /// One pass per sub-consumer over the whole span.
+  void on_records(const trace::Record* r, std::size_t n) override;
   void on_finish(SimTime duration) override;
   void on_drops(std::uint64_t dropped) override { dropped_ = dropped; }
 

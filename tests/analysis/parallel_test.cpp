@@ -7,11 +7,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -366,6 +369,75 @@ TEST(MergeOrder, UnsortedInputChunksMergeRecordExactAtAnyJobCount) {
   for (const std::size_t jobs : {2u, 8u}) {
     merge_esst(inputs, out, jobs);
     EXPECT_EQ(slurp(out), first) << "jobs=" << jobs;
+  }
+  for (const auto& p : inputs) std::filesystem::remove(p);
+  std::filesystem::remove(out);
+}
+
+TEST(MergeOrder, PackedKeyKeepsTheTupleOrderAtExtremes) {
+  // The merge compares (timestamp, node, input) as one packed integer. Its
+  // edges: node ids at both ends of int32 (the sign-bit flip must keep
+  // INT32_MIN first and INT32_MAX last), timestamps up to UINT64_MAX - 1
+  // (the top of the key, next to the all-ones sentinel), and equal
+  // (timestamp, node) pairs across inputs, which only the input field
+  // orders. Each v2 input is sorted by (timestamp, node), so the merge
+  // must equal a stable sort of all records by (timestamp, node, input).
+  constexpr std::int32_t kNodes[] = {INT32_MIN, -1, 0, INT32_MAX};
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  const SimTime kTimes[] = {0, 1, 7, SimTime{1} << 40, kMax - 2, kMax - 1};
+  struct Tagged {
+    trace::Record r;
+    std::size_t input = 0;
+  };
+  const auto by_ts_node = [](const trace::Record& a, const trace::Record& b) {
+    return a.timestamp != b.timestamp ? a.timestamp < b.timestamp
+                                      : a.node < b.node;
+  };
+  std::vector<Tagged> all;
+  std::vector<std::string> inputs;
+  Rng rng(2024);
+  for (std::size_t in = 0; in < 5; ++in) {
+    std::vector<trace::Record> recs;
+    for (std::size_t k = 0; k < 400; ++k) {
+      trace::Record r;
+      r.timestamp = kTimes[rng.uniform(std::size(kTimes))];
+      r.node = kNodes[rng.uniform(std::size(kNodes))];
+      r.sector = static_cast<std::uint32_t>(in * 100'000 + k);  // identity
+      r.size_bytes = 1024;
+      recs.push_back(r);
+    }
+    std::stable_sort(recs.begin(), recs.end(), by_ts_node);
+    trace::TraceSet ts("extremes", -1);
+    for (const auto& r : recs) {
+      ts.add(r);
+      all.push_back({r, in});
+    }
+    ts.set_duration(sec(1));
+    const std::string path = tmp_path("extremes" + std::to_string(in) +
+                                      ".esst");
+    telemetry::EsstMeta meta;
+    meta.node_id = -1;
+    meta.multi_node = true;
+    meta.records_per_chunk = 32;  // many refills, runs cut at chunk ends
+    telemetry::write_esst_file(ts, path, meta);
+    inputs.push_back(path);
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [&](const Tagged& a, const Tagged& b) {
+                     if (by_ts_node(a.r, b.r)) return true;
+                     if (by_ts_node(b.r, a.r)) return false;
+                     return a.input < b.input;
+                   });
+  const std::string out = tmp_path("extremes_merged.esst");
+  for (const std::size_t jobs : {1u, 4u}) {
+    const auto res = merge_esst(inputs, out, jobs);
+    ASSERT_EQ(res.records_written, all.size()) << "jobs=" << jobs;
+    const auto merged_ts = telemetry::read_esst_file(out);
+    const auto& merged = merged_ts.records();
+    ASSERT_EQ(merged.size(), all.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      ASSERT_EQ(merged[i], all[i].r) << "record " << i << " jobs=" << jobs;
+    }
   }
   for (const auto& p : inputs) std::filesystem::remove(p);
   std::filesystem::remove(out);

@@ -129,9 +129,10 @@ TEST(ConsumerMerge, PerNodeExact) {
   property_over_splits<PerNodeConsumer>(
       [](const PerNodeConsumer& m, const PerNodeConsumer& w) {
         ASSERT_EQ(m.distinct_nodes(), w.distinct_nodes());
+        const auto merged = m.nodes();  // a view built per call
         for (const auto& [node, c] : w.nodes()) {
-          const auto it = m.nodes().find(node);
-          ASSERT_NE(it, m.nodes().end());
+          const auto it = merged.find(node);
+          ASSERT_NE(it, merged.end());
           EXPECT_EQ(it->second.reads, c.reads);
           EXPECT_EQ(it->second.writes, c.writes);
         }

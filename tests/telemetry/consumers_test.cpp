@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -151,6 +152,96 @@ TEST(Consumers, SpaceSavingEvictsButKeepsTheHeavyHitter) {
   // Space-Saving invariant: min counter <= N / capacity.
   const auto all = c.top(4);
   EXPECT_LE(all.back().count, 4000u / 4);
+}
+
+/// Test-local Space-Saving reference: a plain vector of counters, a linear
+/// search for the sector, and a linear min-scan for the victim, which is
+/// the minimum with the lowest index.
+class SpaceSavingModel {
+ public:
+  explicit SpaceSavingModel(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(std::uint64_t sector) {
+    for (auto& e : counters_) {
+      if (e.sector == sector) {
+        ++e.count;
+        return;
+      }
+    }
+    if (counters_.size() < capacity_) {
+      counters_.push_back({sector, 1, 0, 0.0});
+      return;
+    }
+    exact_ = false;
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < counters_.size(); ++i) {
+      if (counters_[i].count < counters_[victim].count) victim = i;
+    }
+    const std::uint64_t floor = counters_[victim].count;
+    counters_[victim] = {sector, floor + 1, floor, 0.0};
+  }
+
+  /// Every counter by (count desc, sector asc).
+  std::vector<TopKSectorsConsumer::Entry> ranked() const {
+    auto out = counters_;
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.count != b.count ? a.count > b.count : a.sector < b.sector;
+    });
+    return out;
+  }
+  bool exact() const { return exact_; }
+  std::size_t size() const { return counters_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::vector<TopKSectorsConsumer::Entry> counters_;
+  bool exact_ = true;
+};
+
+TEST(Consumers, TopKMatchesLinearScanSpaceSavingModel) {
+  // Streams of 1-4x more distinct sectors than counters keep the sketch
+  // evicting, with many ties at the minimum, so the victim choice (the
+  // lowest index) decides every later count and error. Records arrive in
+  // spans of random length through the batched path.
+  for (const std::size_t capacity : {1u, 8u, 64u, 1000u}) {
+    for (std::uint64_t overflow = 1; overflow <= 4; ++overflow) {
+      const std::uint64_t population = capacity * overflow;
+      Rng rng(capacity * 31 + overflow);
+      TopKSectorsConsumer sketch(capacity);
+      SpaceSavingModel model(capacity);
+      std::vector<trace::Record> span;
+      const std::size_t records = 24 * capacity + 200;
+      for (std::size_t i = 0; i < records; ++i) {
+        trace::Record r;
+        // A hot eighth of the population takes half the stream.
+        const std::uint64_t pick = rng.uniform(2) == 0
+                                       ? rng.uniform(population / 8 + 1)
+                                       : rng.uniform(population);
+        r.sector = static_cast<std::uint32_t>(pick * 7919 + 13);
+        span.push_back(r);
+        model.add(r.sector);
+        if (rng.uniform(32) == 0 || i + 1 == records) {
+          sketch.on_records(span.data(), span.size());
+          span.clear();
+          const auto want = model.ranked();
+          const auto got = sketch.top(capacity);
+          ASSERT_EQ(got.size(), want.size())
+              << "capacity " << capacity << " record " << i;
+          for (std::size_t k = 0; k < want.size(); ++k) {
+            ASSERT_EQ(got[k].sector, want[k].sector)
+                << "capacity " << capacity << " record " << i << " rank " << k;
+            ASSERT_EQ(got[k].count, want[k].count);
+            ASSERT_EQ(got[k].error, want[k].error);
+          }
+          ASSERT_EQ(sketch.exact(), model.exact());
+          ASSERT_EQ(sketch.distinct_tracked(), model.size());
+        }
+      }
+      if (overflow > 1) {
+        EXPECT_FALSE(sketch.exact()) << "capacity " << capacity;
+      }
+    }
+  }
 }
 
 TEST(Consumers, WindowRateSeriesMatchesRateOverTime) {

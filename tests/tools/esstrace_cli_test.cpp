@@ -507,5 +507,28 @@ TEST(GoldenCaptures, CaptureAllReproducesEveryFileByteForByte) {
   std::filesystem::remove_all(dir);
 }
 
+// `esstrace stats` of every golden, at one and at four jobs, must print
+// exactly the committed tests/golden/<exp>.stats text: every consumer
+// field, hot-sector tie order included, pinned independently of the
+// consumer code that computes it.
+TEST(GoldenCaptures, StatsMatchTheCommittedTextAtOneAndFourJobs) {
+  const auto golden =
+      std::filesystem::path(__FILE__).parent_path().parent_path() / "golden";
+  for (const char* name : {"baseline", "ppm", "wavelet", "nbody", "combined",
+                           "cluster_node1", "cluster_node2", "cluster"}) {
+    const std::string want =
+        slurp((golden / (std::string(name) + ".stats")).string());
+    ASSERT_FALSE(want.empty()) << "missing golden " << name << ".stats";
+    for (const std::size_t jobs : {1u, 4u}) {
+      std::ostringstream out, err;
+      ASSERT_EQ(cmd_stats((golden / (std::string(name) + ".esst")).string(),
+                          out, err, jobs),
+                0)
+          << err.str();
+      EXPECT_EQ(out.str(), want) << name << " at jobs=" << jobs;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ess::esstrace
