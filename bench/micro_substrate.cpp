@@ -112,6 +112,50 @@ void BM_BufferCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferCacheHit);
 
+// Streaming reads over 4x the cache: every block misses, is inserted at
+// the LRU front and, once the cache is full, evicts the LRU tail.
+void BM_BufferCacheMissEvict(benchmark::State& state) {
+  sim::Engine engine;
+  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
+                                               disk::ServiceParams{}));
+  driver::IdeDriver drv(drive, nullptr);
+  const block::CacheConfig cfg;
+  block::BufferCache cache(drv, cfg);
+  const block::BlockNo span = 4 * cfg.capacity_blocks;
+  block::BlockNo b = 0;
+  for (auto _ : state) {
+    cache.read_range(b, 4, [] {});
+    engine.run();
+    b = (b + 4) % span;
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_BufferCacheMissEvict);
+
+// A cyclic touch set twice the frame pool: every touch faults and the
+// clock evicts a victim. Arg 0 touches read-only (zero-fill, no I/O);
+// arg 1 writes, so each fault also swaps a victim out and the page in.
+void BM_VmFaultEvict(benchmark::State& state) {
+  sim::Engine engine;
+  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
+                                               disk::ServiceParams{}));
+  driver::IdeDriver drv(drive, nullptr);
+  block::BufferCache cache(drv, block::CacheConfig{});
+  constexpr std::uint32_t kFrames = 256;
+  mm::FramePool frames(kFrames);
+  mm::SwapManager swap(drv, 900'000, 4 * kFrames);
+  mm::Vm vm(frames, swap, cache);
+  vm.create_address_space(1, {mm::Segment{0, 2 * kFrames, false, 0}});
+  const bool write = state.range(0) != 0;
+  mm::VPage p = 0;
+  for (auto _ : state) {
+    vm.touch(1, p, write, [] {});
+    if (write) engine.run();
+    p = (p + 1) % (2 * kFrames);
+  }
+}
+BENCHMARK(BM_VmFaultEvict)->Arg(0)->Arg(1);
+
 void BM_VmResidentTouch(benchmark::State& state) {
   sim::Engine engine;
   disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
@@ -123,12 +167,12 @@ void BM_VmResidentTouch(benchmark::State& state) {
   mm::Vm vm(frames, swap, cache);
   vm.create_address_space(1, {mm::Segment{0, 128, false, 0}});
   for (mm::VPage p = 0; p < 128; ++p) {
-    vm.touch(1, p, true, [](mm::FaultKind) {});
+    vm.touch(1, p, true, [] {});
   }
   engine.run();
   mm::VPage p = 0;
   for (auto _ : state) {
-    vm.touch(1, p, false, [](mm::FaultKind) {});
+    vm.touch(1, p, false, [] {});
     p = (p + 1) % 128;
   }
 }

@@ -1,7 +1,6 @@
 #include "block/buffer_cache.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace ess::block {
 namespace {
@@ -11,146 +10,196 @@ std::uint64_t first_sector(BlockNo b) { return b * kSectorsPerBlock; }
 }  // namespace
 
 BufferCache::BufferCache(driver::IdeDriver& drv, CacheConfig cfg)
-    : drv_(drv), cfg_(cfg) {}
-
-BufferCache::DeadlineKey BufferCache::deadline_key(BlockNo b,
-                                                   const Buffer& buf) const {
-  const SimTime limit =
-      buf.metadata ? cfg_.metadata_age_limit : cfg_.dirty_age_limit;
-  return {buf.dirty_since + limit, b};
+    : drv_(drv), cfg_(cfg) {
+  index_.reserve(cfg_.capacity_blocks);
 }
 
-void BufferCache::mark_dirty(BlockNo b, Buffer& buf, bool metadata,
-                             SimTime now) {
+BufferCache::DeadlineKey BufferCache::deadline_key(const Buffer& buf) const {
+  const SimTime limit =
+      buf.metadata ? cfg_.metadata_age_limit : cfg_.dirty_age_limit;
+  return {buf.dirty_since + limit, buf.block};
+}
+
+void BufferCache::mark_dirty(Buffer& buf, bool metadata, SimTime now) {
   if (buf.dirty) {
     // Already dirty: dirty_since stays, but a change of class moves the
     // deadline, so the block is re-keyed.
     if (buf.metadata == metadata) return;
-    by_deadline_.erase(deadline_key(b, buf));
+    by_deadline_.erase(deadline_key(buf));
     buf.metadata = metadata;
   } else {
     buf.dirty = true;
     buf.metadata = metadata;
     buf.dirty_since = now;
   }
-  by_deadline_.insert(deadline_key(b, buf));
+  by_deadline_.insert(deadline_key(buf));
 }
 
-void BufferCache::mark_clean(BlockNo b, Buffer& buf) {
+void BufferCache::mark_clean(Buffer& buf) {
   if (!buf.dirty) return;
-  by_deadline_.erase(deadline_key(b, buf));
+  by_deadline_.erase(deadline_key(buf));
   buf.dirty = false;
 }
 
-void BufferCache::touch(BlockNo b) {
-  const auto it = map_.find(b);
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(b);
-  it->second.lru_pos = lru_.begin();
+void BufferCache::lru_unlink(Slot s) {
+  Buffer& buf = slab_[s];
+  (buf.newer == kNil ? lru_head_ : slab_[buf.newer].older) = buf.older;
+  (buf.older == kNil ? lru_tail_ : slab_[buf.older].newer) = buf.newer;
 }
 
-BufferCache::Buffer& BufferCache::insert(BlockNo b) {
+void BufferCache::lru_push_front(Slot s) {
+  Buffer& buf = slab_[s];
+  buf.newer = kNil;
+  buf.older = lru_head_;
+  (lru_head_ == kNil ? lru_tail_ : slab_[lru_head_].newer) = s;
+  lru_head_ = s;
+}
+
+void BufferCache::touch(Slot s) {
+  if (s == lru_head_) return;
+  lru_unlink(s);
+  lru_push_front(s);
+}
+
+BufferCache::Slot BufferCache::insert(BlockNo b) {
   maybe_evict();
-  lru_.push_front(b);
-  auto [it, fresh] = map_.emplace(b, Buffer{});
-  it->second.lru_pos = lru_.begin();
-  return it->second;
+  Slot s = free_;
+  if (s != kNil) {
+    free_ = slab_[s].older;
+    slab_[s] = Buffer{};
+  } else {
+    s = static_cast<Slot>(slab_.size());
+    slab_.emplace_back();
+  }
+  slab_[s].block = b;
+  lru_push_front(s);
+  index_[b] = s;
+  return s;
+}
+
+void BufferCache::remove(Slot s) {
+  lru_unlink(s);
+  index_.erase(slab_[s].block);
+  slab_[s].older = free_;
+  free_ = s;
 }
 
 void BufferCache::maybe_evict() {
-  while (map_.size() >= cfg_.capacity_blocks) {
+  while (index_.size() >= cfg_.capacity_blocks) {
     // Scan from the LRU tail for a victim; dirty victims are flushed first
     // (a forced write-back, visible in the trace as an extra write).
-    bool evicted = false;
-    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-      const BlockNo b = *rit;
-      auto& buf = map_.at(b);
-      if (buf.io_pending) continue;
-      if (buf.dirty) {
-        ++stats_.forced_evict_flushes;
-        flush_blocks({b});
-      }
-      lru_.erase(std::next(rit).base());
-      map_.erase(b);
-      evicted = true;
-      break;
+    Slot s = lru_tail_;
+    while (s != kNil && slab_[s].io_pending) s = slab_[s].newer;
+    if (s == kNil) return;  // everything pinned by in-flight I/O
+    if (slab_[s].dirty) {
+      ++stats_.forced_evict_flushes;
+      flush_blocks({slab_[s].block});
     }
-    if (!evicted) return;  // everything pinned by in-flight I/O
+    remove(s);
   }
 }
 
-void BufferCache::read_range(BlockNo first, std::uint32_t count, Done done) {
-  struct Run {
-    BlockNo first;
-    std::uint32_t count;
-  };
-  std::vector<Run> runs;
-  std::vector<BlockNo> waits;
+BufferCache::Slot BufferCache::new_countdown(std::size_t remaining,
+                                             Done done) {
+  Slot c = static_cast<Slot>(countdowns_.size());
+  if (free_countdowns_.empty()) {
+    countdowns_.emplace_back();
+  } else {
+    c = free_countdowns_.back();
+    free_countdowns_.pop_back();
+  }
+  countdowns_[c].remaining = remaining;
+  countdowns_[c].done = std::move(done);
+  return c;
+}
 
+void BufferCache::count_down(Slot c) {
+  if (--countdowns_[c].remaining != 0) return;
+  // Free the slot before the callback, which may start new reads.
+  Done done = std::move(countdowns_[c].done);
+  free_countdowns_.push_back(c);
+  if (done) done();
+}
+
+void BufferCache::read_range(BlockNo first, std::uint32_t count, Done done) {
+  if (!start_read(first, count, done) && done) done();
+}
+
+bool BufferCache::fetch(BlockNo first, std::uint32_t count, Done done) {
+  return start_read(first, count, done);
+}
+
+bool BufferCache::start_read(BlockNo first, std::uint32_t count, Done& done) {
+  // Scratch reused across calls: nothing below re-enters start_read, since
+  // the driver never completes a request inside submit().
+  runs_.clear();
+  waits_.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
     const BlockNo b = first + i;
-    const auto it = map_.find(b);
-    if (it != map_.end()) {
-      if (it->second.io_pending) {
-        waits.push_back(b);
+    const Slot s = lookup(b);
+    if (s != kNil) {
+      if (slab_[s].io_pending) {
+        waits_.push_back(s);
       } else {
         ++stats_.read_hits;
-        touch(b);
+        touch(s);
       }
       continue;
     }
     ++stats_.read_misses;
-    if (!runs.empty() &&
-        runs.back().first + runs.back().count == b &&
-        runs.back().count < cfg_.max_coalesce_blocks) {
-      ++runs.back().count;
+    if (!runs_.empty() && runs_.back().first + runs_.back().count == b &&
+        runs_.back().count < cfg_.max_coalesce_blocks) {
+      ++runs_.back().count;
     } else {
-      runs.push_back(Run{b, 1});
+      runs_.push_back(Run{b, 1});
     }
   }
 
-  if (runs.empty() && waits.empty()) {
-    if (done) done();
-    return;
+  if (runs_.empty() && waits_.empty()) return false;
+  // One countdown over (missing runs + in-flight waits).
+  const Slot c = new_countdown(runs_.size() + waits_.size(), std::move(done));
+  for (const Slot s : waits_) {
+    slab_[s].waited = true;
+    waiters_[slab_[s].block].push_back(c);
   }
-  // A shared countdown over (missing runs + in-flight waits).
-  auto remaining = std::make_shared<std::size_t>(runs.size() + waits.size());
-  auto fire = [remaining, done = std::move(done)]() {
-    if (--*remaining == 0 && done) done();
-  };
-  for (const BlockNo b : waits) waiters_[b].push_back(fire);
-  for (const auto& run : runs) issue_read_run(run.first, run.count, fire);
+  for (const Run& run : runs_) issue_read_run(run.first, run.count, c);
+  return true;
 }
 
 void BufferCache::issue_read_run(BlockNo first, std::uint32_t count,
-                                 Done done) {
+                                 Slot countdown) {
   for (std::uint32_t i = 0; i < count; ++i) {
-    Buffer& buf = insert(first + i);
-    buf.io_pending = true;
+    slab_[insert(first + i)].io_pending = true;
     ++pinned_count_;
   }
   ++stats_.read_requests;
   stats_.read_blocks += count;
   drv_.submit(first_sector(first), count * kSectorsPerBlock, disk::Dir::kRead,
-              [this, first, count, done = std::move(done)] {
-                for (std::uint32_t i = 0; i < count; ++i) {
-                  const auto it = map_.find(first + i);
-                  if (it != map_.end() && it->second.io_pending) {
-                    it->second.io_pending = false;
-                    --pinned_count_;
-                  }
-                  const auto w = waiters_.find(first + i);
-                  if (w != waiters_.end()) {
-                    auto cbs = std::move(w->second);
-                    waiters_.erase(w);
-                    for (auto& cb : cbs) cb();
-                  }
-                }
-                // Reads may have pushed residency past capacity while the
-                // blocks were pinned; reclaim now that they are evictable.
-                maybe_evict();
-                if (done) done();
+              [this, first, count, countdown] {
+                finish_read_run(first, count, countdown);
               });
+}
+
+void BufferCache::finish_read_run(BlockNo first, std::uint32_t count,
+                                  Slot countdown) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const BlockNo b = first + i;
+    const Slot s = lookup(b);
+    if (s == kNil || !slab_[s].io_pending) continue;
+    slab_[s].io_pending = false;
+    --pinned_count_;
+    if (!slab_[s].waited) continue;
+    slab_[s].waited = false;
+    // The waiters' callbacks may re-enter the cache, so their list leaves
+    // the table before any of them runs.
+    const std::vector<Slot> waiting = std::move(*waiters_.find(b));
+    waiters_.erase(b);
+    for (const Slot c : waiting) count_down(c);
+  }
+  // Reads may have pushed residency past capacity while the blocks were
+  // pinned; reclaim now that they are evictable.
+  maybe_evict();
+  count_down(countdown);
 }
 
 void BufferCache::write_range(BlockNo first, std::uint32_t count,
@@ -159,13 +208,13 @@ void BufferCache::write_range(BlockNo first, std::uint32_t count,
   for (std::uint32_t i = 0; i < count; ++i) {
     const BlockNo b = first + i;
     ++stats_.writes;
-    const auto it = map_.find(b);
-    if (it != map_.end()) {
-      touch(b);
-      mark_dirty(b, it->second, metadata, now);
+    Slot s = lookup(b);
+    if (s != kNil) {
+      touch(s);
     } else {
-      mark_dirty(b, insert(b), metadata, now);
+      s = insert(b);
     }
+    mark_dirty(slab_[s], metadata, now);
   }
   // Over the dirty ratio: flush the oldest dirty blocks (bdflush wakeup).
   if (static_cast<double>(by_deadline_.size()) >
@@ -179,32 +228,31 @@ void BufferCache::write_through(BlockNo first, std::uint32_t count,
   for (std::uint32_t i = 0; i < count; ++i) {
     const BlockNo b = first + i;
     ++stats_.writes;
-    const auto it = map_.find(b);
-    if (it == map_.end()) {
+    const Slot s = lookup(b);
+    if (s == kNil) {
       insert(b);
     } else {
-      touch(b);
-      mark_clean(b, it->second);
+      touch(s);
+      mark_clean(slab_[s]);
     }
   }
-  std::uint32_t issued = 0;
-  auto remaining = std::make_shared<std::size_t>(0);
-  auto fire = [remaining, done = std::move(done)]() {
-    if (--*remaining == 0 && done) done();
-  };
-  std::vector<std::pair<BlockNo, std::uint32_t>> runs;
-  while (issued < count) {
+  const std::uint32_t runs =
+      (count + cfg_.max_coalesce_blocks - 1) / cfg_.max_coalesce_blocks;
+  const Slot c =
+      done && runs > 0 ? new_countdown(runs, std::move(done)) : kNil;
+  for (std::uint32_t issued = 0; issued < count;) {
     const std::uint32_t n =
         std::min(count - issued, cfg_.max_coalesce_blocks);
-    runs.emplace_back(first + issued, n);
-    issued += n;
-  }
-  *remaining = runs.size();
-  for (const auto& [b, n] : runs) {
     ++stats_.writebacks;
     stats_.writeback_blocks += n;
-    drv_.submit(first_sector(b), n * kSectorsPerBlock, disk::Dir::kWrite,
-                fire);
+    if (c == kNil) {
+      drv_.submit(first_sector(first + issued), n * kSectorsPerBlock,
+                  disk::Dir::kWrite);
+    } else {
+      drv_.submit(first_sector(first + issued), n * kSectorsPerBlock,
+                  disk::Dir::kWrite, [this, c] { count_down(c); });
+    }
+    issued += n;
   }
 }
 
@@ -252,9 +300,9 @@ void BufferCache::flush_blocks(std::vector<BlockNo> blocks) {
   };
 
   for (const BlockNo b : blocks) {
-    const auto it = map_.find(b);
-    if (it == map_.end() || !it->second.dirty) continue;
-    mark_clean(b, it->second);
+    const Slot s = lookup(b);
+    if (s == kNil || !slab_[s].dirty) continue;
+    mark_clean(slab_[s]);
     if (run_len > 0 && b == run_first + run_len &&
         run_len < cfg_.max_coalesce_blocks) {
       ++run_len;
@@ -268,12 +316,11 @@ void BufferCache::flush_blocks(std::vector<BlockNo> blocks) {
 }
 
 void BufferCache::invalidate(BlockNo b) {
-  const auto it = map_.find(b);
-  if (it == map_.end()) return;
-  if (it->second.io_pending) return;  // keep; completion will clear state
-  mark_clean(b, it->second);
-  lru_.erase(it->second.lru_pos);
-  map_.erase(it);
+  const Slot s = lookup(b);
+  if (s == kNil) return;
+  if (slab_[s].io_pending) return;  // keep; completion will clear state
+  mark_clean(slab_[s]);
+  remove(s);
 }
 
 }  // namespace ess::block

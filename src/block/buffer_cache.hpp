@@ -6,17 +6,21 @@
 //  * adjacent dirty blocks flushed together        -> 2 KB, 3 KB, ...
 //  * sequential read-ahead windows                 -> up to the 16 KB cache
 //    ceiling (32 KB under the combined load's enlarged I/O buffering)
+//
+// Data layout (no per-operation allocation once warm): the buffers live in
+// a slab threaded by an intrusive LRU list of slot links, a FlatMap indexes
+// the slab by block number, and each read waiting for I/O holds one slot of
+// a second slab that owns its completion and counts down its runs.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "driver/ide_driver.hpp"
+#include "util/flat_map.hpp"
 #include "util/sim_time.hpp"
+#include "util/small_function.hpp"
 
 namespace ess::block {
 
@@ -51,7 +55,7 @@ struct CacheStats {
 
 class BufferCache {
  public:
-  using Done = std::function<void()>;
+  using Done = driver::IdeDriver::Completion;
 
   BufferCache(driver::IdeDriver& drv, CacheConfig cfg);
 
@@ -59,6 +63,11 @@ class BufferCache {
   /// Missing runs are fetched with one physical request per contiguous run,
   /// each capped at max_coalesce_blocks.
   void read_range(BlockNo first, std::uint32_t count, Done done);
+
+  /// read_range for callers that continue inline on a hit: returns false,
+  /// dropping `done` uncalled, when every block was already resident;
+  /// returns true when `done` will fire once the blocks arrive.
+  bool fetch(BlockNo first, std::uint32_t count, Done done);
 
   /// Write blocks [first, first+count) into the cache (write-behind).
   /// Completes logically at once; dirty data reaches the disk via bdflush,
@@ -76,8 +85,8 @@ class BufferCache {
   /// oldest ones if the dirty ratio is exceeded. Returns blocks flushed.
   std::size_t bdflush_pass();
 
-  bool resident(BlockNo b) const { return map_.count(b) != 0; }
-  std::size_t resident_blocks() const { return map_.size(); }
+  bool resident(BlockNo b) const { return index_.find(b) != nullptr; }
+  std::size_t resident_blocks() const { return index_.size(); }
   std::size_t dirty_blocks() const { return by_deadline_.size(); }
   /// Blocks pinned by in-flight reads; these cannot be evicted, so
   /// residency may transiently exceed capacity by up to this many.
@@ -94,40 +103,88 @@ class BufferCache {
   void invalidate(BlockNo b);
 
  private:
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = ~Slot{0};
+
+  /// One resident block. `newer`/`older` link the LRU list through slab
+  /// slots; a free slot's `older` links the free list.
   struct Buffer {
+    BlockNo block = 0;
+    Slot newer = kNil;
+    Slot older = kNil;
+    SimTime dirty_since = 0;
     bool dirty = false;
     bool metadata = false;           // fast-aging write-back class
     bool io_pending = false;         // a read for this block is in flight
-    SimTime dirty_since = 0;
-    std::list<BlockNo>::iterator lru_pos;
+    bool waited = false;             // waiters_ holds readers of this block
+  };
+
+  /// A caller waiting on several I/Os (a read's runs and the in-flight
+  /// blocks it waits for, or a write-through's runs): `done` fires when
+  /// the count reaches 0, and the slot is reused.
+  struct Countdown {
+    std::size_t remaining = 0;
+    Done done;
+  };
+
+  /// A contiguous run of missing blocks, read with one request.
+  struct Run {
+    BlockNo first;
+    std::uint32_t count;
   };
 
   using DeadlineKey = std::pair<SimTime, BlockNo>;
 
   /// A dirty buffer's place in the write-back order: its flush deadline
   /// (dirty_since plus its class's age limit), ties broken by block.
-  DeadlineKey deadline_key(BlockNo b, const Buffer& buf) const;
-  void mark_dirty(BlockNo b, Buffer& buf, bool metadata, SimTime now);
-  void mark_clean(BlockNo b, Buffer& buf);
-  void touch(BlockNo b);
-  Buffer& insert(BlockNo b);
+  DeadlineKey deadline_key(const Buffer& buf) const;
+  void mark_dirty(Buffer& buf, bool metadata, SimTime now);
+  void mark_clean(Buffer& buf);
+  /// The slot holding block `b`, or kNil.
+  Slot lookup(BlockNo b) const {
+    const Slot* s = index_.find(b);
+    return s == nullptr ? kNil : *s;
+  }
+  void lru_unlink(Slot s);
+  void lru_push_front(Slot s);
+  void touch(Slot s);
+  /// Make a non-resident block resident at the LRU front (evicting first).
+  Slot insert(BlockNo b);
+  /// Drop a resident block from the LRU, the index and the slab.
+  void remove(Slot s);
   void maybe_evict();
   /// Flush a sorted list of dirty block numbers, coalescing adjacent runs.
   void flush_blocks(std::vector<BlockNo> blocks);
-  void issue_read_run(BlockNo first, std::uint32_t count, Done done);
+  /// read_range's body: false when every block was resident (`done` is
+  /// left alone), true when it was moved into a countdown.
+  bool start_read(BlockNo first, std::uint32_t count, Done& done);
+  void issue_read_run(BlockNo first, std::uint32_t count, Slot countdown);
+  /// A read run's I/O completed: unpin its blocks and wake their waiters.
+  void finish_read_run(BlockNo first, std::uint32_t count, Slot countdown);
+  /// A countdown slot (reused or new) owning `done`.
+  Slot new_countdown(std::size_t remaining, Done done);
+  /// One of a countdown's I/Os finished.
+  void count_down(Slot countdown);
 
   driver::IdeDriver& drv_;
   CacheConfig cfg_;
-  std::unordered_map<BlockNo, Buffer> map_;
-  std::list<BlockNo> lru_;  // front = most recent
+  std::vector<Buffer> slab_;
+  Slot free_ = kNil;          // head of the free slot list
+  Slot lru_head_ = kNil;      // most recent
+  Slot lru_tail_ = kNil;      // least recent
+  util::FlatMap<BlockNo, Slot> index_;
   // Invariant: holds exactly the dirty blocks, each keyed by its current
   // deadline_key(), so bdflush reads the oldest off the front and no pass
   // walks the clean residents.
   std::set<DeadlineKey> by_deadline_;
   std::size_t pinned_count_ = 0;
   CacheStats stats_;
-  // Readers waiting for an in-flight block.
-  std::unordered_map<BlockNo, std::vector<Done>> waiters_;
+  std::vector<Run> runs_;    // start_read's scratch: missing runs
+  std::vector<Slot> waits_;  // and in-flight blocks to wait for
+  std::vector<Countdown> countdowns_;
+  std::vector<Slot> free_countdowns_;
+  // Countdowns of reads waiting for an in-flight block, in arrival order.
+  util::FlatMap<BlockNo, std::vector<Slot>> waiters_;
 };
 
 }  // namespace ess::block

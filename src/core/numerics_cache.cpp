@@ -1,5 +1,7 @@
 #include "core/numerics_cache.hpp"
 
+#include <utility>
+
 #include "core/study.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -18,6 +20,16 @@ struct Caches {
 Caches& caches() {
   static Caches c;
   return c;
+}
+
+/// The cached value for `in`, filled by `compute` on this thread when this
+/// caller claims it.
+template <typename Key, typename Value, typename Compute>
+std::shared_ptr<const Value> lookup(OnceCache<Key, Value>& cache,
+                                    const Key& in, Compute&& compute) {
+  auto claim = cache.claim(in);
+  if (claim.owns()) cache.fill(in, claim, std::forward<Compute>(compute));
+  return claim.get();
 }
 
 }  // namespace
@@ -56,6 +68,20 @@ AppNumerics app_numerics(const StudyConfig& cfg) {
     pool.wait_idle();
   }
   return {ppm.get(), wavelet.get(), nbody.get()};
+}
+
+std::shared_ptr<const apps::ppm::PpmNumerics> ppm_numerics(
+    const apps::ppm::PpmConfig& cfg) {
+  const auto in = apps::ppm::numerics_input(cfg);
+  return lookup(caches().ppm, in,
+                [&] { return apps::ppm::compute_numerics(in); });
+}
+
+std::shared_ptr<const apps::nbody::NBodyNumerics> nbody_numerics(
+    const apps::nbody::NBodyConfig& cfg) {
+  const auto in = apps::nbody::numerics_input(cfg);
+  return lookup(caches().nbody, in,
+                [&] { return apps::nbody::compute_numerics(in); });
 }
 
 NumericsCacheStats numerics_cache_stats() {

@@ -114,6 +114,14 @@ struct AppNumerics {
 /// order).
 AppNumerics app_numerics(const StudyConfig& cfg);
 
+/// One app's numerics through the same cache, computed on the calling
+/// thread (no pool) when no one has claimed them: the per-app lookups of
+/// callers that need a single app, such as pvm's SPMD trace builders.
+std::shared_ptr<const apps::ppm::PpmNumerics> ppm_numerics(
+    const apps::ppm::PpmConfig& cfg);
+std::shared_ptr<const apps::nbody::NBodyNumerics> nbody_numerics(
+    const apps::nbody::NBodyConfig& cfg);
+
 struct NumericsCacheStats {
   CacheCounts ppm;
   CacheCounts wavelet;

@@ -22,11 +22,22 @@ std::uint64_t Drive::submit(Request req, Completion done) {
   if (max_merge_sectors_ > 0) {
     if (const auto host = sched_->try_merge(req, max_merge_sectors_)) {
       ++stats_.merged;
-      if (done) completions_[*host].push_back(std::move(done));
+      if (done) {
+        Completion& host_done = completions_[*host];
+        if (!host_done) {
+          host_done = std::move(done);
+        } else {
+          host_done = [first = std::move(host_done),
+                       then = std::move(done)](const Request& r) mutable {
+            first(r);
+            then(r);
+          };
+        }
+      }
       return *host;  // absorbed: completes with the host request
     }
   }
-  if (done) completions_[req.id].push_back(std::move(done));
+  if (done) completions_[req.id] = std::move(done);
   sched_->push(req);
   ++pending_;
   if (!busy_) start_next();
@@ -78,11 +89,10 @@ void Drive::start_next() {
   engine_.schedule_after(dur, [this, req] {
     head_sector_ = req.end_sector() - 1;
     --pending_;
-    const auto it = completions_.find(req.id);
-    if (it != completions_.end()) {
-      auto cbs = std::move(it->second);
-      completions_.erase(it);
-      for (auto& cb : cbs) cb(req);
+    if (Completion* c = completions_.find(req.id)) {
+      Completion done = std::move(*c);
+      completions_.erase(req.id);
+      done(req);
     }
     start_next();
   });

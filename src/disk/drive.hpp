@@ -6,15 +6,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "disk/request.hpp"
 #include "disk/scheduler.hpp"
 #include "disk/service_model.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
+#include "util/flat_map.hpp"
+#include "util/small_function.hpp"
 
 namespace ess::disk {
 
@@ -35,7 +35,9 @@ struct DriveStats {
 
 class Drive {
  public:
-  using Completion = std::function<void(const Request&)>;
+  /// Sized to hold the driver's completion wrapper (the driver's own
+  /// callback plus its retry state) inline; ide_driver.cpp checks it.
+  using Completion = SmallFunction<void(const Request&), 96>;
 
   /// `max_merge_sectors` > 0 enables ll_rw_blk-style queue merging: a new
   /// request physically adjacent to a queued one of the same direction is
@@ -76,8 +78,9 @@ class Drive {
   fault::FaultInjector* faults_ = nullptr;
   std::unique_ptr<Scheduler> sched_;
   std::uint32_t max_merge_sectors_;
-  // A merged request carries every absorbed submission's callback.
-  std::unordered_map<std::uint64_t, std::vector<Completion>> completions_;
+  // By request id. A merged request's entry runs its own callback, then
+  // each absorbed submission's, in submission order.
+  util::FlatMap<std::uint64_t, Completion> completions_;
   std::uint64_t next_id_ = 1;
   std::uint64_t head_sector_ = 0;
   bool busy_ = false;

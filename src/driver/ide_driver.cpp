@@ -34,8 +34,8 @@ void IdeDriver::issue(std::uint64_t sector, std::uint32_t sector_count,
     drive_.submit(req);
     return;
   }
-  drive_.submit(req, [this, verbose, attempt,
-                      done = std::move(done)](const disk::Request& r) mutable {
+  auto on_done = [this, verbose, attempt,
+                  done = std::move(done)](const disk::Request& r) mutable {
     if (r.status == disk::IoStatus::kTransientError) {
       ++stats_.transient_errors;
       if (attempt <= retry_.max_retries) {
@@ -65,7 +65,11 @@ void IdeDriver::issue(std::uint64_t sector, std::uint32_t sector_count,
     }
     if (verbose) emit(r.sector, r.sector_count, r.dir, drive_.outstanding());
     if (done) done();
-  });
+  };
+  static_assert(disk::Drive::Completion::stores_inline<decltype(on_done)>(),
+                "the drive must hold the driver's completion without a heap "
+                "allocation");
+  drive_.submit(req, std::move(on_done));
 }
 
 void IdeDriver::emit(std::uint64_t sector, std::uint32_t sector_count,

@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "disk/drive.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/sink.hpp"
 #include "trace/ring_buffer.hpp"
+#include "util/small_function.hpp"
 
 namespace ess::driver {
 
@@ -49,7 +49,9 @@ class IdeDriver {
   /// instrumentation (the non-instrumented kernel).
   IdeDriver(disk::Drive& drive, trace::RingBuffer* trace_buf);
 
-  using Completion = std::function<void()>;
+  /// The one completion type of the I/O stack: the buffer cache, the swap
+  /// manager and the VM pass it down unwrapped.
+  using Completion = SmallFunction<void()>;
 
   /// Submit a physical request of `sector_count` sectors at `sector`.
   /// The trace record is emitted at issue time, as in the paper (the

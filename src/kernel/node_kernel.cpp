@@ -289,27 +289,16 @@ bool NodeKernel::exec_touch(Process& p, workload::TouchOp& op) {
   const mm::Pid pid = p.pid;
   while (p.touch_index < op.pages.size()) {
     const auto& acc = op.pages[p.touch_index];
-    auto sync_result = std::make_shared<std::optional<mm::FaultKind>>();
-    auto async_mode = std::make_shared<bool>(false);
-    vm_->touch(pid, acc.vpage, acc.write,
-               [this, pid, sync_result, async_mode](mm::FaultKind k) {
-                 if (*async_mode) {
-                   Process& q = *procs_.at(pid);
-                   ++q.touch_index;
-                   resume_process(pid, k == mm::FaultKind::kMajor
-                                           ? cfg_.major_fault_cost
-                                           : cfg_.minor_fault_cost);
-                 } else {
-                   *sync_result = k;
-                 }
-               });
-    if (!*sync_result) {
+    const auto kind = vm_->touch(pid, acc.vpage, acc.write, [this, pid] {
+      ++procs_.at(pid)->touch_index;
+      resume_process(pid, cfg_.major_fault_cost);
+    });
+    if (!kind) {
       // Major fault in flight: the process sleeps on the page.
-      *async_mode = true;
       block_process(p);
       return true;
     }
-    if (**sync_result == mm::FaultKind::kMinor) {
+    if (*kind == mm::FaultKind::kMinor) {
       p.pending_charge += cfg_.minor_fault_cost;
     }
     ++p.touch_index;

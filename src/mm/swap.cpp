@@ -33,7 +33,7 @@ void SwapManager::swap_out(SwapSlot s) {
   drv_.submit(slot_sector(s), kPageSize / 512, disk::Dir::kWrite);
 }
 
-void SwapManager::swap_in(SwapSlot s, std::function<void()> done) {
+void SwapManager::swap_in(SwapSlot s, driver::IdeDriver::Completion done) {
   ++ins_;
   drv_.submit(slot_sector(s), kPageSize / 512, disk::Dir::kRead,
               std::move(done));

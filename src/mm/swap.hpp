@@ -28,7 +28,7 @@ class SwapManager {
   void swap_out(SwapSlot s);
 
   /// Read one page from a slot; `done` fires at completion.
-  void swap_in(SwapSlot s, std::function<void()> done);
+  void swap_in(SwapSlot s, driver::IdeDriver::Completion done);
 
   std::uint32_t slots_total() const { return static_cast<std::uint32_t>(used_.size()); }
   std::uint32_t slots_used() const { return used_count_; }

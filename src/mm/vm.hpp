@@ -5,17 +5,20 @@
 // buffer cache, which coalesces the four 1 KB blocks of a page into one
 // 4 KB read) and anonymous segments (zero-fill on first touch; dirty
 // evictions go to swap as raw 4 KB writes).
+//
+// The page table is dense: each address space holds one PageState per page
+// of its segments, in segment order, sized at create_address_space. A
+// touch is a segment search (one or two segments) and an array index.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "block/buffer_cache.hpp"
 #include "mm/frame_pool.hpp"
 #include "mm/swap.hpp"
+#include "util/flat_map.hpp"
 
 namespace ess::mm {
 
@@ -47,17 +50,25 @@ struct Segment {
 
 class Vm {
  public:
+  /// Fired when a faulting access whose I/O was in flight can proceed.
+  using Resume = driver::IdeDriver::Completion;
+
   Vm(FramePool& frames, SwapManager& swap, block::BufferCache& cache);
 
   /// Register a process address space.
   void create_address_space(Pid pid, std::vector<Segment> segments);
+  /// Release every frame and swap slot of the space, page by page in
+  /// segment order (ascending vpage for ascending segments).
   void destroy_address_space(Pid pid);
 
-  /// Touch a virtual page. `done(kind)` fires when the access can proceed —
-  /// synchronously for resident/zero-fill pages, after disk I/O for major
-  /// faults. Eviction of a dirty victim issues its swap-out write first.
-  void touch(Pid pid, VPage vpage, bool is_write,
-             std::function<void(FaultKind)> done);
+  /// Touch a virtual page. Returns the fault kind when the access can
+  /// proceed at once: resident pages (kNone), zero-fill (kMinor), and file
+  /// page-ins the buffer cache holds whole (kMajor). Returns nullopt when
+  /// a disk read is in flight; `resume` fires at its completion and the
+  /// fault was major. Eviction of a dirty victim issues its swap-out write
+  /// first.
+  std::optional<FaultKind> touch(Pid pid, VPage vpage, bool is_write,
+                                 Resume resume);
 
   /// Resident set size of a process, in pages.
   std::uint64_t resident_pages(Pid pid) const;
@@ -67,23 +78,29 @@ class Vm {
   SwapManager& swap() { return swap_; }
 
  private:
+  static constexpr FrameNo kNoFrame = ~FrameNo{0};
+  static constexpr SwapSlot kNoSlot = ~SwapSlot{0};
+
   struct PageState {
-    bool present = false;
-    FrameNo frame = 0;
-    std::optional<SwapSlot> swap_slot;
+    FrameNo frame = kNoFrame;  // kNoFrame: not present
+    SwapSlot swap_slot = kNoSlot;
   };
   struct AddressSpace {
     std::vector<Segment> segments;
-    std::unordered_map<VPage, PageState> pages;
+    /// Index in `pages` of each segment's first page.
+    std::vector<std::size_t> page_base;
+    std::vector<PageState> pages;
   };
 
+  /// The segment holding `vpage` (the first, if several do), or nullptr.
   const Segment* find_segment(const AddressSpace& as, VPage vpage) const;
+  PageState& page_state(AddressSpace& as, const Segment& seg, VPage vpage);
   FrameNo obtain_frame(Pid pid, VPage vpage);
 
   FramePool& frames_;
   SwapManager& swap_;
   block::BufferCache& cache_;
-  std::unordered_map<Pid, AddressSpace> spaces_;
+  util::FlatMap<Pid, AddressSpace> spaces_;
   VmStats stats_;
 };
 

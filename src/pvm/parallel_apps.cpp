@@ -5,6 +5,7 @@
 #include "apps/nbody/nbody_app.hpp"
 #include "apps/nbody/octree.hpp"
 #include "apps/ppm/ppm_app.hpp"
+#include "core/numerics_cache.hpp"
 #include "workload/builder.hpp"
 
 namespace ess::pvm {
@@ -17,9 +18,9 @@ using workload::OpTraceBuilder;
 
 std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
                                   double cpu_mflops, Rng& rng) {
-  // Run the real solver once to obtain per-step work.
-  const auto numerics =
-      apps::ppm::compute_numerics(apps::ppm::numerics_input(cfg));
+  // The real solver's per-step work, from the process-wide phase-A cache.
+  const auto numerics_ptr = core::ppm_numerics(cfg);
+  const auto& numerics = *numerics_ptr;
   std::vector<double> step_flops;
   step_flops.reserve(numerics.step_flops.size());
   for (const std::uint64_t flops : numerics.step_flops) {
@@ -86,9 +87,9 @@ std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
 
 std::vector<OpTrace> parallel_nbody(const apps::nbody::NBodyConfig& cfg,
                                     int ranks, double cpu_mflops, Rng& rng) {
-  // One real run for the interaction counts.
-  const auto numerics =
-      apps::nbody::compute_numerics(apps::nbody::numerics_input(cfg));
+  // The real run's interaction counts, from the phase-A cache.
+  const auto numerics_ptr = core::nbody_numerics(cfg);
+  const auto& numerics = *numerics_ptr;
   std::vector<double> step_flops;
   for (const std::uint64_t inter : numerics.step_interactions) {
     step_flops.push_back(static_cast<double>(inter) *

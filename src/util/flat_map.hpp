@@ -9,6 +9,10 @@
 // the probe run back over the hole (no tombstones), so lookups stay short
 // however many insert/erase cycles the table goes through.
 //
+// Values need only be default-constructible and movable, so move-only
+// callbacks can live in the slots; an empty slot always holds a
+// value-initialized V, which operator[] hands out for a new key.
+//
 // Iteration (for_each) walks the slots, an order that depends on the
 // insertion history. Callers whose output must not depend on it sort what
 // they read out, as the characterization consumers do when they build
@@ -45,10 +49,22 @@ class FlatMap {
     return const_cast<FlatMap*>(this)->find(key);
   }
 
-  /// The value at `key`, value-initialized when the key is new.
+  /// The value at `key`, value-initialized when the key is new. One probe
+  /// run finds the key or the empty slot it goes into.
   V& operator[](K key) {
-    if (V* v = find(key)) return *v;
-    if (2 * (size_ + 1) > slots_.size()) rehash(2 * (size_ + 1));
+    if (!slots_.empty()) {
+      std::size_t i = home(key);
+      for (; slots_[i].used; i = next(i)) {
+        if (slots_[i].key == key) return slots_[i].value;
+      }
+      if (2 * (size_ + 1) <= slots_.size()) {
+        slots_[i].key = key;
+        slots_[i].used = true;
+        ++size_;
+        return slots_[i].value;
+      }
+    }
+    rehash(2 * (size_ + 1));
     return place(key, V{});
   }
 
@@ -67,11 +83,11 @@ class FlatMap {
     for (std::size_t j = next(hole); slots_[j].used; j = next(j)) {
       const std::size_t h = home(slots_[j].key);
       if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
+        slots_[hole] = std::move(slots_[j]);
         hole = j;
       }
     }
-    slots_[hole].used = false;
+    slots_[hole] = Slot{};
     --size_;
     return true;
   }
@@ -79,7 +95,7 @@ class FlatMap {
   /// Drop every entry, keeping the table's capacity.
   void clear() {
     if (size_ == 0) return;
-    for (Slot& s : slots_) s.used = false;
+    for (Slot& s : slots_) s = Slot{};
     size_ = 0;
   }
 

@@ -67,6 +67,12 @@ class SmallFunction<R(Args...), BufBytes> {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
+  /// Whether a callable of type F is stored inline (no heap allocation).
+  template <typename F>
+  static constexpr bool stores_inline() {
+    return fits_inline<std::decay_t<F>>();
+  }
+
   R operator()(Args... args) {
     return ops_->invoke(&buf_, std::forward<Args>(args)...);
   }

@@ -8,12 +8,16 @@
 //  * residency never exceeds capacity;
 //  * every bdflush pass, sync, write-through and forced eviction flush
 //    writes exactly the requests a full-scan reference of the write-back
-//    rule predicts.
+//    rule predicts;
+//  * after every operation, each block's residency, the resident count and
+//    the pinned count are what a list-based LRU reference predicts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "block/buffer_cache.hpp"
@@ -293,6 +297,177 @@ TEST_P(CacheFuzzTest, WriteBackMatchesFullScanReference) {
   }
   EXPECT_GT(cache.stats().forced_evict_flushes, 0u);
   EXPECT_GT(passes_with_flushes, 0u);
+}
+
+/// Residency as the replacement rule defines it, the oracle for the cache's
+/// eviction victims: an LRU list (front = most recent), the blocks pinned
+/// by in-flight reads, and an eviction scan from the tail that skips pinned
+/// blocks and stops once residency is below capacity.
+class ReferenceResidency {
+ public:
+  explicit ReferenceResidency(std::size_t capacity) : capacity_(capacity) {}
+
+  bool resident(BlockNo b) const { return pos_.count(b) != 0; }
+  std::size_t resident_blocks() const { return lru_.size(); }
+  std::size_t pinned_blocks() const { return pinned_.size(); }
+
+  /// read_range: resident blocks not in flight are hits and move to the
+  /// front; the missing ones are then inserted in ascending order, pinned.
+  void read(BlockNo first, std::uint32_t count) {
+    std::vector<BlockNo> missing;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const BlockNo b = first + i;
+      if (!resident(b)) {
+        missing.push_back(b);
+      } else if (pinned_.count(b) == 0) {
+        touch(b);
+      }
+    }
+    for (const BlockNo b : missing) {
+      insert(b);
+      pinned_.insert(b);
+    }
+  }
+
+  /// write_range and write_through: every block moves to (or enters at)
+  /// the front, in flight or not.
+  void write(BlockNo first, std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const BlockNo b = first + i;
+      if (resident(b)) {
+        touch(b);
+      } else {
+        insert(b);
+      }
+    }
+  }
+
+  /// A physical read of [first, first + count) completed: its blocks
+  /// unpin, then the cache reclaims down to capacity.
+  void complete(BlockNo first, std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) pinned_.erase(first + i);
+    evict();
+  }
+
+  /// invalidate: a block in flight stays.
+  void invalidate(BlockNo b) {
+    const auto it = pos_.find(b);
+    if (it == pos_.end() || pinned_.count(b) != 0) return;
+    lru_.erase(it->second);
+    pos_.erase(it);
+  }
+
+ private:
+  void touch(BlockNo b) {
+    lru_.erase(pos_.at(b));
+    lru_.push_front(b);
+    pos_[b] = lru_.begin();
+  }
+
+  void insert(BlockNo b) {
+    evict();
+    lru_.push_front(b);
+    pos_[b] = lru_.begin();
+  }
+
+  void evict() {
+    while (lru_.size() >= capacity_) {
+      auto victim = lru_.end();
+      for (auto it = lru_.end(); it != lru_.begin();) {
+        --it;
+        if (pinned_.count(*it) == 0) {
+          victim = it;
+          break;
+        }
+      }
+      if (victim == lru_.end()) return;  // everything pinned
+      pos_.erase(*victim);
+      lru_.erase(victim);
+    }
+  }
+
+  std::size_t capacity_;
+  std::list<BlockNo> lru_;
+  std::unordered_map<BlockNo, std::list<BlockNo>::iterator> pos_;
+  std::set<BlockNo> pinned_;
+};
+
+/// Feeds read completions to the residency reference. At kVerbose the
+/// driver emits a record for each completed request just before it runs
+/// the request's callback, so a read record seen while the engine runs is
+/// the cache's read completing, and the reference steps with the cache.
+class ReadCompletionTap final : public telemetry::Sink {
+ public:
+  explicit ReadCompletionTap(ReferenceResidency& ref) : ref_(ref) {}
+  void on_record(const trace::Record& r) override {
+    if (!engine_running || r.is_write != 0) return;
+    ref_.complete(r.sector / kSectorsPerBlock, r.size_bytes / kBlockSize);
+  }
+  bool engine_running = false;
+
+ private:
+  ReferenceResidency& ref_;
+};
+
+TEST_P(CacheFuzzTest, ResidencyMatchesLruModel) {
+  CacheConfig cfg;
+  cfg.capacity_blocks = 64;
+  cfg.max_coalesce_blocks = 16;
+  driver::IdeDriver drv(drive_, nullptr);
+  BufferCache cache(drv, cfg);
+  ReferenceResidency ref(cfg.capacity_blocks);
+  ReadCompletionTap tap(ref);
+  drv.set_sink(&tap);
+  drv.ioctl_set_trace_level(driver::TraceLevel::kVerbose);
+  Rng rng(GetParam());
+  constexpr BlockNo kSpace = 512;
+
+  auto run_engine = [&](auto&& run) {
+    tap.engine_running = true;
+    run();
+    tap.engine_running = false;
+  };
+  std::uint64_t completed = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const auto roll = rng.uniform(100);
+    const BlockNo first = rng.uniform(kSpace);
+    const auto count = static_cast<std::uint32_t>(1 + rng.uniform(24));
+    if (roll < 35) {
+      cache.read_range(first, count, [&] { ++completed; });
+      ref.read(first, count);
+    } else if (roll < 60) {
+      cache.write_range(first, count, rng.chance(0.3));
+      ref.write(first, count);
+    } else if (roll < 66) {
+      cache.write_through(first, count);
+      ref.write(first, count);
+    } else if (roll < 74) {
+      cache.invalidate(first);
+      ref.invalidate(first);
+    } else if (roll < 78) {
+      cache.sync();
+    } else if (roll < 84) {
+      cache.bdflush_pass();
+    } else if (roll < 92) {
+      run_engine([&] {
+        engine_.advance(static_cast<SimTime>(
+            rng.uniform(static_cast<std::uint64_t>(msec(40)))));
+      });
+    } else {
+      run_engine([&] { engine_.run(); });
+    }
+    for (BlockNo b = 0; b < kSpace + 24; ++b) {
+      ASSERT_EQ(cache.resident(b), ref.resident(b))
+          << "op " << op << " block " << b;
+    }
+    ASSERT_EQ(cache.resident_blocks(), ref.resident_blocks()) << "op " << op;
+    ASSERT_EQ(cache.pinned_blocks(), ref.pinned_blocks()) << "op " << op;
+  }
+  run_engine([&] { engine_.run(); });
+  EXPECT_EQ(cache.pinned_blocks(), 0u);
+  EXPECT_EQ(cache.resident_blocks(), ref.resident_blocks());
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(cache.stats().forced_evict_flushes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzzTest,

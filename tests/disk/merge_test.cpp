@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "disk/drive.hpp"
 
 namespace ess::disk {
@@ -111,6 +113,23 @@ TEST_F(MergeTest, ChainOfAdjacentRequestsCollapses) {
   EXPECT_EQ(drive.stats().merged, 7u);  // all absorbed into one
   engine.run();
   EXPECT_EQ(drive.stats().requests, 2u);  // the in-flight one + the merged
+}
+
+TEST_F(MergeTest, AbsorbedCompletionsFireInSubmissionOrder) {
+  drive.submit(req(500'000, 2, Dir::kWrite));
+  std::vector<int> order;
+  // The host has no completion of its own; four absorbed ones do.
+  drive.submit(req(3000, 2, Dir::kWrite));
+  for (int i = 1; i <= 4; ++i) {
+    drive.submit(req(3000 + static_cast<std::uint64_t>(i) * 2, 2, Dir::kWrite),
+                 [&order, i](const Request& r) {
+                   EXPECT_EQ(r.sector_count, 10u);
+                   order.push_back(i);
+                 });
+  }
+  EXPECT_EQ(drive.stats().merged, 4u);
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -41,8 +41,9 @@ VmStats run_sequence(std::uint64_t seed) {
     const Pid pid = 1 + static_cast<Pid>(rng.uniform(kProcs));
     const VPage page = rng.uniform(kPages);
     ++issued;
-    rig.vm.touch(pid, page, rng.chance(0.5),
-                 [&](FaultKind) { ++completed; });
+    if (rig.vm.touch(pid, page, rng.chance(0.5), [&] { ++completed; })) {
+      ++completed;
+    }
     if (op % 16 == 0) rig.engine.run();
     EXPECT_LE(rig.frames.used(), rig.frames.total());
   }

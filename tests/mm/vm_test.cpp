@@ -20,11 +20,11 @@ class VmTest : public ::testing::Test {
 
   /// Touch and run the engine until completion; returns the fault kind.
   FaultKind touch(Pid pid, VPage page, bool write) {
-    std::optional<FaultKind> result;
-    vm_.touch(pid, page, write, [&](FaultKind k) { result = k; });
+    bool resumed = false;
+    const auto now = vm_.touch(pid, page, write, [&] { resumed = true; });
     engine_.run();
-    EXPECT_TRUE(result.has_value());
-    return *result;
+    EXPECT_NE(now.has_value(), resumed);
+    return now.value_or(FaultKind::kMajor);
   }
 
   /// Physical requests drained from the trace ring.
@@ -120,7 +120,7 @@ TEST_F(VmTest, ResidentPagesCountsPresentOnly) {
 
 TEST_F(VmTest, TouchOutsideSegmentsThrows) {
   vm_.create_address_space(1, {Segment{0, 4, false, 0}});
-  EXPECT_THROW(vm_.touch(1, 100, false, [](FaultKind) {}),
+  EXPECT_THROW(vm_.touch(1, 100, false, [] {}),
                std::out_of_range);
 }
 
@@ -132,6 +132,54 @@ TEST_F(VmTest, DestroyReleasesFramesAndSwap) {
   vm_.destroy_address_space(1);
   EXPECT_EQ(frames_.used(), 0u);
   EXPECT_EQ(swap_.slots_used(), 0u);
+}
+
+TEST_F(VmTest, DestroyReleasesInVpageOrderWhileAnotherProcessFaults) {
+  vm_.create_address_space(1, {Segment{0, 64, false, 0}});
+  vm_.create_address_space(2, {Segment{0, 64, false, 0}});
+  // Process 1 dirties 20 pages over 16 frames, and process 2 takes two
+  // more frames: process 1's pages 0..5 go to swap slots 0..5, its pages
+  // 6..19 keep frames, and no frame is free.
+  for (VPage p = 0; p < kFrames + 4; ++p) touch(1, p, true);
+  touch(2, 0, true);
+  touch(2, 1, true);
+  ASSERT_EQ(frames_.free(), 0u);
+  ASSERT_EQ(swap_.slots_used(), 6u);
+  std::vector<FrameNo> by_vpage;  // process 1's frames, ascending vpage
+  for (VPage p = 0; p < 64; ++p) {
+    for (FrameNo f = 0; f < kFrames; ++f) {
+      const Frame& fr = frames_.frame(f);
+      if (fr.in_use && fr.pid == 1 && fr.vpage == p) by_vpage.push_back(f);
+    }
+  }
+  ASSERT_EQ(by_vpage.size(), 14u);
+
+  vm_.destroy_address_space(1);
+  EXPECT_EQ(frames_.free(), 14u);
+  EXPECT_EQ(swap_.slots_used(), 0u);
+  ring_.drain(100000);
+
+  // The frames went back in ascending vpage order onto the LIFO free
+  // list, so process 2's next faults take them in descending vpage order.
+  for (std::size_t i = 0; i < by_vpage.size(); ++i) {
+    const VPage p = 2 + i;
+    EXPECT_EQ(touch(2, p, true), FaultKind::kMinor);
+    const FrameNo want = by_vpage[by_vpage.size() - 1 - i];
+    EXPECT_EQ(frames_.frame(want).pid, 2u) << "page " << p;
+    EXPECT_EQ(frames_.frame(want).vpage, p) << "page " << p;
+  }
+  EXPECT_EQ(frames_.free(), 0u);
+  EXPECT_TRUE(physical().empty());
+
+  // The next eviction swaps process 2's victim out to the slot after the
+  // last one handed out (6), not to a freed lower one: the slot search
+  // resumes at its hint.
+  touch(2, 16, true);
+  EXPECT_EQ(swap_.slots_used(), 1u);
+  const auto reqs = physical();
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(reqs[0].is_write, 1);
+  EXPECT_EQ(reqs[0].sector, 800'000u + 6 * (kPageSize / 512));
 }
 
 TEST_F(VmTest, TwoProcessesCompeteForFrames) {

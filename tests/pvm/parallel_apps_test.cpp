@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/numerics_cache.hpp"
 #include "pdes/machine.hpp"
 
 namespace ess::pvm {
@@ -51,6 +52,25 @@ int count_sends(const workload::OpTrace& t) {
     if (std::holds_alternative<workload::SendOp>(op)) ++n;
   }
   return n;
+}
+
+TEST(ParallelApps, BuildersComputeEachAppsNumericsOncePerProcess) {
+  // A key no other test uses, so the first build is the one that computes.
+  auto ppm = small_ppm();
+  ppm.nx = 24;
+  auto nbody = small_nbody();
+  nbody.bodies = 384;
+  const auto before = core::numerics_cache_stats();
+  for (int round = 0; round < 2; ++round) {
+    Rng rng(1);
+    EXPECT_EQ(parallel_ppm(ppm, 2, 25.0, rng).size(), 2u);
+    EXPECT_EQ(parallel_nbody(nbody, 2, 25.0, rng).size(), 2u);
+  }
+  const auto after = core::numerics_cache_stats();
+  EXPECT_EQ(after.ppm.computed - before.ppm.computed, 1u);
+  EXPECT_EQ(after.ppm.hit - before.ppm.hit, 1u);
+  EXPECT_EQ(after.nbody.computed - before.nbody.computed, 1u);
+  EXPECT_EQ(after.nbody.hit - before.nbody.hit, 1u);
 }
 
 TEST(ParallelApps, PpmOnlyRankZeroWritesFiles) {

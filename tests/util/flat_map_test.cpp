@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 
 #include "util/rng.hpp"
 
@@ -79,6 +80,26 @@ TEST(FlatMap, ClearAndReserveKeepItUsable) {
   EXPECT_EQ(m.find(10), nullptr);
   m[10] = 7;
   EXPECT_EQ(*m.find(10), 7);
+  // A new key reads value-initialized, not what its slot held before.
+  EXPECT_EQ(m[11], 0);
+}
+
+TEST(FlatMap, MoveOnlyValuesSurviveEraseShiftsAndRehash) {
+  FlatMap<std::uint32_t, std::unique_ptr<std::uint32_t>> m;
+  for (std::uint32_t k = 0; k < 200; ++k) {
+    m[k * 64] = std::make_unique<std::uint32_t>(k);
+  }
+  for (std::uint32_t k = 0; k < 200; k += 3) EXPECT_TRUE(m.erase(k * 64));
+  for (std::uint32_t k = 0; k < 200; ++k) {
+    std::unique_ptr<std::uint32_t>* v = m.find(k * 64);
+    if (k % 3 == 0) {
+      EXPECT_EQ(v, nullptr);
+      EXPECT_EQ(m[k * 64], nullptr);  // re-inserted empty
+    } else {
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(**v, k);
+    }
+  }
 }
 
 }  // namespace
