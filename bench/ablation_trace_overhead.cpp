@@ -20,8 +20,7 @@ ess::SimTime timed_run(ess::core::Study& study, ess::driver::TraceLevel lvl) {
   using namespace ess;
   kernel::NodeKernel node(study.config().node);
   const auto& trace = study.artifacts().ppm.trace;
-  node.stage_input_file("/bin/" + trace.app_name, trace.image_bytes);
-  node.warm_file("/bin/" + trace.app_name, trace.image_warm_fraction);
+  node.stage(trace);
   node.fsys().sync();
   node.run_for(sec(2));
   const SimTime t0 = node.now();

@@ -31,6 +31,9 @@ inline bool progress_mode() {
   return v != nullptr && v[0] == '1';
 }
 
+/// ESS_FAST=1 cuts the runs less than core::fast_study_config() (the
+/// golden-capture preset) does: on that one 6 of the suite's 21 targets
+/// lose the paper shape they check (see core/presets.hpp).
 inline core::StudyConfig study_config() {
   core::StudyConfig cfg;
   if (progress_mode()) {

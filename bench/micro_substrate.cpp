@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): throughput of the building
 // blocks the study runs on — event engine, disk service model, elevator,
-// buffer cache, VM fault path, RNG, wavelet transform, oct-tree
+// buffer cache, fs read, VM fault path, RNG, wavelet transform, oct-tree
 // build/force.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include "apps/wavelet/wavelet2d.hpp"
 #include "block/buffer_cache.hpp"
 #include "disk/drive.hpp"
+#include "fs/ext2lite.hpp"
 #include "mm/vm.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -16,6 +17,16 @@
 namespace {
 
 using namespace ess;
+
+/// The simulated stack below the fs: engine, disk, an untraced driver and
+/// a default buffer cache.
+struct Stack {
+  sim::Engine engine;
+  disk::Drive drive{engine, disk::ServiceModel(disk::beowulf_geometry(),
+                                               disk::ServiceParams{})};
+  driver::IdeDriver drv{drive, nullptr};
+  block::BufferCache cache{drv, block::CacheConfig{}};
+};
 
 void BM_RngNextU64(benchmark::State& state) {
   Rng rng(1);
@@ -98,15 +109,11 @@ void BM_ElevatorPushPop(benchmark::State& state) {
 BENCHMARK(BM_ElevatorPushPop)->Arg(16)->Arg(128);
 
 void BM_BufferCacheHit(benchmark::State& state) {
-  sim::Engine engine;
-  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
-                                               disk::ServiceParams{}));
-  driver::IdeDriver drv(drive, nullptr);
-  block::BufferCache cache(drv, block::CacheConfig{});
-  cache.read_range(0, 64, [] {});
-  engine.run();
+  Stack s;
+  s.cache.fetch(0, 64, [] {});
+  s.engine.run();
   for (auto _ : state) {
-    cache.read_range(0, 64, [] {});
+    if (s.cache.fetch(0, 64, [] {})) state.SkipWithError("a hit waited");
   }
   state.SetBytesProcessed(state.iterations() * 64 * 1024);
 }
@@ -115,61 +122,75 @@ BENCHMARK(BM_BufferCacheHit);
 // Streaming reads over 4x the cache: every block misses, is inserted at
 // the LRU front and, once the cache is full, evicts the LRU tail.
 void BM_BufferCacheMissEvict(benchmark::State& state) {
-  sim::Engine engine;
-  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
-                                               disk::ServiceParams{}));
-  driver::IdeDriver drv(drive, nullptr);
-  const block::CacheConfig cfg;
-  block::BufferCache cache(drv, cfg);
-  const block::BlockNo span = 4 * cfg.capacity_blocks;
+  Stack s;
+  const block::BlockNo span = 4 * s.cache.config().capacity_blocks;
   block::BlockNo b = 0;
   for (auto _ : state) {
-    cache.read_range(b, 4, [] {});
-    engine.run();
+    if (!s.cache.fetch(b, 4, [] {})) state.SkipWithError("a miss hit");
+    s.engine.run();
     b = (b + 4) % span;
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_BufferCacheMissEvict);
 
+// A resident 64 KB read through the fs of a file written in Arg appends,
+// each followed by a 4 KB append to another file: Arg 1 leaves 2 runs (the
+// indirect block splits the file), Arg 16 leaves 17.
+void BM_FsRead(benchmark::State& state) {
+  const auto appends = static_cast<std::uint64_t>(state.range(0));
+  Stack s;
+  fs::FsConfig fc;
+  fc.total_blocks = 100'000;
+  fs::Ext2Lite fsys(s.cache, fc);
+  fsys.mkfs();
+  const fs::Ino ino = fsys.create("/f");
+  const fs::Ino other = fsys.create("/g");
+  for (std::uint64_t i = 0; i < appends; ++i) {
+    fsys.append(ino, 64 * 1024 / appends);
+    fsys.append(other, 4096);
+  }
+  fsys.sync();
+  s.engine.run();
+  for (auto _ : state) {
+    if (fsys.read(ino, 0, 64 * 1024, [] {})) {
+      state.SkipWithError("a resident read waited");
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * 64 * 1024);
+}
+BENCHMARK(BM_FsRead)->Arg(1)->Arg(16);
+
 // A cyclic touch set twice the frame pool: every touch faults and the
 // clock evicts a victim. Arg 0 touches read-only (zero-fill, no I/O);
 // arg 1 writes, so each fault also swaps a victim out and the page in.
 void BM_VmFaultEvict(benchmark::State& state) {
-  sim::Engine engine;
-  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
-                                               disk::ServiceParams{}));
-  driver::IdeDriver drv(drive, nullptr);
-  block::BufferCache cache(drv, block::CacheConfig{});
+  Stack s;
   constexpr std::uint32_t kFrames = 256;
   mm::FramePool frames(kFrames);
-  mm::SwapManager swap(drv, 900'000, 4 * kFrames);
-  mm::Vm vm(frames, swap, cache);
+  mm::SwapManager swap(s.drv, 900'000, 4 * kFrames);
+  mm::Vm vm(frames, swap, s.cache);
   vm.create_address_space(1, {mm::Segment{0, 2 * kFrames, false, 0}});
   const bool write = state.range(0) != 0;
   mm::VPage p = 0;
   for (auto _ : state) {
     vm.touch(1, p, write, [] {});
-    if (write) engine.run();
+    if (write) s.engine.run();
     p = (p + 1) % (2 * kFrames);
   }
 }
 BENCHMARK(BM_VmFaultEvict)->Arg(0)->Arg(1);
 
 void BM_VmResidentTouch(benchmark::State& state) {
-  sim::Engine engine;
-  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
-                                               disk::ServiceParams{}));
-  driver::IdeDriver drv(drive, nullptr);
-  block::BufferCache cache(drv, block::CacheConfig{});
+  Stack s;
   mm::FramePool frames(256);
-  mm::SwapManager swap(drv, 900'000, 1024);
-  mm::Vm vm(frames, swap, cache);
+  mm::SwapManager swap(s.drv, 900'000, 1024);
+  mm::Vm vm(frames, swap, s.cache);
   vm.create_address_space(1, {mm::Segment{0, 128, false, 0}});
   for (mm::VPage p = 0; p < 128; ++p) {
     vm.touch(1, p, true, [] {});
   }
-  engine.run();
+  s.engine.run();
   mm::VPage p = 0;
   for (auto _ : state) {
     vm.touch(1, p, false, [] {});

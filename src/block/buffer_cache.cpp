@@ -121,21 +121,35 @@ void BufferCache::count_down(Slot c) {
   if (done) done();
 }
 
-void BufferCache::read_range(BlockNo first, std::uint32_t count, Done done) {
-  if (!start_read(first, count, done) && done) done();
+bool BufferCache::fetch(std::span<const Range> ranges, Done done) {
+  // The countdown is created by the first range that must wait, with one
+  // extra count held until the last range has been issued.
+  Slot c = kNil;
+  for (const Range& range : ranges) {
+    scan_range(range);
+    if (runs_.empty() && waits_.empty()) continue;
+    if (c == kNil) c = new_countdown(1, std::move(done));
+    countdowns_[c].remaining += runs_.size() + waits_.size();
+    for (const Slot s : waits_) {
+      slab_[s].waited = true;
+      waiters_[slab_[s].block].push_back(c);
+    }
+    for (const Range& run : runs_) issue_read_run(run.first, run.count, c);
+  }
+  if (c == kNil) return false;
+  // Release the hold. The driver never completes a request inside
+  // submit(), so this cannot fire `done` here.
+  count_down(c);
+  return true;
 }
 
-bool BufferCache::fetch(BlockNo first, std::uint32_t count, Done done) {
-  return start_read(first, count, done);
-}
-
-bool BufferCache::start_read(BlockNo first, std::uint32_t count, Done& done) {
-  // Scratch reused across calls: nothing below re-enters start_read, since
-  // the driver never completes a request inside submit().
+void BufferCache::scan_range(const Range& range) {
+  // Scratch reused across calls: nothing re-enters fetch while it runs,
+  // since the driver never completes a request inside submit().
   runs_.clear();
   waits_.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const BlockNo b = first + i;
+  for (std::uint32_t i = 0; i < range.count; ++i) {
+    const BlockNo b = range.first + i;
     const Slot s = lookup(b);
     if (s != kNil) {
       if (slab_[s].io_pending) {
@@ -151,19 +165,9 @@ bool BufferCache::start_read(BlockNo first, std::uint32_t count, Done& done) {
         runs_.back().count < cfg_.max_coalesce_blocks) {
       ++runs_.back().count;
     } else {
-      runs_.push_back(Run{b, 1});
+      runs_.push_back(Range{b, 1});
     }
   }
-
-  if (runs_.empty() && waits_.empty()) return false;
-  // One countdown over (missing runs + in-flight waits).
-  const Slot c = new_countdown(runs_.size() + waits_.size(), std::move(done));
-  for (const Slot s : waits_) {
-    slab_[s].waited = true;
-    waiters_[slab_[s].block].push_back(c);
-  }
-  for (const Run& run : runs_) issue_read_run(run.first, run.count, c);
-  return true;
 }
 
 void BufferCache::issue_read_run(BlockNo first, std::uint32_t count,

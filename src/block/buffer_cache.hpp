@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "driver/ide_driver.hpp"
@@ -59,15 +60,23 @@ class BufferCache {
 
   BufferCache(driver::IdeDriver& drv, CacheConfig cfg);
 
-  /// Ensure blocks [first, first+count) are resident, then invoke `done`.
-  /// Missing runs are fetched with one physical request per contiguous run,
-  /// each capped at max_coalesce_blocks.
-  void read_range(BlockNo first, std::uint32_t count, Done done);
+  /// A contiguous block range, [first, first+count).
+  struct Range {
+    BlockNo first;
+    std::uint32_t count;
+  };
 
-  /// read_range for callers that continue inline on a hit: returns false,
-  /// dropping `done` uncalled, when every block was already resident;
-  /// returns true when `done` will fire once the blocks arrive.
-  bool fetch(BlockNo first, std::uint32_t count, Done done);
+  /// The cache's one read: make every range resident. Ranges are handled
+  /// in order, each looked up and then its missing runs fetched with one
+  /// physical request per contiguous run (capped at max_coalesce_blocks),
+  /// all under one countdown. Returns false, dropping `done` uncalled, when
+  /// every block was already resident (the caller continues inline);
+  /// returns true when `done` will fire once the last block arrives.
+  bool fetch(std::span<const Range> ranges, Done done);
+  bool fetch(BlockNo first, std::uint32_t count, Done done) {
+    const Range range{first, count};
+    return fetch({&range, 1}, std::move(done));
+  }
 
   /// Write blocks [first, first+count) into the cache (write-behind).
   /// Completes logically at once; dirty data reaches the disk via bdflush,
@@ -93,11 +102,6 @@ class BufferCache {
   std::size_t pinned_blocks() const { return pinned_count_; }
   const CacheStats& stats() const { return stats_; }
   const CacheConfig& config() const { return cfg_; }
-
-  /// Raise/lower the physical request ceiling at runtime (the kernel grows
-  /// its I/O buffering under combined load; the paper attributes the
-  /// 16-32 KB class to this).
-  void set_max_coalesce_blocks(std::uint32_t n) { cfg_.max_coalesce_blocks = n; }
 
   /// Drop a clean block (e.g., file deleted). Dirty blocks are discarded too.
   void invalidate(BlockNo b);
@@ -127,12 +131,6 @@ class BufferCache {
     Done done;
   };
 
-  /// A contiguous run of missing blocks, read with one request.
-  struct Run {
-    BlockNo first;
-    std::uint32_t count;
-  };
-
   using DeadlineKey = std::pair<SimTime, BlockNo>;
 
   /// A dirty buffer's place in the write-back order: its flush deadline
@@ -155,9 +153,9 @@ class BufferCache {
   void maybe_evict();
   /// Flush a sorted list of dirty block numbers, coalescing adjacent runs.
   void flush_blocks(std::vector<BlockNo> blocks);
-  /// read_range's body: false when every block was resident (`done` is
-  /// left alone), true when it was moved into a countdown.
-  bool start_read(BlockNo first, std::uint32_t count, Done& done);
+  /// Look up one range: count its hits and fill runs_ (missing runs) and
+  /// waits_ (blocks already in flight).
+  void scan_range(const Range& range);
   void issue_read_run(BlockNo first, std::uint32_t count, Slot countdown);
   /// A read run's I/O completed: unpin its blocks and wake their waiters.
   void finish_read_run(BlockNo first, std::uint32_t count, Slot countdown);
@@ -179,7 +177,7 @@ class BufferCache {
   std::set<DeadlineKey> by_deadline_;
   std::size_t pinned_count_ = 0;
   CacheStats stats_;
-  std::vector<Run> runs_;    // start_read's scratch: missing runs
+  std::vector<Range> runs_;  // scan_range's scratch: missing runs
   std::vector<Slot> waits_;  // and in-flight blocks to wait for
   std::vector<Countdown> countdowns_;
   std::vector<Slot> free_countdowns_;

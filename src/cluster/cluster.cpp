@@ -1,6 +1,6 @@
 #include "cluster/cluster.hpp"
 
-#include "workload/builder.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace ess::cluster {
 
@@ -43,29 +43,31 @@ analysis::TraceSummary average_summaries(
   return avg;
 }
 
-ClusterRunResult Cluster::run_on_all(
-    const std::string& name,
-    const std::function<core::RunResult(core::Study&)>& runner) {
-  ClusterRunResult out;
-  std::vector<analysis::TraceSummary> summaries;
-  out.merged = trace::TraceSet(name, -1);
-
+ClusterRunResult Cluster::run_on_all(const std::string& name,
+                                     exec::Experiment e) {
+  std::vector<exec::JobSpec> specs;
   for (int n = 0; n < cfg_.nodes; ++n) {
     core::StudyConfig sc = cfg_.study;
     sc.seed += static_cast<std::uint64_t>(n) * 0x9e3779b97f4a7c15ULL;
     sc.node.seed = sc.seed;
-    if (cfg_.model_startup_barrier) {
-      // Nodes joining the barrier at slightly different times shows up as
-      // a small per-node phase shift; the barrier itself costs network
-      // time before compute begins. We fold both into the settle gap.
-      sc.settle_time += net_.barrier_time(cfg_.nodes) +
-                        static_cast<SimTime>(n) * usec(500);
-    }
-    core::Study study(sc);
-    core::RunResult r = runner(study);
-    summaries.push_back(analysis::summarize(r.trace));
-    out.merged.merge(r.trace);
-    out.node_traces.push_back(std::move(r.trace));
+    // Nodes joining the startup barrier at slightly different times shows
+    // up as a small per-node phase shift; the barrier itself costs network
+    // time before compute begins. We fold both into the settle gap.
+    sc.settle_time += net_.barrier_time(cfg_.nodes) +
+                      static_cast<SimTime>(n) * usec(500);
+    exec::JobSpec& spec = specs.emplace_back();
+    spec.name = name;
+    spec.config = std::move(sc);
+    spec.experiment = e;
+  }
+
+  ClusterRunResult out;
+  std::vector<analysis::TraceSummary> summaries;
+  out.merged = trace::TraceSet(name, -1);
+  for (auto& job : exec::run_jobs(specs, exec::default_workers())) {
+    summaries.push_back(analysis::summarize(job.run.trace));
+    out.merged.merge(job.run.trace);
+    out.node_traces.push_back(std::move(job.run.trace));
   }
   out.average = average_summaries(summaries);
   out.average.experiment = name;
@@ -73,18 +75,19 @@ ClusterRunResult Cluster::run_on_all(
 }
 
 ClusterRunResult Cluster::run_baseline() {
-  return run_on_all("Baseline",
-                    [](core::Study& s) { return s.run_baseline(); });
+  return run_on_all("Baseline", exec::Experiment::kBaseline);
 }
 
 ClusterRunResult Cluster::run_single(core::AppKind kind) {
-  return run_on_all(core::to_string(kind),
-                    [kind](core::Study& s) { return s.run_single(kind); });
+  const exec::Experiment e =
+      kind == core::AppKind::kPpm       ? exec::Experiment::kPpm
+      : kind == core::AppKind::kWavelet ? exec::Experiment::kWavelet
+                                        : exec::Experiment::kNBody;
+  return run_on_all(core::to_string(kind), e);
 }
 
 ClusterRunResult Cluster::run_combined() {
-  return run_on_all("Combined",
-                    [](core::Study& s) { return s.run_combined(); });
+  return run_on_all("Combined", exec::Experiment::kCombined);
 }
 
 }  // namespace ess::cluster

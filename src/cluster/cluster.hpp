@@ -2,28 +2,27 @@
 //
 // The paper reports per-disk averages across the Beowulf's 16 subsystems.
 // Each node runs the same experiment with its own RNG stream (per-node
-// jitter in daemon timing and workload sampling); the runner aggregates the
-// per-node traces and summaries.
+// jitter in daemon timing and workload sampling) and a PVM-style startup
+// barrier (the applications synchronize before computing); the runner
+// aggregates the per-node traces and summaries.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/characterize.hpp"
 #include "cluster/ethernet.hpp"
 #include "core/study.hpp"
+#include "exec/experiments.hpp"
 #include "trace/trace_set.hpp"
 
 namespace ess::cluster {
 
 struct ClusterConfig {
   int nodes = 16;
+  /// Every node's study; nodes run concurrently, so it must hold no sinks.
   core::StudyConfig study;
   EthernetConfig ethernet;
-  /// Insert a PVM-style barrier cost at the start of every workload (the
-  /// applications synchronize before computing).
-  bool model_startup_barrier = true;
 };
 
 struct ClusterRunResult {
@@ -45,9 +44,9 @@ class Cluster {
   const ClusterConfig& config() const { return cfg_; }
 
  private:
-  ClusterRunResult
-  run_on_all(const std::string& name,
-             const std::function<core::RunResult(core::Study&)>& runner);
+  /// Run `e` on every node, each an independent Study, over
+  /// exec::default_workers() threads; results merge in node order.
+  ClusterRunResult run_on_all(const std::string& name, exec::Experiment e);
 
   ClusterConfig cfg_;
   EthernetModel net_;

@@ -102,11 +102,14 @@ void PiousService::read(FileId f, std::uint64_t offset, std::uint64_t len,
     // the shared medium.
     const SimTime req_net = reserve_link(128);
     engine_.schedule_after(req_net, [this, &pf, fr, fire] {
-      servers_[static_cast<std::size_t>(fr.server)]->fsys().read(
-          pf.fragment_inos[static_cast<std::size_t>(fr.server)],
-          fr.frag_offset, fr.len, [this, fr, fire] {
-            engine_.schedule_after(reserve_link(fr.len), fire);
-          });
+      auto reply = [this, fr, fire] {
+        engine_.schedule_after(reserve_link(fr.len), fire);
+      };
+      const auto s = static_cast<std::size_t>(fr.server);
+      if (!servers_[s]->fsys().read(pf.fragment_inos[s], fr.frag_offset,
+                                    fr.len, reply)) {
+        reply();  // resident at the server: reply at once
+      }
     });
   }
 }

@@ -8,6 +8,10 @@
 // *structure*, with durations and iteration counts cut so a full capture
 // runs in well under a second. The committed goldens were produced under
 // exactly this configuration — change it only together with them.
+// It is too small for the paper's shapes, so `bench --fast` keeps its own
+// preset (bench::study_config()): on this one 6 of the suite's 21 targets
+// fail (fig3, fig5, fig8, table1, ext_checkpoint_class and
+// ext_parallel_machine; e.g. Wavelet reads 91% of its requests, not ~49%).
 #pragma once
 
 #include "core/study.hpp"

@@ -142,20 +142,7 @@ RunResult Study::run_custom(const std::string& name,
   // Stage every declared input (and the program images) before tracing, as
   // the experimenters did: instrumentation is switched on by ioctl once
   // the system is set up.
-  for (const auto& w : workloads) {
-    if (w.image_bytes > 0) {
-      node.stage_input_file("/bin/" + w.app_name, w.image_bytes,
-                            node.config().layout.image_region_block);
-      // The binaries are hot in the buffer cache from recent use (compile,
-      // previous runs); a larger-than-cache image stays partially cold.
-      node.warm_file("/bin/" + w.app_name, w.image_warm_fraction);
-    }
-    for (const auto& f : w.files) {
-      if (!f.create && f.input_size > 0) {
-        node.stage_input_file(f.path, f.input_size, f.goal_block);
-      }
-    }
-  }
+  for (const auto& w : workloads) node.stage(w);
   node.fsys().sync();
   node.run_for(cfg_.settle_time);
 

@@ -1,7 +1,7 @@
 #include "fs/ext2lite.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 
 namespace ess::fs {
@@ -242,6 +242,19 @@ void Ext2Lite::extend_to(Inode& node, Ino ino, std::uint64_t new_block_count,
   }
 }
 
+void Ext2Lite::collect_runs(const Inode& node, std::uint64_t first_lb,
+                            std::uint64_t last_lb) {
+  runs_.clear();
+  for (std::uint64_t lb = first_lb; lb <= last_lb; ++lb) {
+    const BlockNo pb = node.blocks[lb];
+    if (!runs_.empty() && pb == runs_.back().first + runs_.back().count) {
+      ++runs_.back().count;
+    } else {
+      runs_.push_back({pb, 1});
+    }
+  }
+}
+
 void Ext2Lite::write(Ino ino, std::uint64_t offset, std::uint64_t len) {
   auto& node = inodes_.at(ino);
   ++stats_.write_calls;
@@ -254,34 +267,18 @@ void Ext2Lite::write(Ino ino, std::uint64_t offset, std::uint64_t len) {
   node.size_bytes = std::max(node.size_bytes, end);
 
   // Dirty the data blocks, run by physically-contiguous run.
-  const std::uint64_t first_lb = offset / kBlockSize;
-  const std::uint64_t last_lb = (end - 1) / kBlockSize;
-  BlockNo run_first = 0;
-  std::uint32_t run_len = 0;
-  for (std::uint64_t lb = first_lb; lb <= last_lb; ++lb) {
-    const BlockNo pb = node.blocks[lb];
-    if (run_len > 0 && pb == run_first + run_len) {
-      ++run_len;
-    } else {
-      if (run_len > 0) cache_.write_range(run_first, run_len);
-      run_first = pb;
-      run_len = 1;
-    }
-  }
-  if (run_len > 0) cache_.write_range(run_first, run_len);
+  collect_runs(node, offset / kBlockSize, (end - 1) / kBlockSize);
+  for (const auto& run : runs_) cache_.write_range(run.first, run.count);
 
   // Size/mtime change dirties the inode.
   cache_.write_range(inode_block(ino), 1, true);
 }
 
-void Ext2Lite::read(Ino ino, std::uint64_t offset, std::uint64_t len,
+bool Ext2Lite::read(Ino ino, std::uint64_t offset, std::uint64_t len,
                     Done done) {
   auto& node = inodes_.at(ino);
   ++stats_.read_calls;
-  if (len == 0 || offset >= node.size_bytes) {
-    if (done) done();
-    return;
-  }
+  if (len == 0 || offset >= node.size_bytes) return false;
   len = std::min(len, node.size_bytes - offset);
   stats_.bytes_read += len;
 
@@ -295,35 +292,13 @@ void Ext2Lite::read(Ino ino, std::uint64_t offset, std::uint64_t len,
   last_lb = std::min<std::uint64_t>(last_lb + ahead,
                                     file_blocks == 0 ? 0 : file_blocks - 1);
 
-  // Issue cache reads per physically-contiguous run, all under one
-  // completion countdown.
-  auto remaining = std::make_shared<std::size_t>(1);
-  auto fire = [remaining, done = std::move(done)] {
-    if (--*remaining == 0 && done) done();
-  };
-
-  BlockNo run_first = 0;
-  std::uint32_t run_len = 0;
-  std::vector<std::pair<BlockNo, std::uint32_t>> runs;
-  for (std::uint64_t lb = first_lb; lb <= last_lb; ++lb) {
-    const BlockNo pb = node.blocks[lb];
-    if (run_len > 0 && pb == run_first + run_len) {
-      ++run_len;
-    } else {
-      if (run_len > 0) runs.emplace_back(run_first, run_len);
-      run_first = pb;
-      run_len = 1;
-    }
-  }
-  if (run_len > 0) runs.emplace_back(run_first, run_len);
-
-  *remaining += runs.size();
-  for (const auto& [b, n] : runs) cache_.read_range(b, n, fire);
+  // One cache fetch over the physically-contiguous runs.
+  collect_runs(node, first_lb, last_lb);
+  const bool waits = cache_.fetch(runs_, std::move(done));
 
   // atime update: the read dirties the inode block (Linux default).
   if (cfg_.atime_updates) cache_.write_range(inode_block(ino), 1, true);
-
-  fire();  // release the initial hold; completes now if everything was hot
+  return waits;
 }
 
 void Ext2Lite::unlink(const std::string& path) {
@@ -431,34 +406,44 @@ InodeInfo Ext2Lite::stat(Ino ino) const {
 }
 
 Ino Ext2Lite::create_contiguous(const std::string& path, std::uint64_t size,
-                                BlockNo goal_block) {
+                                BlockNo goal_block, std::uint64_t stride) {
   const std::uint64_t need = blocks_for(size);
-  // Verify a contiguous run exists at the goal.
-  if (goal_block < data_start_) goal_block = data_start_;
-  if (goal_block + need > cfg_.total_blocks) {
-    throw std::runtime_error("Ext2Lite: contiguous run out of range");
-  }
-  for (std::uint64_t i = 0; i < need; ++i) {
-    if (used_[goal_block + i]) {
+  // Search the probes goal, goal+stride, ... (each raised to data_start)
+  // for one whose run is free. A used block fails every probe whose run
+  // covers it, so the search jumps to the first probe past it.
+  BlockNo start = 0;
+  for (BlockNo probe = goal_block;; probe += stride) {
+    start = std::max<BlockNo>(probe, data_start_);
+    if (start + need > cfg_.total_blocks) {
+      throw std::runtime_error("Ext2Lite: contiguous run out of range");
+    }
+    const auto first = used_.begin() + static_cast<std::ptrdiff_t>(start);
+    const auto last = first + static_cast<std::ptrdiff_t>(need);
+    const auto used = std::find(first, last, true);
+    if (used == last) break;  // the whole run is free
+    if (stride == 0) {
       throw std::runtime_error("Ext2Lite: contiguous run not free at goal");
     }
+    const BlockNo b = start + static_cast<BlockNo>(used - first);
+    probe += (b - probe) / stride * stride;  // the loop steps past it
   }
   const Ino ino = create(path, 0);
   auto& node = inodes_.at(ino);
   // Claim the run directly: extend_to would interleave indirect metadata
   // blocks into the run and break the contiguity the VM image mapping
   // relies on.
-  for (std::uint64_t i = 0; i < need; ++i) {
-    used_[goal_block + i] = true;
-    --free_blocks_;
-    ++stats_.blocks_allocated;
-    node.blocks.push_back(goal_block + i);
-  }
-  const BlockNo bm_first = bitmap_block_for(goal_block);
-  const BlockNo bm_last = bitmap_block_for(goal_block + need - 1);
-  cache_.write_range(bm_first, static_cast<std::uint32_t>(bm_last - bm_first + 1), true);
-  alloc_cursor_ = goal_block + need < cfg_.total_blocks ? goal_block + need
-                                                        : data_start_;
+  const auto run = used_.begin() + static_cast<std::ptrdiff_t>(start);
+  std::fill(run, run + static_cast<std::ptrdiff_t>(need), true);
+  free_blocks_ -= need;
+  stats_.blocks_allocated += need;
+  node.blocks.resize(need);
+  std::iota(node.blocks.begin(), node.blocks.end(), start);
+  const BlockNo bm_first = bitmap_block_for(start);
+  const BlockNo bm_last = bitmap_block_for(start + need - 1);
+  cache_.write_range(bm_first,
+                     static_cast<std::uint32_t>(bm_last - bm_first + 1), true);
+  alloc_cursor_ =
+      start + need < cfg_.total_blocks ? start + need : data_start_;
   charge_indirect(node, ino);  // metadata lands after the run
   node.size_bytes = size;
   cache_.write_range(inode_block(ino), 1, true);

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -69,7 +68,7 @@ struct InodeInfo {
 
 class Ext2Lite {
  public:
-  using Done = std::function<void()>;
+  using Done = block::BufferCache::Done;
 
   Ext2Lite(block::BufferCache& cache, FsConfig cfg);
 
@@ -94,9 +93,11 @@ class Ext2Lite {
   /// List the entry names of a directory.
   std::vector<std::string> list_dir(const std::string& path) const;
 
-  /// Read `len` bytes at `offset`; `done` fires when all data is resident.
-  /// Applies per-file sequential read-ahead.
-  void read(Ino ino, std::uint64_t offset, std::uint64_t len, Done done);
+  /// Read `len` bytes at `offset`, applying per-file sequential
+  /// read-ahead. Returns false, dropping `done` uncalled, when the data is
+  /// already resident (or there is nothing to read: `len == 0` or past
+  /// EOF); returns true when `done` will fire once it arrives.
+  bool read(Ino ino, std::uint64_t offset, std::uint64_t len, Done done);
 
   /// Write `len` bytes at `offset` (write-behind via the buffer cache).
   /// Allocates blocks on extension, preferring contiguity.
@@ -110,11 +111,13 @@ class Ext2Lite {
   std::uint64_t size_of(Ino ino) const;
   InodeInfo stat(Ino ino) const;
 
-  /// Pre-allocate a fully contiguous file of `size` bytes at `goal_block`
-  /// (used to stage executables and input data before an experiment).
-  /// Throws if contiguous space is unavailable there.
+  /// Pre-allocate a fully contiguous file of `size` bytes (used to stage
+  /// executables and input data before an experiment). The run starts at
+  /// the first of goal_block, goal_block + stride, ... (each raised to
+  /// data_start()) where it is free; stride 0 tries goal_block alone.
+  /// Throws if no such run fits on the partition.
   Ino create_contiguous(const std::string& path, std::uint64_t size,
-                        BlockNo goal_block);
+                        BlockNo goal_block, std::uint64_t stride = 0);
 
   /// The update daemon's periodic sync: superblock write + flush dirty.
   void sync();
@@ -131,7 +134,6 @@ class Ext2Lite {
   /// Metadata geometry (exposed for tests and the experiment layout).
   BlockNo superblock_block() const { return 1; }
   BlockNo block_bitmap_start() const { return 2; }
-  std::uint64_t block_bitmap_blocks() const { return bitmap_blocks_; }
   BlockNo inode_table_start() const { return inode_table_start_; }
   BlockNo data_start() const { return data_start_; }
 
@@ -164,6 +166,10 @@ class Ext2Lite {
                  BlockNo goal);
   /// Charge indirect metadata blocks when the map grows past thresholds.
   void charge_indirect(Inode& node, Ino ino);
+  /// Fill runs_ with the physically-contiguous runs of the logical blocks
+  /// [first_lb, last_lb] of `node`.
+  void collect_runs(const Inode& node, std::uint64_t first_lb,
+                    std::uint64_t last_lb);
 
   block::BufferCache& cache_;
   FsConfig cfg_;
@@ -180,6 +186,7 @@ class Ext2Lite {
   BlockNo alloc_cursor_ = 0;
   FsStats stats_;
   bool formatted_ = false;
+  std::vector<block::BufferCache::Range> runs_;  // collect_runs' output
 };
 
 }  // namespace ess::fs

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 
 namespace ess::kernel {
@@ -90,12 +90,19 @@ fs::Ino NodeKernel::stage_input_file(const std::string& path,
                                      std::uint64_t goal_block) {
   if (const auto existing = fs_->lookup(path)) return *existing;
   if (goal_block == 0) goal_block = cfg_.layout.image_region_block;
-  // Probe forward for a free contiguous run.
-  for (std::uint64_t probe = goal_block;; probe += 1024) {
-    try {
-      return fs_->create_contiguous(path, size, probe);
-    } catch (const std::runtime_error&) {
-      if (probe > cfg_.layout.fs_blocks) throw;
+  return fs_->create_contiguous(path, size, goal_block, /*stride=*/1024);
+}
+
+void NodeKernel::stage(const workload::OpTrace& w) {
+  if (w.image_bytes > 0) {
+    stage_input_file("/bin/" + w.app_name, w.image_bytes);
+    // The binaries are hot in the buffer cache from recent use (compile,
+    // previous runs); a larger-than-cache image stays partially cold.
+    warm_file("/bin/" + w.app_name, w.image_warm_fraction);
+  }
+  for (const auto& f : w.files) {
+    if (!f.create && f.input_size > 0) {
+      stage_input_file(f.path, f.input_size, f.goal_block);
     }
   }
 }
@@ -115,7 +122,7 @@ void NodeKernel::warm_file(const std::string& path, double fraction) {
       static_cast<double>(fs_->size_of(*ino)) * std::clamp(fraction, 0.0, 1.0));
   if (bytes == 0) return;
   bool done = false;
-  fs_->read(*ino, 0, bytes, [&done] { done = true; });
+  if (!fs_->read(*ino, 0, bytes, [&done] { done = true; })) return;
   while (!done) {
     if (!engine_.step()) {
       throw std::logic_error("warm_file: read never completed");
@@ -138,26 +145,19 @@ mm::Pid NodeKernel::spawn_deferred(workload::OpTrace trace) {
   // Stage (or share) the program image.
   std::uint64_t image_first_block = 0;
   if (trace.image_bytes > 0) {
-    const std::string image_path = "/bin/" + trace.app_name;
     const fs::Ino img =
-        stage_input_file(image_path, trace.image_bytes,
-                         cfg_.layout.image_region_block);
+        stage_input_file("/bin/" + trace.app_name, trace.image_bytes);
     image_first_block = fs_->stat(img).first_block;
   }
 
   // Resolve the file table.
   for (const auto& decl : trace.files) {
-    if (decl.create) {
-      const auto existing = fs_->lookup(decl.path);
-      proc->files.push_back(existing ? *existing
-                                     : fs_->create(decl.path, decl.goal_block));
-    } else {
-      const auto existing = fs_->lookup(decl.path);
-      if (!existing) {
-        throw std::runtime_error("spawn: input not staged: " + decl.path);
-      }
-      proc->files.push_back(*existing);
+    const auto existing = fs_->lookup(decl.path);
+    if (!existing && !decl.create) {
+      throw std::runtime_error("spawn: input not staged: " + decl.path);
     }
+    proc->files.push_back(existing ? *existing
+                                   : fs_->create(decl.path, decl.goal_block));
   }
 
   // Build the address space: image pages first, then anonymous.
@@ -173,7 +173,7 @@ mm::Pid NodeKernel::spawn_deferred(workload::OpTrace trace) {
   vm_->create_address_space(pid, std::move(segs));
 
   proc->trace = std::move(trace);
-  procs_.emplace(pid, std::move(proc));
+  procs_.push_back(std::move(proc));
   return pid;
 }
 
@@ -181,7 +181,7 @@ void NodeKernel::run_for(SimTime d) { engine_.run_until(engine_.now() + d); }
 
 bool NodeKernel::all_done() const {
   return std::all_of(procs_.begin(), procs_.end(),
-                     [](const auto& kv) { return kv.second->done(); });
+                     [](const auto& p) { return p->done(); });
 }
 
 bool NodeKernel::run_until_done(SimTime max_time) {
@@ -212,17 +212,15 @@ trace::TraceSet NodeKernel::collect_trace(const std::string& experiment) {
 }
 
 std::vector<mm::Pid> NodeKernel::pids() const {
-  std::vector<mm::Pid> out;
-  out.reserve(procs_.size());
-  for (const auto& [pid, p] : procs_) out.push_back(pid);
-  std::sort(out.begin(), out.end());
+  std::vector<mm::Pid> out(procs_.size());
+  std::iota(out.begin(), out.end(), mm::Pid{1});
   return out;
 }
 
 // ---------------------------------------------------------------- scheduling
 
 void NodeKernel::make_ready(mm::Pid pid) {
-  Process& p = *procs_.at(pid);
+  Process& p = proc(pid);
   p.state = ProcState::kReady;
   run_queue_.push_back(pid);
   if (!cpu_busy_) dispatch();
@@ -234,7 +232,7 @@ void NodeKernel::dispatch() {
   if (cpu_busy_ || run_queue_.empty()) return;
   const mm::Pid pid = run_queue_.front();
   run_queue_.pop_front();
-  Process& p = *procs_.at(pid);
+  Process& p = proc(pid);
   p.state = ProcState::kRunning;
   cpu_busy_ = true;
   continue_process(pid, cfg_.quantum);
@@ -248,7 +246,7 @@ void NodeKernel::block_process(Process& p) {
 }
 
 void NodeKernel::resume_process(mm::Pid pid, SimTime extra_charge) {
-  Process& p = *procs_.at(pid);
+  Process& p = proc(pid);
   p.stats.blocked_time += engine_.now() - p.blocked_since;
   p.pending_charge += extra_charge;  // kernel time for the fault/syscall
   make_ready(pid);
@@ -263,11 +261,11 @@ void NodeKernel::finish_process(Process& p) {
 }
 
 void NodeKernel::run_cpu_slice(mm::Pid pid, SimTime budget, bool charge_pool) {
-  Process& p = *procs_.at(pid);
+  Process& p = proc(pid);
   const SimTime pool = charge_pool ? p.pending_charge : p.compute_remaining;
   const SimTime slice = std::min(budget, pool);
   engine_.schedule_after(slice, [this, pid, slice, budget, charge_pool] {
-    Process& q = *procs_.at(pid);
+    Process& q = proc(pid);
     SimTime& qpool = charge_pool ? q.pending_charge : q.compute_remaining;
     qpool -= slice;
     q.stats.cpu_time += slice;
@@ -290,7 +288,7 @@ bool NodeKernel::exec_touch(Process& p, workload::TouchOp& op) {
   while (p.touch_index < op.pages.size()) {
     const auto& acc = op.pages[p.touch_index];
     const auto kind = vm_->touch(pid, acc.vpage, acc.write, [this, pid] {
-      ++procs_.at(pid)->touch_index;
+      ++proc(pid).touch_index;
       resume_process(pid, cfg_.major_fault_cost);
     });
     if (!kind) {
@@ -321,25 +319,15 @@ bool NodeKernel::exec_read(Process& p, const workload::ReadOp& op) {
   p.pending_charge += copy_cost(op.len);
   const fs::Ino ino = p.files.at(op.file);
 
-  auto sync_done = std::make_shared<bool>(false);
-  auto async_mode = std::make_shared<bool>(false);
-  fs_->read(ino, op.offset, op.len,
-            [this, pid, sync_done, async_mode] {
-              if (*async_mode) {
-                Process& q = *procs_.at(pid);
-                ++q.op_index;
-                resume_process(pid, 0);
-              } else {
-                *sync_done = true;
-              }
-            });
-  if (!*sync_done) {
-    *async_mode = true;
-    block_process(p);
-    return true;
+  if (!fs_->read(ino, op.offset, op.len, [this, pid] {
+        ++proc(pid).op_index;
+        resume_process(pid, 0);
+      })) {
+    ++p.op_index;
+    return false;
   }
-  ++p.op_index;
-  return false;
+  block_process(p);
+  return true;
 }
 
 void NodeKernel::exec_write(Process& p, const workload::WriteOp& op) {
@@ -419,7 +407,7 @@ bool NodeKernel::exec_barrier(Process& p, const workload::BarrierOp& op) {
 }
 
 void NodeKernel::continue_process(mm::Pid pid, SimTime budget) {
-  Process& p = *procs_.at(pid);
+  Process& p = proc(pid);
   for (;;) {
     // Burn any pending kernel-time charge (fault handling, copies) first.
     if (p.pending_charge > 0) {

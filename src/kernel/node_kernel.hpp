@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "block/buffer_cache.hpp"
@@ -39,10 +38,15 @@ class NodeKernel {
 
   // ---- setup phase (normally before tracing is switched on) ----
 
-  /// Stage an input file of `size` bytes, contiguous at `goal_block`
-  /// (0 = allocator default region for application data).
+  /// Stage an input file of `size` bytes, contiguous at the first free
+  /// 1 MB step from `goal_block` (0 = the layout's image region).
   fs::Ino stage_input_file(const std::string& path, std::uint64_t size,
                            std::uint64_t goal_block = 0);
+
+  /// Stage what `w` needs before it runs: its program image at
+  /// /bin/<app_name>, warmed by its image_warm_fraction, then every
+  /// declared input. Callers sync() the fs themselves.
+  void stage(const workload::OpTrace& w);
 
   /// Pull the first `fraction` of a staged file through the buffer cache
   /// (reads it and waits for the I/O in virtual time). Models binaries
@@ -81,7 +85,7 @@ class NodeKernel {
   /// (pdes::Machine) also registers the (rank -> node, pid) binding with
   /// the fabric itself.
   void set_fabric(MessageFabric* fabric) { fabric_ = fabric; }
-  void set_rank(mm::Pid pid, int rank) { procs_.at(pid)->rank = rank; }
+  void set_rank(mm::Pid pid, int rank) { proc(pid).rank = rank; }
 
   /// Advance virtual time by `d`, executing everything due.
   void run_for(SimTime d);
@@ -98,7 +102,7 @@ class NodeKernel {
   /// Drain the trace ring and return everything captured so far.
   trace::TraceSet collect_trace(const std::string& experiment_name);
 
-  const Process& process(mm::Pid pid) const { return *procs_.at(pid); }
+  const Process& process(mm::Pid pid) const { return *procs_.at(pid - 1); }
   std::vector<mm::Pid> pids() const;
 
   // ---- subsystem access (tests, analysis, cluster layer) ----
@@ -110,9 +114,6 @@ class NodeKernel {
   void external_resume(mm::Pid pid, SimTime charge) {
     resume_process(pid, charge);
   }
-  /// Block the currently-running process on an external facility. Must be
-  /// called from an op executor context (see exec_recv).
-  void external_block(Process& p) { block_process(p); }
   fs::Ext2Lite& fsys() { return *fs_; }
   block::BufferCache& cache() { return *cache_; }
   mm::Vm& vm() { return *vm_; }
@@ -172,6 +173,8 @@ class NodeKernel {
 
   void init();  // shared constructor body
 
+  Process& proc(mm::Pid pid) { return *procs_.at(pid - 1); }
+
   KernelConfig cfg_;
   int node_id_;
   Rng rng_;
@@ -197,7 +200,9 @@ class NodeKernel {
   fs::Ino trace_ino_ = 0;
 
   // Process management.
-  std::unordered_map<mm::Pid, std::unique_ptr<Process>> procs_;
+  // Indexed by pid - 1 (pids are handed out densely from 1); the
+  // processes live behind pointers, so a Process& survives later spawns.
+  std::vector<std::unique_ptr<Process>> procs_;
   std::deque<mm::Pid> run_queue_;
   bool cpu_busy_ = false;
   mm::Pid next_pid_ = 1;

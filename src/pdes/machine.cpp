@@ -63,7 +63,7 @@ Machine::Machine(MachineConfig cfg)
 
 void Machine::stage(int node_idx, const workload::OpTrace& w) {
   auto& nd = node(node_idx);
-  // warm_file pumps the node's engine until the warm read lands, so staging
+  // Staging pumps the node's engine until its warm read lands, so it
   // advances simulated time. Serialize the stagings on one global timeline —
   // each starts where the previous ended, whatever shard it lives on —
   // exactly as they would interleave on a single shared engine. Without
@@ -72,16 +72,7 @@ void Machine::stage(int node_idx, const workload::OpTrace& w) {
   SimTime clock = now_;
   for (const auto& e : engines_) clock = std::max(clock, e->now());
   nd.engine().run_until(clock);
-  if (w.image_bytes > 0) {
-    nd.stage_input_file("/bin/" + w.app_name, w.image_bytes,
-                        nd.config().layout.image_region_block);
-    nd.warm_file("/bin/" + w.app_name, w.image_warm_fraction);
-  }
-  for (const auto& f : w.files) {
-    if (!f.create && f.input_size > 0) {
-      nd.stage_input_file(f.path, f.input_size, f.goal_block);
-    }
-  }
+  nd.stage(w);
   nd.fsys().sync();
   now_ = std::max(now_, nd.engine().now());
   horizon_dirty_ = true;

@@ -79,8 +79,8 @@ class Machine {
   /// Between public calls every shard clock agrees; this is that time.
   SimTime now() const { return now_; }
 
-  /// Stage a workload's inputs and (warmed) image on one node, as the
-  /// Study does before tracing.
+  /// Stage a workload on one node (NodeKernel::stage, as the Study does
+  /// before tracing) on the machine's global timeline, then sync its fs.
   void stage(int node_idx, const workload::OpTrace& w);
 
   /// Spawn `trace` on a node as PVM rank `rank`. With a declared world

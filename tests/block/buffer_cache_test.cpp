@@ -36,7 +36,7 @@ class BufferCacheTest : public ::testing::Test {
 TEST_F(BufferCacheTest, MissReadsFromDiskThenHits) {
   auto cache = make();
   bool done = false;
-  cache.read_range(100, 1, [&] { done = true; });
+  EXPECT_TRUE(cache.fetch(100, 1, [&] { done = true; }));
   EXPECT_FALSE(done);  // miss: waits for the disk
   engine_.run();
   EXPECT_TRUE(done);
@@ -45,8 +45,8 @@ TEST_F(BufferCacheTest, MissReadsFromDiskThenHits) {
   EXPECT_EQ(reqs[0], (std::pair<std::uint32_t, bool>{1024, false}));
 
   bool hit = false;
-  cache.read_range(100, 1, [&] { hit = true; });
-  EXPECT_TRUE(hit);  // synchronous completion on a hit
+  EXPECT_FALSE(cache.fetch(100, 1, [&] { hit = true; }));
+  EXPECT_FALSE(hit);  // a hit does not wait, and `done` is dropped
   EXPECT_TRUE(physical().empty());
   EXPECT_EQ(cache.stats().read_hits, 1u);
   EXPECT_EQ(cache.stats().read_misses, 1u);
@@ -54,7 +54,7 @@ TEST_F(BufferCacheTest, MissReadsFromDiskThenHits) {
 
 TEST_F(BufferCacheTest, AdjacentMissesCoalesceToOneRequest) {
   auto cache = make();
-  cache.read_range(500, 8, [] {});
+  EXPECT_TRUE(cache.fetch(500, 8, [] {}));
   const auto reqs = physical();
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].first, 8u * 1024);
@@ -64,7 +64,7 @@ TEST_F(BufferCacheTest, CoalescingCappedAtConfiguredCeiling) {
   CacheConfig cfg;
   cfg.max_coalesce_blocks = 16;
   auto cache = make(cfg);
-  cache.read_range(0, 40, [] {});
+  EXPECT_TRUE(cache.fetch(0, 40, [] {}));
   const auto reqs = physical();
   ASSERT_EQ(reqs.size(), 3u);  // 16 + 16 + 8
   EXPECT_EQ(reqs[0].first, 16u * 1024);
@@ -74,9 +74,9 @@ TEST_F(BufferCacheTest, CoalescingCappedAtConfiguredCeiling) {
 
 TEST_F(BufferCacheTest, CachedHoleSplitsTheRead) {
   auto cache = make();
-  cache.read_range(202, 1, [] {});  // pre-cache the middle block
+  cache.fetch(202, 1, [] {});  // pre-cache the middle block
   physical();
-  cache.read_range(200, 5, [] {});
+  EXPECT_TRUE(cache.fetch(200, 5, [] {}));
   const auto reqs = physical();
   ASSERT_EQ(reqs.size(), 2u);  // [200,201] and [203,204]
   EXPECT_EQ(reqs[0].first, 2u * 1024);
@@ -149,7 +149,7 @@ TEST_F(BufferCacheTest, EvictionFlushesDirtyVictims) {
   auto cache = make(cfg);
   cache.write_range(0, 2);  // two dirty blocks, under the ratio
   physical();
-  cache.read_range(1000, 7, [] {});  // forces eviction of a dirty victim
+  cache.fetch(1000, 7, [] {});  // forces eviction of a dirty victim
   engine_.run();
   EXPECT_GT(cache.stats().forced_evict_flushes, 0u);
   EXPECT_LE(cache.resident_blocks(), 8u);
@@ -180,8 +180,9 @@ TEST_F(BufferCacheTest, InvalidateDropsBlock) {
 TEST_F(BufferCacheTest, ConcurrentReadersOfInFlightBlockAllComplete) {
   auto cache = make();
   int done = 0;
-  cache.read_range(400, 1, [&] { ++done; });
-  cache.read_range(400, 1, [&] { ++done; });  // waiter on in-flight block
+  EXPECT_TRUE(cache.fetch(400, 1, [&] { ++done; }));
+  // A waiter on the in-flight block waits too.
+  EXPECT_TRUE(cache.fetch(400, 1, [&] { ++done; }));
   EXPECT_EQ(done, 0);
   engine_.run();
   EXPECT_EQ(done, 2);
@@ -193,17 +194,86 @@ TEST_F(BufferCacheTest, LruEvictsColdestClean) {
   CacheConfig cfg;
   cfg.capacity_blocks = 4;
   auto cache = make(cfg);
-  cache.read_range(1, 1, [] {});
-  cache.read_range(2, 1, [] {});
-  cache.read_range(3, 1, [] {});
-  cache.read_range(4, 1, [] {});
+  for (BlockNo b = 1; b <= 4; ++b) cache.fetch(b, 1, [] {});
   engine_.run();
   physical();
-  cache.read_range(1, 1, [] {});  // touch 1: now 2 is the coldest
-  cache.read_range(99, 1, [] {});
+  cache.fetch(1, 1, [] {});  // touch 1: now 2 is the coldest
+  cache.fetch(99, 1, [] {});
   engine_.run();
   EXPECT_TRUE(cache.resident(1));
   EXPECT_FALSE(cache.resident(2));
+}
+
+/// One multi-range fetch against the same ranges fetched one by one, each
+/// on a fresh cache that starts with a resident hole, a dirty block and an
+/// in-flight read: returns every physical request in issue order and how
+/// many times the completions fired.
+struct FetchRun {
+  std::vector<trace::Record> requests;
+  bool waits = false;  // the multi-range form's return value
+  int fired = 0;
+};
+
+FetchRun fetch_ranges(const std::vector<BufferCache::Range>& ranges,
+                      bool one_by_one) {
+  sim::Engine engine;
+  disk::Drive drive(engine, disk::ServiceModel(disk::beowulf_geometry(),
+                                               disk::ServiceParams{}));
+  trace::RingBuffer ring(100000);
+  driver::IdeDriver drv(drive, &ring);
+  CacheConfig cfg;
+  cfg.capacity_blocks = 48;  // small enough that the fetches evict
+  cfg.max_coalesce_blocks = 8;
+  cfg.dirty_ratio_limit = 0.9;
+  BufferCache cache(drv, cfg);
+  cache.fetch(105, 2, [] {});
+  engine.run();
+  cache.write_range(20, 3);
+  cache.fetch(300, 4, [] {});  // still in flight below
+  ring.drain(100000);
+
+  FetchRun out;
+  if (one_by_one) {
+    for (const auto& r : ranges) {
+      out.waits |= cache.fetch(r.first, r.count, [&] { ++out.fired; });
+    }
+  } else {
+    out.waits = cache.fetch(ranges, [&] { ++out.fired; });
+  }
+  engine.run();
+  out.requests = ring.drain(100000);
+  return out;
+}
+
+TEST(BufferCacheFetch, MultiRangeIssuesTheRequestsOfOneByOneReads) {
+  // A hole at 105-106, a run past the coalescing cap, a range overlapping
+  // an earlier one (its blocks are then in flight), the in-flight read,
+  // and enough blocks to evict the dirty victim.
+  const std::vector<BufferCache::Range> ranges = {
+      {100, 12}, {200, 20}, {210, 4}, {301, 2}, {400, 30}};
+  const FetchRun multi = fetch_ranges(ranges, /*one_by_one=*/false);
+  const FetchRun single = fetch_ranges(ranges, /*one_by_one=*/true);
+  EXPECT_TRUE(multi.waits);
+  EXPECT_EQ(multi.fired, 1);  // one countdown over every range
+  EXPECT_EQ(single.fired, static_cast<int>(ranges.size()));
+  ASSERT_EQ(multi.requests.size(), single.requests.size());
+  ASSERT_GT(multi.requests.size(), ranges.size());
+  bool saw_write = false;
+  for (std::size_t i = 0; i < multi.requests.size(); ++i) {
+    EXPECT_TRUE(multi.requests[i] == single.requests[i]) << "request " << i;
+    saw_write |= multi.requests[i].is_write != 0;
+  }
+  EXPECT_TRUE(saw_write);  // the dirty victim's forced flush
+}
+
+TEST(BufferCacheFetch, ResidentRangesReturnFalseWithoutCallingDone) {
+  const FetchRun warm = fetch_ranges({{105, 2}, {105, 1}}, false);
+  EXPECT_FALSE(warm.waits);
+  EXPECT_EQ(warm.fired, 0);
+  EXPECT_TRUE(warm.requests.empty());
+  const FetchRun none = fetch_ranges({}, false);
+  EXPECT_FALSE(none.waits);
+  EXPECT_EQ(none.fired, 0);
 }
 
 class CoalesceSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -218,7 +288,7 @@ TEST_P(CoalesceSweep, MaxPhysicalRequestNeverExceedsCeiling) {
   CacheConfig cfg;
   cfg.max_coalesce_blocks = ceiling;
   BufferCache cache(drv, cfg);
-  cache.read_range(0, 200, [] {});
+  cache.fetch(0, 200, [] {});
   cache.write_range(1000, 200);
   cache.sync();
   engine.run();

@@ -56,7 +56,9 @@ TEST_P(CacheFuzzTest, InvariantsHoldUnderRandomOps) {
     const auto count = static_cast<std::uint32_t>(1 + rng.uniform(24));
     if (roll < 40) {
       ++issued_reads;
-      cache.read_range(first, count, [&] { ++completed_reads; });
+      if (!cache.fetch(first, count, [&] { ++completed_reads; })) {
+        ++completed_reads;  // every block was resident
+      }
     } else if (roll < 75) {
       cache.write_range(first, count, rng.chance(0.2));
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -231,7 +233,7 @@ TEST_P(CacheFuzzTest, WriteBackMatchesFullScanReference) {
     const auto roll = rng.uniform(100);
     const auto count = static_cast<std::uint32_t>(1 + rng.uniform(24));
     if (roll < 15 && cache.pinned_blocks() <= kMaxPinned) {
-      cache.read_range(rng.uniform(kSpace), count, [] {});
+      cache.fetch(rng.uniform(kSpace), count, [] {});
       EXPECT_TRUE(take_forced(drain_writes()).empty());
     } else if (roll < 50) {
       // Half the writes start on a dirty block, so many of them flip its
@@ -311,7 +313,7 @@ class ReferenceResidency {
   std::size_t resident_blocks() const { return lru_.size(); }
   std::size_t pinned_blocks() const { return pinned_.size(); }
 
-  /// read_range: resident blocks not in flight are hits and move to the
+  /// fetch: resident blocks not in flight are hits and move to the
   /// front; the missing ones are then inserted in ascending order, pinned.
   void read(BlockNo first, std::uint32_t count) {
     std::vector<BlockNo> missing;
@@ -433,7 +435,7 @@ TEST_P(CacheFuzzTest, ResidencyMatchesLruModel) {
     const BlockNo first = rng.uniform(kSpace);
     const auto count = static_cast<std::uint32_t>(1 + rng.uniform(24));
     if (roll < 35) {
-      cache.read_range(first, count, [&] { ++completed; });
+      if (!cache.fetch(first, count, [&] { ++completed; })) ++completed;
       ref.read(first, count);
     } else if (roll < 60) {
       cache.write_range(first, count, rng.chance(0.3));

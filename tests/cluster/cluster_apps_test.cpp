@@ -37,9 +37,7 @@ TEST(ClusterApps, CombinedMergedTraceSpansBothNodes) {
 }
 
 TEST(ClusterApps, StartupBarrierSkewsNodePhases) {
-  ClusterConfig cfg = two_node_cfg();
-  cfg.model_startup_barrier = true;
-  Cluster with_barrier(cfg);
+  Cluster with_barrier(two_node_cfg());
   const auto result = with_barrier.run_single(core::AppKind::kPpm);
   // Both nodes still complete and produce comparable volumes.
   const auto a = result.node_traces[0].size();

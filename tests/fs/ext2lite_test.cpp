@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "util/rng.hpp"
+
 namespace ess::fs {
 namespace {
 
@@ -28,6 +33,18 @@ class Ext2LiteTest : public ::testing::Test {
   std::vector<trace::Record> physical() {
     engine_.run();
     return ring_.drain(1000000);
+  }
+
+  /// Runs a read to completion and returns whether it waited: a read
+  /// either returns false and never calls `done`, or returns true and
+  /// calls it exactly once.
+  bool read_waits(Ext2Lite& fs, Ino ino, std::uint64_t off,
+                  std::uint64_t len) {
+    int fired = 0;
+    const bool waits = fs.read(ino, off, len, [&fired] { ++fired; });
+    engine_.run();
+    EXPECT_EQ(fired, waits ? 1 : 0);
+    return waits;
   }
 
   sim::Engine engine_;
@@ -120,16 +137,65 @@ TEST_F(Ext2LiteTest, CreateContiguousConflictThrows) {
                std::runtime_error);
 }
 
+/// The probe loop staging ran before create_contiguous searched by
+/// itself: try goal, goal + 1024, ... until one does not throw.
+Ino old_probe_loop(Ext2Lite& fs, const std::string& path, std::uint64_t size,
+                   BlockNo goal) {
+  for (BlockNo probe = goal;; probe += 1024) {
+    try {
+      return fs.create_contiguous(path, size, probe);
+    } catch (const std::runtime_error&) {
+      if (probe > fs.config().total_blocks) throw;
+    }
+  }
+}
+
+TEST_F(Ext2LiteTest, ContiguousSearchPlacesLikeTheOldProbeLoop) {
+  auto searched = make();
+  auto probed = make();
+  Rng rng(2024);
+  int placed = 0;
+  int refused = 0;
+  for (int i = 0; i < 160; ++i) {
+    const std::string path = "/f" + std::to_string(i);
+    if (rng.chance(0.25)) {
+      // Written files interleave indirect blocks and fragment the disk.
+      const std::uint64_t bytes = 1 + rng.uniform(100 * 1024);
+      if (searched.free_blocks() < 200) continue;
+      searched.write(searched.create(path), 0, bytes);
+      probed.write(probed.create(path), 0, bytes);
+      continue;
+    }
+    const std::uint64_t size = 1 + rng.uniform(1500 * 1024);
+    // Goals below data_start() are raised to it.
+    const BlockNo goal = i % 8 == 0 ? 5 : rng.uniform(100'000);
+    std::optional<BlockNo> a;
+    std::optional<BlockNo> b;
+    try {
+      a = searched.stat(searched.create_contiguous(path, size, goal, 1024))
+              .first_block;
+    } catch (const std::runtime_error&) {
+    }
+    try {
+      b = probed.stat(old_probe_loop(probed, path, size, goal)).first_block;
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(a, b) << path << " goal " << goal << " size " << size;
+    ++(a ? placed : refused);
+  }
+  EXPECT_GT(placed, 20);
+  EXPECT_GT(refused, 5);  // the disk fills: both refuse the same files
+  EXPECT_EQ(searched.free_blocks(), probed.free_blocks());
+  EXPECT_TRUE(searched.fsck().empty());
+}
+
 TEST_F(Ext2LiteTest, ReadCompletesAndCountsBytes) {
   auto fs = make();
   const Ino ino = fs.create("/f");
   fs.write(ino, 0, 10'000);
   fs.sync();
   physical();
-  bool done = false;
-  fs.read(ino, 0, 5'000, [&] { done = true; });
-  engine_.run();
-  EXPECT_TRUE(done);
+  EXPECT_FALSE(read_waits(fs, ino, 0, 5'000));  // the blocks are resident
   EXPECT_EQ(fs.stats().bytes_read, 5'000u);
 }
 
@@ -137,10 +203,7 @@ TEST_F(Ext2LiteTest, ReadPastEofTruncates) {
   auto fs = make();
   const Ino ino = fs.create("/f");
   fs.write(ino, 0, 1000);
-  bool done = false;
-  fs.read(ino, 900, 5000, [&] { done = true; });
-  engine_.run();
-  EXPECT_TRUE(done);
+  read_waits(fs, ino, 900, 5000);
   EXPECT_EQ(fs.stats().bytes_read, 100u);
 }
 
@@ -148,8 +211,45 @@ TEST_F(Ext2LiteTest, ReadBeyondEofCompletesImmediately) {
   auto fs = make();
   const Ino ino = fs.create("/f");
   bool done = false;
-  fs.read(ino, 100, 10, [&] { done = true; });
-  EXPECT_TRUE(done);
+  EXPECT_FALSE(fs.read(ino, 100, 10, [&] { done = true; }));
+  EXPECT_FALSE(done);
+}
+
+TEST_F(Ext2LiteTest, ReadThatNeedsNoIoReturnsFalseWithoutCallingDone) {
+  auto fs = make();
+  const Ino ino = fs.create("/f");
+  fs.write(ino, 0, 4096);  // resident (dirty) in the cache
+  int fired = 0;
+  const auto count = [&fired] { ++fired; };
+  EXPECT_FALSE(fs.read(ino, 0, 4096, count));    // a hit
+  EXPECT_FALSE(fs.read(ino, 4096, 100, count));  // at EOF
+  EXPECT_FALSE(fs.read(ino, 9000, 100, count));  // past EOF
+  EXPECT_FALSE(fs.read(ino, 100, 0, count));     // len == 0
+  for (const auto& r : physical()) EXPECT_TRUE(r.is_write);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST_F(Ext2LiteTest, ReadAcrossAnIndirectBlockFiresOnce) {
+  auto fs = make();
+  const Ino ino = fs.create("/f");
+  // The indirect block is allocated after the 13th data block, so the
+  // file's 20 blocks lie in two runs: 13, the indirect block, then 7.
+  fs.write(ino, 0, 20 * 1024);
+  fs.sync();
+  physical();
+  const auto info = fs.stat(ino);
+  ASSERT_FALSE(info.contiguous);
+  for (BlockNo b = info.first_block; b <= info.first_block + 20; ++b) {
+    cache_.invalidate(b);
+  }
+  int fired = 0;
+  EXPECT_TRUE(fs.read(ino, 0, 20 * 1024, [&fired] { ++fired; }));
+  std::vector<std::uint32_t> reads;
+  for (const auto& r : physical()) {
+    if (!r.is_write) reads.push_back(r.size_bytes);
+  }
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(reads, (std::vector<std::uint32_t>{13 * 1024, 7 * 1024}));
 }
 
 TEST_F(Ext2LiteTest, AtimeUpdatesDirtyInode) {

@@ -70,7 +70,7 @@ TEST_F(VmTest, FileBackedFaultReadsOne4KRequest) {
 }
 
 TEST_F(VmTest, FileBackedFaultHitsWarmCacheWithoutIo) {
-  cache_.read_range(5000, 4, [] {});
+  EXPECT_TRUE(cache_.fetch(5000, 4, [] {}));
   engine_.run();
   ring_.drain(100000);
   vm_.create_address_space(1, {Segment{0, 8, true, 5000}});
