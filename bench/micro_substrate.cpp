@@ -1,14 +1,17 @@
 // Substrate microbenchmarks (google-benchmark): throughput of the building
 // blocks the study runs on — event engine, disk service model, elevator,
 // buffer cache, fs read, VM fault path, RNG, wavelet transform, oct-tree
-// build/force.
+// build/force, PPM step.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "apps/nbody/octree.hpp"
 #include "apps/ppm/euler2d.hpp"
 #include "apps/wavelet/wavelet2d.hpp"
 #include "block/buffer_cache.hpp"
 #include "disk/drive.hpp"
+#include "exec/thread_pool.hpp"
 #include "fs/ext2lite.hpp"
 #include "mm/vm.hpp"
 #include "sim/engine.hpp"
@@ -224,7 +227,8 @@ void BM_OctreeBuild(benchmark::State& state) {
 BENCHMARK(BM_OctreeBuild)->Arg(1024)->Arg(8192);
 
 // One whole force pass, as NBodySim::compute_forces runs it (serially):
-// every body in groups of Octree::kGroupSize; items are bodies.
+// every body in groups of Octree::kGroupSize; items are bodies. The label
+// names the kernel instance the pass dispatched to.
 void BM_OctreeForcePass(benchmark::State& state) {
   constexpr std::size_t kBodies = 2048;
   apps::nbody::NBodySim sim(kBodies, 2);
@@ -235,18 +239,25 @@ void BM_OctreeForcePass(benchmark::State& state) {
     benchmark::DoNotOptimize(tree.accelerate(bodies, 0, kBodies, 0.85, 0.05));
   }
   state.SetItemsProcessed(state.iterations() * kBodies);
+  state.SetLabel(apps::nbody::kernel_name(apps::nbody::default_kernel()));
 }
 BENCHMARK(BM_OctreeForcePass);
 
+// One step on the paper's 240x480 grid, serially (Arg 0) or with the
+// sweeps' bands on a pool of Arg workers; items are cells.
 void BM_PpmStep(benchmark::State& state) {
-  apps::ppm::PpmSolver solver(120, 240, 1.0 / 120, 1.0 / 120);
+  constexpr int kNx = 240, kNy = 480;
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<exec::ThreadPool>(workers);
+  apps::ppm::PpmSolver solver(kNx, kNy, 1.0 / kNx, 1.0 / kNx, pool.get());
   solver.init_blast(0.1, 10.0, 0.1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.step(0.4));
   }
-  state.SetItemsProcessed(state.iterations() * 120 * 240);
+  state.SetItemsProcessed(state.iterations() * kNx * kNy);
 }
-BENCHMARK(BM_PpmStep);
+BENCHMARK(BM_PpmStep)->Arg(0)->Arg(4)->UseRealTime();
 
 }  // namespace
 

@@ -6,11 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#if !defined(__SSE2__)
-#error "the N-body group walk needs SSE2"
-#endif
-#include <emmintrin.h>
-
+#include "apps/nbody/lanes.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace ess::apps::nbody {
@@ -44,168 +40,35 @@ double farthest2(const Vec3& c, const Vec3& lo, const Vec3& hi) {
       .norm2();
 }
 
-// An entry every member of a group accepts, copied out of the walk.
-struct Item {
-  double x, y, z, mass;
-  double body;  // a leaf's body index (a member skips its own), or -1
-};
-
-// Members evaluated together: the group is taken four at a time.
-constexpr int kLanes = 4;
-
-// Two members in the lanes of SSE2 registers, with the arithmetic of the
-// per-body walk loop in its order: d = com - p, r2 = (d.x*d.x + d.y*d.y) +
-// d.z*d.z, accept iff cell2 < theta2*r2, and acc += d * f with
-// f = mass*inv_r*inv_r*inv_r, inv_r = 1/sqrt(r2 + eps2). A term a member
-// must not add is masked to +0.0, which leaves its sum (which starts at
-// +0.0, so is never -0.0) bit for bit unchanged.
-struct LanePair {
-  __m128d x, y, z;
-  __m128d self;  // the members' body indices
-  __m128d ax = _mm_setzero_pd(), ay = _mm_setzero_pd(),
-          az = _mm_setzero_pd();
-  // The entry under evaluation: d per axis and r2.
-  __m128d dx = _mm_setzero_pd(), dy = _mm_setzero_pd(), dz = _mm_setzero_pd(),
-          r2 = _mm_setzero_pd();
-
-  LanePair(const double* px, const double* py, const double* pz,
-           const int* body)
-      : x(_mm_loadu_pd(px)),
-        y(_mm_loadu_pd(py)),
-        z(_mm_loadu_pd(pz)),
-        self(_mm_set_pd(body[1], body[0])) {}
-
-  void distance(__m128d cx, __m128d cy, __m128d cz) {
-    dx = _mm_sub_pd(cx, x);
-    dy = _mm_sub_pd(cy, y);
-    dz = _mm_sub_pd(cz, z);
-    r2 = _mm_add_pd(_mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)),
-                    _mm_mul_pd(dz, dz));
-  }
-
-  /// Bit l set iff lane l accepts a cell of size^2 `cell2`.
-  int accepts(__m128d cell2, __m128d theta2) const {
-    return _mm_movemask_pd(_mm_cmplt_pd(cell2, _mm_mul_pd(theta2, r2)));
-  }
-
-  void add(__m128d mass, __m128d eps2, __m128d keep) {
-    const __m128d inv_r =
-        _mm_div_pd(_mm_set1_pd(1.0), _mm_sqrt_pd(_mm_add_pd(r2, eps2)));
-    const __m128d f = _mm_and_pd(
-        _mm_mul_pd(_mm_mul_pd(_mm_mul_pd(mass, inv_r), inv_r), inv_r), keep);
-    ax = _mm_add_pd(ax, _mm_mul_pd(dx, f));
-    ay = _mm_add_pd(ay, _mm_mul_pd(dy, f));
-    az = _mm_add_pd(az, _mm_mul_pd(dz, f));
-  }
-};
-
-// Four members of a group, evaluated together.
-class Lanes {
- public:
-  /// Members at px[0..3] etc.; body < 0 marks an empty lane.
-  Lanes(const double* px, const double* py, const double* pz,
-        const int* body, double eps2)
-      : lo_(px, py, pz, body),
-        hi_(px + 2, py + 2, pz + 2, body + 2),
-        eps2_(_mm_set1_pd(eps2)),
-        body_{body[0], body[1], body[2], body[3]} {}
-
-  /// Add items [begin, end), which every member accepts.
-  void interact(const Item* items, int begin, int end) {
-    for (int j = begin; j < end; ++j) {
-      const Item& it = items[j];
-      const __m128d cx = _mm_set1_pd(it.x), cy = _mm_set1_pd(it.y),
-                    cz = _mm_set1_pd(it.z), mass = _mm_set1_pd(it.mass),
-                    body = _mm_set1_pd(it.body);
-      lo_.distance(cx, cy, cz);
-      hi_.distance(cx, cy, cz);
-      lo_.add(mass, eps2_, _mm_cmpneq_pd(body, lo_.self));
-      hi_.add(mass, eps2_, _mm_cmpneq_pd(body, hi_.self));
-    }
-  }
-
-  /// Every member's own walk over entries [begin, end), a run of whole
-  /// subtrees, in lockstep: an accepted entry interacts (unless it is the
-  /// member's own leaf) and the member resumes after its subtree; a
-  /// rejected one is stepped into. The walk jumps past a subtree once no
-  /// member still inside it opens it, so it visits the union of the
-  /// members' own visits, each in walk order.
-  void walk(const Octree::WalkEntry* walk, int begin, int end, double theta2,
-            std::uint64_t& interactions) {
-    alignas(16) static constexpr std::int64_t kMask[4][2] = {
-        {0, 0}, {-1, 0}, {0, -1}, {-1, -1}};
-    static constexpr int kCount[16] = {0, 1, 1, 2, 1, 2, 2, 3,
-                                       1, 2, 2, 3, 2, 3, 3, 4};
-    const __m128d t2 = _mm_set1_pd(theta2);
-    // Lane l sits out entries before resume[l]: an empty lane, all.
-    int resume[kLanes];
-    for (int l = 0; l < kLanes; ++l) resume[l] = body_[l] >= 0 ? begin : end;
-    int k = std::min(std::min(resume[0], resume[1]),
-                     std::min(resume[2], resume[3]));
-    while (k < end) {
-      const Octree::WalkEntry& e = walk[k];
-      const __m128d cx = _mm_set1_pd(e.com.x), cy = _mm_set1_pd(e.com.y),
-                    cz = _mm_set1_pd(e.com.z), cell2 = _mm_set1_pd(e.cell2);
-      lo_.distance(cx, cy, cz);
-      hi_.distance(cx, cy, cz);
-      const int accept = lo_.accepts(cell2, t2) | (hi_.accepts(cell2, t2) << 2);
-      int active = 0, other = 0;
-      for (int l = 0; l < kLanes; ++l) {
-        active |= (k >= resume[l] ? 1 : 0) << l;
-        other |= (e.body != body_[l] ? 1 : 0) << l;
-      }
-      const int take = accept & active;
-      if (const int use = take & other; use != 0) {
-        const __m128d mass = _mm_set1_pd(e.mass);
-        lo_.add(mass, eps2_, mask(kMask[use & 3]));
-        hi_.add(mass, eps2_, mask(kMask[use >> 2]));
-        interactions += static_cast<std::uint64_t>(kCount[use]);
-      }
-      if (take == active) {
-        k = e.skip;
-      } else {
-        for (int l = 0; l < kLanes; ++l) {
-          if ((take >> l & 1) != 0) resume[l] = e.skip;
-        }
-        ++k;
-      }
-    }
-  }
-
-  Vec3 acc(int lane) const {
-    const LanePair& p = lane < 2 ? lo_ : hi_;
-    alignas(16) double ax[2], ay[2], az[2];
-    _mm_store_pd(ax, p.ax);
-    _mm_store_pd(ay, p.ay);
-    _mm_store_pd(az, p.az);
-    return {ax[lane % 2], ay[lane % 2], az[lane % 2]};
-  }
-
- private:
-  static __m128d mask(const std::int64_t* bits) {
-    return _mm_castsi128_pd(
-        _mm_load_si128(reinterpret_cast<const __m128i*>(bits)));
-  }
-
-  LanePair lo_, hi_;  // lanes 0-1 and 2-3
-  __m128d eps2_;
-  int body_[kLanes];
-};
-
 }  // namespace
+
+bool kernel_supported(ForceKernel kernel) {
+  return kernel == ForceKernel::kSse2 || __builtin_cpu_supports("avx2");
+}
+
+ForceKernel default_kernel() {
+  static const ForceKernel kernel = kernel_supported(ForceKernel::kAvx2)
+                                        ? ForceKernel::kAvx2
+                                        : ForceKernel::kSse2;
+  return kernel;
+}
+
+const char* kernel_name(ForceKernel kernel) {
+  return kernel == ForceKernel::kAvx2 ? "avx2" : "sse2";
+}
+
+std::uint64_t lanes::group_sse2(const Group& g, Vec3* acc) {
+  return group_forces<Sse2x4>(g, acc);
+}
 
 // One group's share of the walk, in walk order: runs of entries every
 // member accepts (copied out as items) and runs of subtrees the members
 // walk themselves.
 struct Octree::GroupList {
-  struct Segment {
-    int begin, end;  // items [begin, end), or walk entries [begin, end)
-    bool walk;
-  };
-  std::vector<Item> items;
-  std::vector<Segment> segments;
+  std::vector<lanes::Item> items;
+  std::vector<lanes::Segment> segments;
 
-  void add_item(const Item& it) {
+  void add_item(const lanes::Item& it) {
     items.push_back(it);
     const int n = static_cast<int>(items.size());
     if (!segments.empty() && !segments.back().walk) {
@@ -358,14 +221,15 @@ void Octree::flatten(const std::vector<Body>& bodies, int node) {
 
 std::uint64_t Octree::group_forces(const std::vector<Body>& bodies,
                                    int first, int last, double theta,
-                                   double softening, Vec3* acc,
-                                   GroupList& list) const {
+                                   double softening, ForceKernel kernel,
+                                   Vec3* acc, GroupList& list) const {
   const int count = last - first;
   const double theta2 = theta * theta;
   const double eps2 = softening * softening;
 
-  // Members in lanes, padded to a whole number of Lanes with empty lanes
-  // (body -2) at the last member's position.
+  // Members in lanes, padded to a whole number of lanes::kLanes with empty
+  // lanes (body -2) at the last member's position.
+  constexpr int kLanes = lanes::kLanes;
   constexpr int kPadded = (kGroupSize + kLanes - 1) / kLanes * kLanes;
   double px[kPadded], py[kPadded], pz[kPadded];
   int id[kPadded];
@@ -390,7 +254,9 @@ std::uint64_t Octree::group_forces(const std::vector<Body>& bodies,
 
   // The shared walk. An entry every member accepts becomes an item and its
   // subtree is skipped; one every member opens is stepped into; any other
-  // subtree is left to each member's own walk.
+  // subtree is left to each member's own walk. The kernel then has each
+  // member apply the segments in walk order, so it sums the same terms in
+  // the same order as a walk of its own.
   list.items.clear();
   list.segments.clear();
   std::uint64_t own_leaves = 0;  // members' leaves among the items
@@ -418,27 +284,19 @@ std::uint64_t Octree::group_forces(const std::vector<Body>& bodies,
     k = e.skip;
   }
 
-  // Each member applies the segments in walk order, so it sums the same
-  // terms in the same order as a walk of its own.
-  std::uint64_t interactions =
-      list.items.size() * static_cast<std::uint64_t>(count) - own_leaves;
-  for (int m = 0; m < count; m += kLanes) {
-    Lanes lanes(px + m, py + m, pz + m, id + m, eps2);
-    for (const GroupList::Segment& s : list.segments) {
-      if (s.walk) {
-        lanes.walk(walk, s.begin, s.end, theta2, interactions);
-      } else {
-        lanes.interact(list.items.data(), s.begin, s.end);
-      }
-    }
-    for (int l = 0; l < kLanes && m + l < count; ++l) acc[m + l] = lanes.acc(l);
-  }
-  return interactions;
+  const lanes::Group group{px, py, pz, id, count, list.items.data(),
+                           list.segments.data(),
+                           static_cast<int>(list.segments.size()), walk,
+                           theta2, eps2};
+  const lanes::Kernel run =
+      kernel == ForceKernel::kAvx2 ? lanes::group_avx2 : lanes::group_sse2;
+  return list.items.size() * static_cast<std::uint64_t>(count) - own_leaves +
+         run(group, acc);
 }
 
 std::uint64_t Octree::accelerate(std::vector<Body>& bodies, std::size_t first,
                                  std::size_t last, double theta,
-                                 double softening) const {
+                                 double softening, ForceKernel kernel) const {
   GroupList list;
   std::array<Vec3, kGroupSize> acc;
   std::uint64_t interactions = 0;
@@ -446,7 +304,7 @@ std::uint64_t Octree::accelerate(std::vector<Body>& bodies, std::size_t first,
     const std::size_t end = std::min(last, g + kGroupSize);
     interactions += group_forces(bodies, static_cast<int>(g),
                                  static_cast<int>(end), theta, softening,
-                                 acc.data(), list);
+                                 kernel, acc.data(), list);
     for (std::size_t j = g; j < end; ++j) {
       bodies[static_cast<std::size_t>(order_[j])].acc = acc[j - g];
     }
@@ -456,12 +314,13 @@ std::uint64_t Octree::accelerate(std::vector<Body>& bodies, std::size_t first,
 
 Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
                           double theta, double softening,
-                          std::uint64_t& interactions) const {
+                          std::uint64_t& interactions,
+                          ForceKernel kernel) const {
   GroupList list;
   Vec3 acc;
   const int at = position_[static_cast<std::size_t>(i)];
-  interactions +=
-      group_forces(bodies, at, at + 1, theta, softening, &acc, list);
+  interactions += group_forces(bodies, at, at + 1, theta, softening, kernel,
+                               &acc, list);
   return acc;
 }
 

@@ -27,7 +27,9 @@
 // a walk of its own: the results keep the bits of the explicit-stack
 // traversal the walk replaced (which pushed children 0..7 and popped them
 // 7..0), and NBodySim.MatchesPinnedStackTraversalDigest checks that they
-// do. DESIGN.md §11 has the argument.
+// do. Members are evaluated four at a time by a kernel built for SSE2 and
+// for AVX2 (lanes.hpp), which give the same bits. DESIGN.md §11 has the
+// argument.
 #pragma once
 
 #include <array>
@@ -62,6 +64,20 @@ struct Body {
   double mass = 0;
 };
 
+/// The instances of the group walk's four-lane kernel (lanes.hpp), one per
+/// instruction set. They give the same bits.
+enum class ForceKernel { kSse2, kAvx2 };
+
+/// Whether this CPU can run `kernel`.
+bool kernel_supported(ForceKernel kernel);
+
+/// The instance the force pass runs: AVX2 where the CPU has it, chosen
+/// once per process.
+ForceKernel default_kernel();
+
+/// "sse2" or "avx2".
+const char* kernel_name(ForceKernel kernel);
+
 /// Octree over a cubic domain; nodes stored in a flat arena.
 class Octree {
  public:
@@ -93,15 +109,17 @@ class Octree {
   /// Set bodies[b].acc for every body b at leaf-order positions
   /// [first, last), in groups of kGroupSize positions; returns every
   /// body-body and body-cell interaction evaluated. The tree must have been
-  /// built over these bodies; only their acc is written.
+  /// built over these bodies; only their acc is written. `kernel` must be
+  /// supported by the CPU.
   std::uint64_t accelerate(std::vector<Body>& bodies, std::size_t first,
-                           std::size_t last, double theta,
-                           double softening) const;
+                           std::size_t last, double theta, double softening,
+                           ForceKernel kernel = default_kernel()) const;
 
   /// The acceleration on body i alone (a group of one); adds its
   /// interactions to `interactions`.
   Vec3 acceleration(const std::vector<Body>& bodies, int i, double theta,
-                    double softening, std::uint64_t& interactions) const;
+                    double softening, std::uint64_t& interactions,
+                    ForceKernel kernel = default_kernel()) const;
 
   std::size_t node_count() const { return nodes_.size(); }
   const Node& root() const { return nodes_.front(); }
@@ -122,7 +140,8 @@ class Octree {
   /// (at most kGroupSize) into acc[0..last-first); returns interactions.
   std::uint64_t group_forces(const std::vector<Body>& bodies, int first,
                              int last, double theta, double softening,
-                             Vec3* acc, GroupList& list) const;
+                             ForceKernel kernel, Vec3* acc,
+                             GroupList& list) const;
 
   std::vector<Node> nodes_;
   std::vector<WalkEntry> walk_;

@@ -1,10 +1,29 @@
 #include "apps/ppm/euler2d.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
+#include "exec/thread_pool.hpp"
+
 namespace ess::apps::ppm {
+
+struct PpmSolver::Pencil {
+  explicit Pencil(int n)
+      : rho(n), u(n), v(n), p(n), fv(n + 4), sl(n + 4), lrho(n), lu(n),
+        lv(n), lp(n), rrho(n), ru(n), rv(n), rp(n), frho(n + 1), fmx(n + 1),
+        fmy(n + 1), fe(n + 1) {}
+
+  std::vector<double> rho, u, v, p;      // primitives (offset kGhost)
+  std::vector<double> fv;                // face values (offset 2)
+  std::vector<double> sl;                // cell slopes (offset 2)
+  std::vector<double> lrho, lu, lv, lp;  // per-cell left edges (+1)
+  std::vector<double> rrho, ru, rv, rp;  // per-cell right edges (+1)
+  std::vector<double> frho, fmx, fmy, fe;  // interface fluxes
+};
+
 namespace {
 
 // Monotonized-central slope (van Leer), the building block of the PPM
@@ -52,20 +71,17 @@ Euler2D::Euler2D(int nx_, int ny_) : nx(nx_), ny(ny_) {
   e.assign(n, 0.0);
 }
 
-PpmSolver::PpmSolver(int nx, int ny, double dx, double dy)
-    : u_(nx, ny), dx_(dx), dy_(dy) {
+PpmSolver::PpmSolver(int nx, int ny, double dx, double dy,
+                     exec::ThreadPool* pool)
+    : u_(nx, ny),
+      dx_(dx),
+      dy_(dy),
+      pool_(pool),
+      pencil_cells_(std::max(nx, ny) + 2 * kGhost) {
   if (nx < 4 || ny < 4) throw std::invalid_argument("grid too small");
-  const int n = std::max(nx, ny) + 2 * kGhost;
-  for (auto* v : {&prho_, &pu_, &pv_, &pp_, &lrho_, &lu_, &lv_, &lp_,
-                  &rrho_, &ru_, &rv_, &rp_}) {
-    v->assign(static_cast<std::size_t>(n), 0.0);
-  }
-  fv_.assign(static_cast<std::size_t>(n + 4), 0.0);
-  sl_.assign(static_cast<std::size_t>(n + 4), 0.0);
-  for (auto* v : {&frho_, &fmx_, &fmy_, &fe_}) {
-    v->assign(static_cast<std::size_t>(n + 1), 0.0);
-  }
 }
+
+PpmSolver::~PpmSolver() = default;
 
 void PpmSolver::init_blast(double p_ambient, double p_blast, double r) {
   const double cx = 0.5 * u_.nx * dx_;
@@ -165,52 +181,52 @@ StepStats PpmSolver::step(double cfl) {
   return s;
 }
 
-std::uint64_t PpmSolver::sweep_pencil(int n, double dt_over_dx) {
+std::uint64_t PpmSolver::sweep_pencil(Pencil& s, int n) {
   // Primitives for cells [-kGhost, n+kGhost) are already loaded into
-  // prho_/pu_/pv_/pp_ with index shift kGhost.
+  // s.rho/u/v/p with index shift kGhost.
   auto P = [&](const std::vector<double>& v, int i) { return v[i + kGhost]; };
 
   // Per-cell PPM reconstruction for cells -1..n: edge values from the
   // quartic face interpolant, then the Colella–Woodward monotonization.
-  // Arrays lX_/rX_ hold each CELL's left/right edge value (offset +1).
+  // Arrays s.lX/s.rX hold each CELL's left/right edge value (offset +1).
   auto reconstruct = [&](const std::vector<double>& q, std::vector<double>& cl,
                          std::vector<double>& cr) {
     // Face f sits between cells f-1 and f; needed for f in [-1, n+1], so
     // each cell's slope is needed for cells -2..n+1 (offset +2), and each
     // is computed once although two faces use it.
     for (int c = -2; c <= n + 1; ++c) {
-      sl_[static_cast<std::size_t>(c + 2)] =
+      s.sl[static_cast<std::size_t>(c + 2)] =
           mc_slope(P(q, c - 1), P(q, c), P(q, c + 1));
     }
     for (int f = -1; f <= n + 1; ++f) {
-      fv_[static_cast<std::size_t>(f + 2)] =
-          ppm_face(P(q, f - 1), P(q, f), sl_[static_cast<std::size_t>(f + 1)],
-                   sl_[static_cast<std::size_t>(f + 2)]);
+      s.fv[static_cast<std::size_t>(f + 2)] =
+          ppm_face(P(q, f - 1), P(q, f), s.sl[static_cast<std::size_t>(f + 1)],
+                   s.sl[static_cast<std::size_t>(f + 2)]);
     }
     for (int i = -1; i <= n; ++i) {
-      double ql = fv_[static_cast<std::size_t>(i + 2)];      // face i
-      double qr = fv_[static_cast<std::size_t>(i + 1 + 2)];  // face i+1
+      double ql = s.fv[static_cast<std::size_t>(i + 2)];      // face i
+      double qr = s.fv[static_cast<std::size_t>(i + 1 + 2)];  // face i+1
       ppm_monotonize(P(q, i), ql, qr);
       cl[static_cast<std::size_t>(i + 1)] = ql;
       cr[static_cast<std::size_t>(i + 1)] = qr;
     }
   };
-  reconstruct(prho_, lrho_, rrho_);
-  reconstruct(pu_, lu_, ru_);
-  reconstruct(pv_, lv_, rv_);
-  reconstruct(pp_, lp_, rp_);
+  reconstruct(s.rho, s.lrho, s.rrho);
+  reconstruct(s.u, s.lu, s.ru);
+  reconstruct(s.v, s.lv, s.rv);
+  reconstruct(s.p, s.lp, s.rp);
 
   // HLL fluxes at every face: the left state is the right edge of cell
   // f-1, the right state is the left edge of cell f.
   for (int f = 0; f <= n; ++f) {
     const auto il = static_cast<std::size_t>(f - 1 + 1);
     const auto ir = static_cast<std::size_t>(f + 1);
-    const double rl = std::max(rrho_[il], 1e-12);
-    const double rr = std::max(lrho_[ir], 1e-12);
-    const double ul = ru_[il], ur = lu_[ir];
-    const double vl = rv_[il], vr = lv_[ir];
-    const double pl = std::max(rp_[il], 1e-12);
-    const double pr = std::max(lp_[ir], 1e-12);
+    const double rl = std::max(s.rrho[il], 1e-12);
+    const double rr = std::max(s.lrho[ir], 1e-12);
+    const double ul = s.ru[il], ur = s.lu[ir];
+    const double vl = s.rv[il], vr = s.lv[ir];
+    const double pl = std::max(s.rp[il], 1e-12);
+    const double pr = std::max(s.lp[ir], 1e-12);
     const double cl = std::sqrt(kGamma * pl / rl);
     const double cr = std::sqrt(kGamma * pr / rr);
     const double sl = std::min(ul - cl, ur - cr);
@@ -225,82 +241,110 @@ std::uint64_t PpmSolver::sweep_pencil(int n, double dt_over_dx) {
     const double f_e_l = (el + pl) * ul, f_e_r = (er + pr) * ur;
 
     if (sl >= 0.0) {
-      frho_[f] = f_rho_l;
-      fmx_[f] = f_mx_l;
-      fmy_[f] = f_my_l;
-      fe_[f] = f_e_l;
+      s.frho[f] = f_rho_l;
+      s.fmx[f] = f_mx_l;
+      s.fmy[f] = f_my_l;
+      s.fe[f] = f_e_l;
     } else if (sr <= 0.0) {
-      frho_[f] = f_rho_r;
-      fmx_[f] = f_mx_r;
-      fmy_[f] = f_my_r;
-      fe_[f] = f_e_r;
+      s.frho[f] = f_rho_r;
+      s.fmx[f] = f_mx_r;
+      s.fmy[f] = f_my_r;
+      s.fe[f] = f_e_r;
     } else {
       const double inv = 1.0 / (sr - sl);
-      frho_[f] = (sr * f_rho_l - sl * f_rho_r + sl * sr * (rr - rl)) * inv;
-      fmx_[f] =
+      s.frho[f] = (sr * f_rho_l - sl * f_rho_r + sl * sr * (rr - rl)) * inv;
+      s.fmx[f] =
           (sr * f_mx_l - sl * f_mx_r + sl * sr * (rr * ur - rl * ul)) * inv;
-      fmy_[f] =
+      s.fmy[f] =
           (sr * f_my_l - sl * f_my_r + sl * sr * (rr * vr - rl * vl)) * inv;
-      fe_[f] = (sr * f_e_l - sl * f_e_r + sl * sr * (er - el)) * inv;
+      s.fe[f] = (sr * f_e_l - sl * f_e_r + sl * sr * (er - el)) * inv;
     }
   }
-  (void)dt_over_dx;
   // Reconstruction ~60 flops/face, monotonization ~24, HLL ~70.
   return static_cast<std::uint64_t>(n + 1) * 154;
 }
 
+std::uint64_t PpmSolver::sweep_lines(
+    int lines, const std::function<std::uint64_t(Pencil&, int)>& line) {
+  const int per = (lines + kSweepBands - 1) / kSweepBands;
+  std::array<std::uint64_t, kSweepBands> flops{};
+  const auto band = [&](std::size_t b) {
+    const int first = static_cast<int>(b) * per;
+    const int last = std::min(lines, first + per);
+    if (first >= last) return;
+    std::unique_ptr<Pencil> pencil;
+    {
+      std::lock_guard<std::mutex> lock(spare_mu_);
+      if (!spare_.empty()) {
+        pencil = std::move(spare_.back());
+        spare_.pop_back();
+      }
+    }
+    if (!pencil) pencil = std::make_unique<Pencil>(pencil_cells_);
+    for (int l = first; l < last; ++l) flops[b] += line(*pencil, l);
+    std::lock_guard<std::mutex> lock(spare_mu_);
+    spare_.push_back(std::move(pencil));
+  };
+  if (pool_ != nullptr) {
+    exec::parallel_for(*pool_, kSweepBands, band);
+  } else {
+    for (std::size_t b = 0; b < kSweepBands; ++b) band(b);
+  }
+  return std::accumulate(flops.begin(), flops.end(), std::uint64_t{0});
+}
+
 void PpmSolver::sweep_x(double dt) {
   const double r = dt / dx_;
-  for (int j = 0; j < u_.ny; ++j) {
+  step_flops_ += sweep_lines(u_.ny, [&](Pencil& s, int j) {
     // Load primitives for the pencil.
     for (int i = -kGhost; i < u_.nx + kGhost; ++i) {
       const int k = u_.idx(i, j);
       const double rho = std::max(u_.rho[k], 1e-12);
       const double vx = u_.mx[k] / rho;
       const double vy = u_.my[k] / rho;
-      prho_[i + kGhost] = rho;
-      pu_[i + kGhost] = vx;
-      pv_[i + kGhost] = vy;
-      pp_[i + kGhost] =
+      s.rho[i + kGhost] = rho;
+      s.u[i + kGhost] = vx;
+      s.v[i + kGhost] = vy;
+      s.p[i + kGhost] =
           (kGamma - 1.0) * (u_.e[k] - 0.5 * rho * (vx * vx + vy * vy));
     }
-    step_flops_ += sweep_pencil(u_.nx, r);
+    const std::uint64_t flops = sweep_pencil(s, u_.nx);
     for (int i = 0; i < u_.nx; ++i) {
       const int k = u_.idx(i, j);
-      u_.rho[k] -= r * (frho_[i + 1] - frho_[i]);
-      u_.mx[k] -= r * (fmx_[i + 1] - fmx_[i]);
-      u_.my[k] -= r * (fmy_[i + 1] - fmy_[i]);
-      u_.e[k] -= r * (fe_[i + 1] - fe_[i]);
+      u_.rho[k] -= r * (s.frho[i + 1] - s.frho[i]);
+      u_.mx[k] -= r * (s.fmx[i + 1] - s.fmx[i]);
+      u_.my[k] -= r * (s.fmy[i + 1] - s.fmy[i]);
+      u_.e[k] -= r * (s.fe[i + 1] - s.fe[i]);
     }
-    step_flops_ += static_cast<std::uint64_t>(u_.nx) * 18;
-  }
+    return flops + static_cast<std::uint64_t>(u_.nx) * 18;
+  });
 }
 
 void PpmSolver::sweep_y(double dt) {
   const double r = dt / dy_;
-  for (int i = 0; i < u_.nx; ++i) {
+  step_flops_ += sweep_lines(u_.nx, [&](Pencil& s, int i) {
     for (int j = -kGhost; j < u_.ny + kGhost; ++j) {
       const int k = u_.idx(i, j);
       const double rho = std::max(u_.rho[k], 1e-12);
       const double vx = u_.mx[k] / rho;
       const double vy = u_.my[k] / rho;
-      prho_[j + kGhost] = rho;
+      s.rho[j + kGhost] = rho;
       // For the Y sweep, the "u" of the pencil is vy, "v" is vx.
-      pu_[j + kGhost] = vy;
-      pv_[j + kGhost] = vx;
-      pp_[j + kGhost] =
+      s.u[j + kGhost] = vy;
+      s.v[j + kGhost] = vx;
+      s.p[j + kGhost] =
           (kGamma - 1.0) * (u_.e[k] - 0.5 * rho * (vx * vx + vy * vy));
     }
-    step_flops_ += sweep_pencil(u_.ny, r);
+    const std::uint64_t flops = sweep_pencil(s, u_.ny);
     for (int j = 0; j < u_.ny; ++j) {
       const int k = u_.idx(i, j);
-      u_.rho[k] -= r * (frho_[j + 1] - frho_[j]);
-      u_.my[k] -= r * (fmx_[j + 1] - fmx_[j]);  // pencil-u is vy
-      u_.mx[k] -= r * (fmy_[j + 1] - fmy_[j]);
-      u_.e[k] -= r * (fe_[j + 1] - fe_[j]);
+      u_.rho[k] -= r * (s.frho[j + 1] - s.frho[j]);
+      u_.my[k] -= r * (s.fmx[j + 1] - s.fmx[j]);  // pencil-u is vy
+      u_.mx[k] -= r * (s.fmy[j + 1] - s.fmy[j]);
+      u_.e[k] -= r * (s.fe[j + 1] - s.fe[j]);
     }
-    step_flops_ += static_cast<std::uint64_t>(u_.ny) * 18;
-  }
+    return flops + static_cast<std::uint64_t>(u_.ny) * 18;
+  });
 }
 
 Totals PpmSolver::totals() const {
@@ -318,8 +362,10 @@ Totals PpmSolver::totals() const {
 
 std::uint64_t PpmSolver::memory_bytes() const {
   const std::uint64_t grid = u_.rho.size() * sizeof(double) * 4;
-  const std::uint64_t pencils =
-      (prho_.size() * 12 + frho_.size() * 4) * sizeof(double);
+  // Twelve per-cell pencil arrays and four flux arrays (the face-value
+  // and slope arrays are not counted).
+  const auto n = static_cast<std::uint64_t>(pencil_cells_);
+  const std::uint64_t pencils = (n * 12 + (n + 1) * 4) * sizeof(double);
   return grid + pencils;
 }
 

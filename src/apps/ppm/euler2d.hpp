@@ -9,10 +9,24 @@
 // variables are updated in flux form. This is a real solver (it propagates
 // a blast wave correctly and conserves mass/energy to round-off in closed
 // boxes); the simulator uses both its results and its operation counts.
+//
+// Each row of the X sweep reads and writes only its own row, and each
+// column of the Y sweep only its own column, so a sweep runs in
+// kSweepBands fixed bands of rows (columns) on an optional
+// exec::ThreadPool. The bands do not depend on the worker count and the
+// per-band flop counts are summed as integers, so the fields and counts
+// are bit-identical at any worker count, serial included.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
+
+namespace ess::exec {
+class ThreadPool;
+}
 
 namespace ess::apps::ppm {
 
@@ -46,7 +60,14 @@ struct Totals {
 
 class PpmSolver {
  public:
-  PpmSolver(int nx, int ny, double dx, double dy);
+  /// Bands of rows (X sweep) or columns (Y sweep); the last may be short
+  /// or empty.
+  static constexpr int kSweepBands = 16;
+
+  /// `pool` (not owned; null = serial) runs the sweeps' bands.
+  PpmSolver(int nx, int ny, double dx, double dy,
+            exec::ThreadPool* pool = nullptr);
+  ~PpmSolver();
 
   /// Circular blast-wave initial condition (supernova-like): ambient gas
   /// with a high-pressure region of radius `r` at the grid centre.
@@ -68,19 +89,25 @@ class PpmSolver {
   double compute_dt(double cfl) const;
   void sweep_x(double dt);
   void sweep_y(double dt);
-  /// PPM-reconstruct + HLL-flux one pencil of n cells (with ghosts).
-  /// Returns flops performed.
-  std::uint64_t sweep_pencil(int n, double dt_over_dx);
+
+  /// Pencil scratch: primitive variables and fluxes for one row/column.
+  struct Pencil;
+  /// PPM-reconstruct + HLL-flux one pencil of n cells (with ghosts), whose
+  /// primitives are loaded. Returns flops performed.
+  static std::uint64_t sweep_pencil(Pencil& s, int n);
+  /// line(pencil, l) for l in [0, lines), in kSweepBands bands on the
+  /// pool; returns the sum of what the calls return (their flops).
+  std::uint64_t sweep_lines(
+      int lines, const std::function<std::uint64_t(Pencil&, int)>& line);
 
   Euler2D u_;
   double dx_, dy_;
-  // Pencil scratch (primitive variables and fluxes for one row/column).
-  std::vector<double> prho_, pu_, pv_, pp_;       // primitives (offset kGhost)
-  std::vector<double> fv_;                        // face values (offset 2)
-  std::vector<double> sl_;                        // cell slopes (offset 2)
-  std::vector<double> lrho_, lu_, lv_, lp_;       // per-cell left edges (+1)
-  std::vector<double> rrho_, ru_, rv_, rp_;       // per-cell right edges (+1)
-  std::vector<double> frho_, fmx_, fmy_, fe_;     // interface fluxes
+  exec::ThreadPool* pool_ = nullptr;
+  int pencil_cells_ = 0;  // a pencil's cells, ghosts included
+  // Pencils not in use: one is made per band running at once (so at most
+  // the pool's workers + 1), and each band returns its own.
+  std::mutex spare_mu_;
+  std::vector<std::unique_ptr<Pencil>> spare_;
   std::uint64_t step_flops_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "apps/ppm/ppm_app.hpp"
 
 #include "apps/ppm/euler2d.hpp"
+#include "exec/thread_pool.hpp"
 #include "workload/builder.hpp"
 
 namespace ess::apps::ppm {
@@ -9,8 +10,9 @@ PpmNumericsInput numerics_input(const PpmConfig& cfg) {
   return {cfg.nx, cfg.ny, cfg.steps, cfg.cfl};
 }
 
-PpmNumerics compute_numerics(const PpmNumericsInput& in) {
-  PpmSolver solver(in.nx, in.ny, 1.0 / in.nx, 1.0 / in.nx);
+PpmNumerics compute_numerics(const PpmNumericsInput& in,
+                             exec::ThreadPool* pool) {
+  PpmSolver solver(in.nx, in.ny, 1.0 / in.nx, 1.0 / in.nx, pool);
   solver.init_blast(0.1, 10.0, 0.1);
   PpmNumerics n;
   n.memory_bytes = solver.memory_bytes();
@@ -90,8 +92,9 @@ PpmRunResult build_run(const PpmConfig& cfg, const PpmNumerics& numerics,
 }
 
 PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng) {
-  return build_run(cfg, compute_numerics(numerics_input(cfg)), cpu_mflops,
-                   rng);
+  exec::ThreadPool pool(exec::default_workers());
+  return build_run(cfg, compute_numerics(numerics_input(cfg), &pool),
+                   cpu_mflops, rng);
 }
 
 }  // namespace ess::apps::ppm

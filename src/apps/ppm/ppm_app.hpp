@@ -20,6 +20,10 @@
 #include "util/rng.hpp"
 #include "workload/op.hpp"
 
+namespace ess::exec {
+class ThreadPool;
+}
+
 namespace ess::apps::ppm {
 
 struct PpmConfig {
@@ -70,15 +74,17 @@ struct PpmNumerics {
 
 PpmNumericsInput numerics_input(const PpmConfig& cfg);
 
-/// Run the solver for in.steps.
-PpmNumerics compute_numerics(const PpmNumericsInput& in);
+/// Run the solver for in.steps; `pool` (null = serial) runs the sweeps'
+/// bands, with bit-identical results at any worker count.
+PpmNumerics compute_numerics(const PpmNumericsInput& in,
+                             exec::ThreadPool* pool = nullptr);
 
 /// Build the workload trace from numerics computed for
 /// numerics_input(cfg). `cpu_mflops` converts counted work to DX4 time.
 PpmRunResult build_run(const PpmConfig& cfg, const PpmNumerics& numerics,
                        double cpu_mflops, Rng& rng);
 
-/// compute_numerics() then build_run().
+/// compute_numerics() on an exec::default_workers() pool, then build_run().
 PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng);
 
 }  // namespace ess::apps::ppm

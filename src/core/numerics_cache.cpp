@@ -44,13 +44,16 @@ AppNumerics app_numerics(const StudyConfig& cfg) {
   auto nbody = c.nbody.claim(nbody_in);
 
   if (ppm.owns() || wavelet.owns() || nbody.owns()) {
-    // No pool job waits on another: the app jobs run to completion, and
-    // only this thread waits, on the force blocks it submitted.
+    // No pool job waits on a queued job: PPM's sweeps and N-body's force
+    // pass hand their bands and blocks to this pool through
+    // exec::parallel_for, whose caller drains indices itself and waits only
+    // on indices already running.
     exec::ThreadPool pool(exec::default_workers());
     if (ppm.owns()) {
       pool.submit([&] {
-        c.ppm.fill(ppm_in, ppm,
-                   [&] { return apps::ppm::compute_numerics(ppm_in); });
+        c.ppm.fill(ppm_in, ppm, [&] {
+          return apps::ppm::compute_numerics(ppm_in, &pool);
+        });
       });
     }
     if (wavelet.owns()) {

@@ -108,10 +108,10 @@ struct AppNumerics {
 
 /// The numerics for cfg's three app configs. Entries no one has claimed
 /// are computed here, concurrently on an exec::default_workers() pool:
-/// PPM and wavelet as pool jobs, N-body on the calling thread with its
-/// force pass on the same pool. Entries in flight elsewhere are waited
-/// for. Rethrows a failed computation's exception (PPM, wavelet, N-body
-/// order).
+/// PPM and wavelet as pool jobs, N-body on the calling thread; PPM's
+/// sweeps and N-body's force pass run on the same pool. Entries in flight
+/// elsewhere are waited for. Rethrows a failed computation's exception
+/// (PPM, wavelet, N-body order).
 AppNumerics app_numerics(const StudyConfig& cfg);
 
 /// One app's numerics through the same cache, computed on the calling

@@ -408,6 +408,9 @@ InodeInfo Ext2Lite::stat(Ino ino) const {
 Ino Ext2Lite::create_contiguous(const std::string& path, std::uint64_t size,
                                 BlockNo goal_block, std::uint64_t stride) {
   const std::uint64_t need = blocks_for(size);
+  // Make missing parent directories first: each takes a block at
+  // alloc_cursor_, which could otherwise land inside the run found free.
+  ensure_parent(path);
   // Search the probes goal, goal+stride, ... (each raised to data_start)
   // for one whose run is free. A used block fails every probe whose run
   // covers it, so the search jumps to the first probe past it.

@@ -3,38 +3,10 @@
 #include <cmath>
 
 namespace ess {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t bound) {
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = -bound % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {

@@ -32,10 +32,32 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Unbiased (rejection).
-  std::uint64_t uniform(std::uint64_t bound);
+  /// Inline, so a constant bound's modulo compiles to a multiply.
+  std::uint64_t uniform(std::uint64_t bound) {
+    // Lemire-style rejection to avoid modulo bias: a draw below the
+    // threshold 2^64 mod bound is drawn again. The threshold is below
+    // bound, so it (and its division) is needed only for a draw below
+    // bound.
+    std::uint64_t r = next_u64();
+    if (r < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (r < threshold) r = next_u64();
+    }
+    return r % bound;
+  }
 
   /// Uniform in [lo, hi] inclusive.
   std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
@@ -56,6 +78,10 @@ class Rng {
   Rng split();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -255,10 +255,13 @@ bool same_bits(const Vec3& a, const Vec3& b) {
 
 // The group walk against the oracle: every body of a whole pass (groups of
 // kGroupSize in leaf order), then runs of 1, 2, G-1, G and G+1 leaf-order
-// positions at the start, middle and end, and acceleration(i).
+// positions at the start, middle and end, and acceleration(i), all through
+// `kernel`.
 void expect_group_walk_matches(const std::vector<Body>& bodies, double theta,
-                               double softening, const std::string& what) {
-  SCOPED_TRACE(what + " theta=" + std::to_string(theta));
+                               double softening, const std::string& what,
+                               ForceKernel kernel = default_kernel()) {
+  SCOPED_TRACE(what + " theta=" + std::to_string(theta) + " kernel " +
+               kernel_name(kernel));
   Octree tree;
   tree.build(bodies);
   const int n = static_cast<int>(bodies.size());
@@ -277,7 +280,8 @@ void expect_group_walk_matches(const std::vector<Body>& bodies, double theta,
     std::vector<Body> got = bodies;
     const std::uint64_t count =
         tree.accelerate(got, static_cast<std::size_t>(first),
-                        static_cast<std::size_t>(last), theta, softening);
+                        static_cast<std::size_t>(last), theta, softening,
+                        kernel);
     std::uint64_t expected = 0;
     for (int at = first; at < last; ++at) {
       const int b = tree.order()[static_cast<std::size_t>(at)];
@@ -298,7 +302,8 @@ void expect_group_walk_matches(const std::vector<Body>& bodies, double theta,
   }
   for (const int i : {0, n / 2, n - 1}) {
     std::uint64_t count = 0;
-    const Vec3 a = tree.acceleration(bodies, i, theta, softening, count);
+    const Vec3 a =
+        tree.acceleration(bodies, i, theta, softening, count, kernel);
     EXPECT_TRUE(same_bits(a, want[static_cast<std::size_t>(i)])) << i;
     EXPECT_EQ(count, want_count[static_cast<std::size_t>(i)]) << i;
   }
@@ -361,7 +366,8 @@ std::vector<Body> lattice(int side) {
   return with_positions(pos);
 }
 
-TEST(GroupWalk, MatchesPerBodyWalkBitForBit) {
+// Every set at every theta through `kernel`.
+void expect_sets_match(ForceKernel kernel) {
   const std::vector<std::pair<std::string, std::vector<Body>>> sets = {
       {"plummer", plummer(700, 21)},
       {"uniform cube", uniform_cube(600, 22)},
@@ -372,12 +378,30 @@ TEST(GroupWalk, MatchesPerBodyWalkBitForBit) {
   };
   for (const auto& [name, bodies] : sets) {
     for (const double theta : {0.0, 0.3, 0.6, 1.0}) {
-      expect_group_walk_matches(bodies, theta, 0.05, name);
+      expect_group_walk_matches(bodies, theta, 0.05, name, kernel);
     }
   }
   // Without softening a member's own leaf would add NaN: it must be
   // masked, not summed.
-  expect_group_walk_matches(plummer(300, 26), 0.6, 0.0, "plummer eps=0");
+  expect_group_walk_matches(plummer(300, 26), 0.6, 0.0, "plummer eps=0",
+                            kernel);
+}
+
+TEST(GroupWalk, MatchesPerBodyWalkBitForBit) {
+  expect_sets_match(default_kernel());
+}
+
+// Both instances of the four-lane kernel, whichever one the force pass
+// dispatches to on this CPU.
+TEST(GroupWalk, Sse2KernelMatchesPerBodyWalkBitForBit) {
+  expect_sets_match(ForceKernel::kSse2);
+}
+
+TEST(GroupWalk, Avx2KernelMatchesPerBodyWalkBitForBit) {
+  if (!kernel_supported(ForceKernel::kAvx2)) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  expect_sets_match(ForceKernel::kAvx2);
 }
 
 TEST(GroupWalk, DepthLimitMergesKeepEveryBodyInLeafOrder) {

@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
 
 namespace ess::apps::ppm {
 namespace {
@@ -100,6 +104,45 @@ TEST(PpmSolver, MatchesPinnedFieldDigest) {
     }
   }
   EXPECT_EQ(h, 0x924934ab859ee2ddull);
+}
+
+struct SweepRun {
+  std::vector<std::uint64_t> step_flops;
+  Euler2D state;
+};
+
+SweepRun run_solver(int nx, int ny, exec::ThreadPool* pool) {
+  PpmSolver s(nx, ny, 1.0 / nx, 1.0 / nx, pool);
+  s.init_blast(0.1, 10.0, 0.15);
+  std::vector<std::uint64_t> flops;
+  for (int i = 0; i < 10; ++i) flops.push_back(s.step(0.4).flops);
+  return {flops, s.state()};
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(PpmSolver, SweepBandsBitIdenticalAtAnyWorkerCount) {
+  // The pinned 40x24 grid leaves some bands empty; on 45x70 neither the
+  // rows nor the columns divide evenly into the bands.
+  static_assert(70 % PpmSolver::kSweepBands != 0 &&
+                45 % PpmSolver::kSweepBands != 0);
+  for (const auto& [nx, ny] : {std::pair{40, 24}, std::pair{45, 70}}) {
+    const SweepRun serial = run_solver(nx, ny, nullptr);
+    for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+      exec::ThreadPool pool(workers);
+      const SweepRun r = run_solver(nx, ny, &pool);
+      SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + " at " +
+                   std::to_string(workers) + " workers");
+      EXPECT_TRUE(same_bits(r.state.rho, serial.state.rho));
+      EXPECT_TRUE(same_bits(r.state.mx, serial.state.mx));
+      EXPECT_TRUE(same_bits(r.state.my, serial.state.my));
+      EXPECT_TRUE(same_bits(r.state.e, serial.state.e));
+      EXPECT_EQ(r.step_flops, serial.step_flops);
+    }
+  }
 }
 
 class PpmGridSweep

@@ -137,6 +137,25 @@ TEST_F(Ext2LiteTest, CreateContiguousConflictThrows) {
                std::runtime_error);
 }
 
+TEST_F(Ext2LiteTest, CreateContiguousMakesParentsOutsideTheRun) {
+  // The parent directory's block used to be allocated at the cursor after
+  // the run at data_start() was found free, so inside the run: a block
+  // claimed twice, and a free count one too low. Now the directory takes
+  // data_start() first and the search (stride 1024, as staging searches)
+  // moves on.
+  auto fs = make();
+  const std::uint64_t free_before = fs.free_blocks();
+  const Ino ino =
+      fs.create_contiguous("/d/x", 64 * 1024, fs.data_start(), 1024);
+  EXPECT_TRUE(fs.fsck().empty());
+  const auto info = fs.stat(ino);
+  EXPECT_TRUE(info.contiguous);
+  EXPECT_EQ(info.first_block, fs.data_start() + 1024);
+  EXPECT_EQ(info.block_count, 64u);
+  // The run, the directory's block and one indirect block.
+  EXPECT_EQ(fs.free_blocks(), free_before - 64 - 1 - 1);
+}
+
 /// The probe loop staging ran before create_contiguous searched by
 /// itself: try goal, goal + 1024, ... until one does not throw.
 Ino old_probe_loop(Ext2Lite& fs, const std::string& path, std::uint64_t size,

@@ -57,6 +57,37 @@ INSTANTIATE_TEST_SUITE_P(Bounds, RngBoundTest,
                          ::testing::Values(1, 2, 3, 7, 10, 64, 1000,
                                            1'000'000'007ULL));
 
+// The rejection loop as it was before the threshold was computed lazily:
+// the threshold first, then draws until one clears it.
+std::uint64_t uniform_eager(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = -bound % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, UniformMatchesTheEagerThresholdLoop) {
+  // 2^63 + 1 rejects about half its draws below bound, 2^64 - 1 only a
+  // draw of 0; the small bounds exercise the lazy path's common case.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{5}, std::uint64_t{650}, std::uint64_t{40000},
+        (std::uint64_t{1} << 32) + 1, (std::uint64_t{1} << 63) + 1,
+        ~std::uint64_t{0}}) {
+    for (const std::uint64_t seed : {1u, 71u, 0x1996u}) {
+      Rng lazy(seed), eager(seed);
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(lazy.uniform(bound), uniform_eager(eager, bound))
+            << "bound " << bound << " seed " << seed << " draw " << i;
+      }
+      // Both consumed the same draws: the streams stay in step.
+      EXPECT_EQ(lazy.next_u64(), eager.next_u64())
+          << "bound " << bound << " seed " << seed;
+    }
+  }
+}
+
 TEST(Rng, Uniform01InHalfOpenInterval) {
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {
