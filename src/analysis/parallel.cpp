@@ -1,15 +1,15 @@
 #include "analysis/parallel.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "exec/runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "telemetry/esst_view.hpp"
 
@@ -35,10 +35,14 @@ constexpr std::size_t kShardsPerWorker = 4;
 constexpr std::uint64_t kDefaultMinShardBytes = 4 * 1024 * 1024;
 
 std::uint64_t default_min_shard_bytes() {
+  // Digits only, as ESS_JOBS: "-1", " 64", "+64", "64k" and anything past
+  // 2^64 - 1 fall back to the default instead of whatever strtoull would
+  // salvage from them (it turns "-1" into a 2^64 - 1 floor).
   if (const char* v = std::getenv("ESS_SHARD_MIN_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0' && n > 0) return n;
+    const char* const end = v + std::strlen(v);
+    std::uint64_t n = 0;
+    const auto [stop, ec] = std::from_chars(v, end, n);
+    if (ec == std::errc() && stop == end && n > 0) return n;
   }
   return kDefaultMinShardBytes;
 }
@@ -69,34 +73,13 @@ std::vector<std::pair<std::size_t, std::size_t>> cut_by_weight(
 
 }  // namespace
 
-std::size_t resolve_jobs(std::size_t jobs) {
-  if (jobs != 0) return jobs;
-  return std::max<std::size_t>(exec::default_workers(), 1);
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
-    std::size_t chunks, std::size_t workers) {
-  const std::size_t shards = std::max<std::size_t>(
-      1, std::min(chunks, std::max<std::size_t>(workers, 1) *
-                              kShardsPerWorker));
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  out.reserve(shards);
-  std::size_t lo = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t hi = chunks * (s + 1) / shards;
-    if (hi > lo) out.emplace_back(lo, hi);
-    lo = hi;
-  }
-  return out;
-}
-
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_weighted(
     const std::vector<std::uint64_t>& chunk_bytes, std::size_t workers,
     std::uint64_t min_shard_bytes) {
   std::uint64_t total = 0;
   for (const auto b : chunk_bytes) total += b;
   if (chunk_bytes.empty()) return {};
-  if (total == 0) return {{0, chunk_bytes.size()}};
+  if (workers <= 1 || total == 0) return {{0, chunk_bytes.size()}};
   if (min_shard_bytes == 0) min_shard_bytes = default_min_shard_bytes();
   // Cap shards three ways: one per chunk at most, a few per worker, and
   // nothing smaller than min_shard_bytes of decode work.
@@ -122,69 +105,50 @@ std::vector<std::uint64_t> chunk_weights(const telemetry::EsstView& view) {
 
 ScanResult scan_esst(const std::string& path, std::size_t jobs,
                      const telemetry::StreamSummary::Options& opts) {
-  const std::size_t workers = resolve_jobs(jobs);
+  const std::size_t workers = exec::resolve_workers(jobs);
   ScanResult out;
-  out.summary = telemetry::StreamSummary(opts);
 
   const telemetry::EsstView view(path);
   out.salvaged = view.salvaged();
   out.experiment = view.meta().experiment;
   out.capture_dropped = view.capture_dropped();
   // The chunks a salvage scan discarded never reach the chunk list; count
-  // their records once, before either decode path adds its own failures.
+  // their records once, before the shards add their own decode failures.
   out.lost_records = view.scan_losses().records_lost;
-  const std::size_t nchunks = view.chunks().size();
-  const auto ranges =
-      workers <= 1 ? shard_ranges(nchunks, 1)
-                   : shard_ranges_weighted(chunk_weights(view), workers);
+  const auto ranges = shard_ranges_weighted(chunk_weights(view), workers);
 
-  if (workers <= 1 || ranges.size() <= 1) {
-    // The serial reference loop: same view, same decode, one thread.
-    view.advise_sequential();
+  // One shard loop at every worker count: jobs <= 1 (or a capture under
+  // the shard floor) is one shard on the calling thread, the serial fold.
+  // A capture with no chunks still gets its (empty) first summary.
+  const std::size_t nsummaries = std::max<std::size_t>(ranges.size(), 1);
+  std::vector<telemetry::StreamSummary> summaries;
+  summaries.reserve(nsummaries);
+  for (std::size_t s = 0; s < nsummaries; ++s) summaries.emplace_back(opts);
+  std::vector<std::uint64_t> lost(ranges.size(), 0);
+  exec::parallel_for(workers, ranges.size(), [&](std::size_t s) {
+    // Every shard decodes straight out of the one shared mapping; the
+    // only per-shard state is its summary and its record scratch, which
+    // is reused across all the shard's chunks.
+    const auto [lo, hi] = ranges[s];
+    view.advise_chunks(lo, hi);
     std::vector<trace::Record> recs;
     recs.reserve(view.meta().records_per_chunk);
-    for (std::size_t i = 0; i < nchunks; ++i) {
+    for (std::size_t i = lo; i < hi; ++i) {
       try {
         view.decode_chunk(i, recs);
-        out.summary.on_records(recs.data(), recs.size());
+        summaries[s].on_records(recs.data(), recs.size());
       } catch (const std::runtime_error&) {
-        out.lost_records += view.chunks()[i].records;
+        lost[s] += view.chunks()[i].records;
       }
     }
-  } else {
-    struct ShardOut {
-      telemetry::StreamSummary summary;
-      std::uint64_t lost = 0;
-    };
-    std::vector<std::function<ShardOut()>> shard_jobs;
-    shard_jobs.reserve(ranges.size());
-    for (const auto& [lo, hi] : ranges) {
-      shard_jobs.push_back([&, lo = lo, hi = hi] {
-        // Every shard decodes straight out of the one shared mapping; the
-        // only per-shard state is its summary and its record scratch,
-        // which is reused across all the shard's chunks.
-        ShardOut shard{telemetry::StreamSummary(opts)};
-        view.advise_chunks(lo, hi);
-        std::vector<trace::Record> recs;
-        recs.reserve(view.meta().records_per_chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          try {
-            view.decode_chunk(i, recs);
-            shard.summary.on_records(recs.data(), recs.size());
-          } catch (const std::runtime_error&) {
-            shard.lost += view.chunks()[i].records;
-          }
-        }
-        return shard;
-      });
-    }
-    // Submission order == chunk order, so each merge folds in the later
-    // time segment — the consumers' merge precondition. This branch only
-    // runs with workers > 1, so the pool is always real.
-    for (auto& shard : exec::run_ordered(std::move(shard_jobs), workers)) {
-      out.summary.merge(shard.summary);
-      out.lost_records += shard.lost;
-    }
+  });
+  // Shard order == chunk order, so each merge folds in the later time
+  // segment — the consumers' merge precondition. The first shard is the
+  // start of the fold, so one shard is exactly the serial chunk loop.
+  out.summary = std::move(summaries.front());
+  for (std::size_t s = 0; s < ranges.size(); ++s) {
+    if (s > 0) out.summary.merge(summaries[s]);
+    out.lost_records += lost[s];
   }
   out.summary.on_drops(out.capture_dropped + out.lost_records);
   out.summary.on_finish(view.duration());
@@ -198,43 +162,34 @@ telemetry::SalvageReport verify_esst(const std::string& path,
 
 telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
                                      std::size_t jobs) {
-  const std::size_t workers = resolve_jobs(jobs);
-  const std::size_t nchunks = view.chunks().size();
-  const auto ranges =
-      workers <= 1 ? shard_ranges(nchunks, 1)
-                   : shard_ranges_weighted(chunk_weights(view), workers);
-  std::vector<std::function<telemetry::SalvageReport()>> shard_jobs;
-  shard_jobs.reserve(ranges.size());
-  for (const auto& [lo, hi] : ranges) {
-    shard_jobs.push_back([&, lo = lo, hi = hi] {
-      telemetry::SalvageReport shard;
-      std::vector<trace::Record> recs;
-      recs.reserve(view.meta().records_per_chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        try {
-          view.decode_chunk(i, recs);
-          ++shard.chunks_kept;
-          shard.records_kept += recs.size();
-        } catch (const std::runtime_error&) {
-          ++shard.chunks_lost;
-          shard.records_lost += view.chunks()[i].records;
-          if (!shard.first_bad_offset) {
-            shard.first_bad_offset = view.chunks()[i].offset;
-          }
+  const std::size_t workers = exec::resolve_workers(jobs);
+  const auto ranges = shard_ranges_weighted(chunk_weights(view), workers);
+  std::vector<telemetry::SalvageReport> shards(ranges.size());
+  exec::parallel_for(workers, ranges.size(), [&](std::size_t s) {
+    const auto [lo, hi] = ranges[s];
+    telemetry::SalvageReport& shard = shards[s];
+    std::vector<trace::Record> recs;
+    recs.reserve(view.meta().records_per_chunk);
+    for (std::size_t i = lo; i < hi; ++i) {
+      try {
+        view.decode_chunk(i, recs);
+        ++shard.chunks_kept;
+        shard.records_kept += recs.size();
+      } catch (const std::runtime_error&) {
+        ++shard.chunks_lost;
+        shard.records_lost += view.chunks()[i].records;
+        if (!shard.first_bad_offset) {
+          shard.first_bad_offset = view.chunks()[i].offset;
         }
       }
-      return shard;
-    });
-  }
+    }
+  });
 
   // Start from what opening the file established — index state, capture
   // drops, and the damage a salvage scan already discarded (those chunks
   // never made it into the chunk list) — and add the decode pass.
   telemetry::SalvageReport rep = view.scan_losses();
-  // workers == 1 runs the same shard jobs inline (ThreadPool(0)): the
-  // serial reference path through identical code.
-  for (const auto& shard : exec::run_ordered(
-           std::move(shard_jobs), workers <= 1 ? 0 : workers)) {
+  for (const auto& shard : shards) {
     rep.chunks_kept += shard.chunks_kept;
     rep.chunks_lost += shard.chunks_lost;
     rep.records_kept += shard.records_kept;
@@ -480,7 +435,7 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
   if (inputs.size() >= kMergeInputLimit) {
     throw std::runtime_error("merge takes fewer than 2^32 - 1 inputs");
   }
-  const std::size_t workers = resolve_jobs(jobs);
+  const std::size_t workers = exec::resolve_workers(jobs);
   // Workers only prefetch chunk decodes; the merge order below never
   // depends on them, so any --jobs value writes the same bytes.
   exec::ThreadPool pool(workers <= 1 ? 0 : workers);

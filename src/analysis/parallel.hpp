@@ -4,14 +4,15 @@
 // which makes a capture embarrassingly parallel to characterize: shard the
 // chunk index into contiguous runs, decode and consume each shard on its
 // own worker with its own StreamSummary, then fold the shard summaries
-// left-to-right with the consumers' merge() methods. Submission-order
-// merging (exec::run_ordered) plus contiguous shards keep the result
-// *identical* to the serial chunk loop — counting consumers merge exactly,
-// the sliding-rate window's "later segment" precondition is exactly what
-// contiguous shards guarantee, and the top-K sketch union is exact while
-// the distinct-sector population fits its capacity (it does, for every
-// capture this study produces; when it would not, the sketch reports its
-// error bounds instead of silently diverging).
+// left-to-right with the consumers' merge() methods. Shard-order merging
+// (per-shard slots filled by exec::parallel_for) plus contiguous shards
+// keep the result *identical* to the serial chunk loop — counting
+// consumers merge exactly, the sliding-rate window's "later segment"
+// precondition is exactly what contiguous shards guarantee, and the
+// top-K sketch union is exact while the distinct-sector population fits
+// its capacity (it does, for every capture this study produces; when it
+// would not, the sketch reports its error bounds instead of silently
+// diverging).
 //
 // The read substrate is one telemetry::EsstView shared by every shard: the
 // capture is memory-mapped and its header/index validated exactly once,
@@ -24,9 +25,10 @@
 // already rebuilt their chunk list, and they shard like any other file.
 //
 // The same worker-count convention runs through everything here and the
-// esstrace CLI: jobs == 0 means "pick for me" (ESS_JOBS or the hardware
-// thread count), jobs == 1 is the serial reference path through the same
-// code, and outputs never depend on the value.
+// esstrace CLI (exec::resolve_workers): jobs == 0 means "pick for me"
+// (ESS_JOBS or the affinity mask), jobs == 1 is one shard on the calling
+// thread — the serial reference path through the same shard loop — and
+// outputs never depend on the value.
 #pragma once
 
 #include <cstddef>
@@ -41,32 +43,24 @@
 
 namespace ess::analysis {
 
-/// The CLI-facing jobs convention: 0 = ESS_JOBS or hardware concurrency,
-/// anything else verbatim. Returns at least 1.
-std::size_t resolve_jobs(std::size_t jobs);
-
-/// Contiguous chunk shard ranges by chunk *count*: a few shards per worker,
-/// never more than the chunk count. The returned ranges exactly cover
-/// [0, chunks) in order with no overlap; empty when chunks == 0. Used when
-/// per-chunk byte weights are unavailable; exposed for tests.
-std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
-    std::size_t chunks, std::size_t workers);
-
 /// Contiguous chunk shard ranges balanced by per-chunk *byte* cost (one
 /// weight per chunk, e.g. EsstView::chunk_bytes): shard boundaries land on
 /// equal cumulative-byte marks, so a run of dense chunks cannot straggle
-/// the scan the way equal-count sharding lets it. Same coverage contract
-/// as shard_ranges; shard count is capped so no shard carries less decode
-/// work than it costs to fold its summary back in (tiny captures collapse
-/// to one shard, i.e. the serial path). `min_shard_bytes` sets that
-/// per-shard byte floor; 0 means the built-in default, overridable via
-/// ESS_SHARD_MIN_BYTES. Exposed for tests.
+/// the scan the way equal-count sharding lets it. The returned ranges
+/// exactly cover [0, chunks) in order with no overlap; empty when there
+/// are no chunks. One range when workers <= 1; otherwise the shard count
+/// is capped so no shard carries less decode work than it costs to fold
+/// its summary back in (tiny captures collapse to one shard, i.e. the
+/// serial path). `min_shard_bytes` sets that per-shard byte floor; 0
+/// means the built-in default, overridable via ESS_SHARD_MIN_BYTES
+/// (decimal digits only; anything else keeps the default). Exposed for
+/// tests.
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_weighted(
     const std::vector<std::uint64_t>& chunk_bytes, std::size_t workers,
     std::uint64_t min_shard_bytes = 0);
 
 /// A characterized capture: what `esstrace stats` prints and `diff`
-/// compares, plus the loss accounting the serial path tracked alongside.
+/// compares, plus the loss accounting the shards tracked alongside.
 struct ScanResult {
   telemetry::StreamSummary summary;  // merged + finished; result() ready
   std::string experiment;            // header name ("" when unnamed)

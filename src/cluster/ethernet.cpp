@@ -24,11 +24,4 @@ SimTime EthernetModel::barrier_time(int processes) const {
   return static_cast<SimTime>(rounds) * transfer_time(64);
 }
 
-SimTime EthernetModel::exchange_time(int processes,
-                                     std::uint64_t bytes) const {
-  if (processes <= 1) return 0;
-  // Shared medium: the exchanges serialize on the channels.
-  return static_cast<SimTime>(processes - 1) * transfer_time(bytes);
-}
-
 }  // namespace ess::cluster

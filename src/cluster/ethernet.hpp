@@ -27,9 +27,6 @@ class EthernetModel {
   /// Time for an N-process barrier (dissemination: ceil(log2 n) rounds).
   SimTime barrier_time(int processes) const;
 
-  /// Time for an all-to-all exchange of `bytes` per pair.
-  SimTime exchange_time(int processes, std::uint64_t bytes) const;
-
   const EthernetConfig& config() const { return cfg_; }
 
  private:

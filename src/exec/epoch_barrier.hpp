@@ -12,7 +12,7 @@
 // itself costs two uncontended syscalls and no context switch at all —
 // with a mutex/condvar fallback elsewhere.
 //
-// Exception semantics mirror the pool's run_ordered convention: every job
+// Exception semantics mirror exec::parallel_for's convention: every job
 // still runs, each failure is captured in its slot, and run() rethrows
 // the lowest-index exception once the epoch has quiesced. With zero
 // workers (or a single job) run() degenerates to calling fn inline on the

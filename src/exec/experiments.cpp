@@ -4,7 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "exec/runner.hpp"
+#include "exec/thread_pool.hpp"
 #include "telemetry/esst.hpp"
 
 namespace ess::exec {
@@ -95,12 +95,10 @@ JobOutcome run_one(const JobSpec& spec) {
 
 std::vector<JobOutcome> run_jobs(const std::vector<JobSpec>& specs,
                                  std::size_t workers) {
-  std::vector<std::function<JobOutcome()>> jobs;
-  jobs.reserve(specs.size());
-  for (const auto& spec : specs) {
-    jobs.emplace_back([&spec] { return run_one(spec); });
-  }
-  return run_ordered(std::move(jobs), workers);
+  std::vector<JobOutcome> out(specs.size());
+  parallel_for(workers, specs.size(),
+               [&](std::size_t i) { out[i] = run_one(specs[i]); });
+  return out;
 }
 
 }  // namespace ess::exec

@@ -1,5 +1,5 @@
 // The experiment-matrix executor: named, self-contained study runs fanned
-// out over a ThreadPool.
+// out with exec::parallel_for.
 //
 // One JobSpec is one experiment cell — a StudyConfig (hardware, workloads,
 // fault plan) plus which canonical experiment to run, optionally streaming
@@ -59,10 +59,10 @@ struct JobOutcome {
   std::string esst_error;
 };
 
-/// Run every spec over `workers` pool threads (0 = inline serial; results
-/// and captures are identical either way). Outcomes return in submission
-/// order. The first job exception (by submission index) propagates after
-/// all jobs finish.
+/// Run every spec on `workers` threads, the calling thread among them
+/// (0 or 1 = serial on the caller; results and captures are identical
+/// either way). Outcomes return in submission order. The first job
+/// exception (by submission index) propagates after all jobs finish.
 std::vector<JobOutcome> run_jobs(const std::vector<JobSpec>& specs,
                                  std::size_t workers);
 

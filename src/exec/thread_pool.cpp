@@ -121,6 +121,13 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   }
 }
 
+void parallel_for(std::size_t workers, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  ThreadPool pool(std::min(std::max<std::size_t>(workers, 1), n) - 1);
+  parallel_for(pool, n, fn);
+}
+
 std::optional<std::size_t> parse_worker_count(const std::string& text) {
   // Digits only: "-1", "4x", " 8" and "" all fail the same way instead of
   // whatever strtol salvages. 19 digits cannot overflow stoull.
@@ -147,6 +154,10 @@ std::size_t default_workers() {
 #endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+std::size_t resolve_workers(std::size_t jobs) {
+  return std::max<std::size_t>(jobs != 0 ? jobs : default_workers(), 1);
 }
 
 }  // namespace ess::exec

@@ -37,7 +37,8 @@ class ThreadPool {
   std::size_t workers() const { return threads_.size(); }
 
   /// Enqueue a job. Jobs must not throw (wrap and capture instead — see
-  /// run_ordered, which stores exceptions per slot and rethrows in order).
+  /// parallel_for, which stores exceptions per index and rethrows the
+  /// lowest).
   void submit(std::function<void()> job);
 
   /// Block until every submitted job has finished.
@@ -65,6 +66,14 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
+/// parallel_for on a one-shot pool of max(workers, 1) - 1 threads (never
+/// more than n - 1) plus the calling thread, so `workers` threads run the
+/// loop in all and 0 or 1 runs every index on the caller: the serial
+/// reference through the same code. Callers write into pre-sized
+/// per-index slots, so results come back in index order.
+void parallel_for(std::size_t workers, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
 /// Upper bound a worker count may take: far above any real machine, low
 /// enough that a mistyped value cannot ask for a million threads.
 inline constexpr std::size_t kMaxWorkers = 4096;
@@ -79,5 +88,10 @@ std::optional<std::size_t> parse_worker_count(const std::string& text);
 /// CPUs this process may run on (its affinity mask, so a pinned container
 /// is not oversubscribed), else the hardware thread count, else 1.
 std::size_t default_workers();
+
+/// The one worker-count rule behind every `jobs`/`--jobs` value: 0 means
+/// default_workers(), anything else is taken as given, and the result is
+/// at least 1.
+std::size_t resolve_workers(std::size_t jobs);
 
 }  // namespace ess::exec

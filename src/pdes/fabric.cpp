@@ -109,17 +109,7 @@ bool WindowFabric::quiescent() const {
   return true;
 }
 
-namespace {
-
-/// Below this many flights the partition + epoch release costs more than
-/// the injection itself; the big drains (all-to-all exchange phases on
-/// wide machines) are the ones worth fanning out.
-constexpr std::size_t kParallelInjectMin = 128;
-
-}  // namespace
-
-void WindowFabric::drain(const std::vector<sim::Engine*>& shard_engines,
-                         exec::EpochBarrier* gang) {
+void WindowFabric::drain(const std::vector<sim::Engine*>& shard_engines) {
   // 1. Messages: one globally sorted injection pass. Sorting by (delivery,
   // source node, per-NIC sequence) fixes the scheduling order of every
   // same-time delivery, so each destination engine fires them in the same
@@ -135,56 +125,11 @@ void WindowFabric::drain(const std::vector<sim::Engine*>& shard_engines,
               return std::tie(a.delivery, a.src_node, a.nic_seq) <
                      std::tie(b.delivery, b.src_node, b.nic_seq);
             });
-  const auto inject = [this](sim::Engine* eng, const Flight& f) {
-    eng->schedule_at(f.delivery,
-                     [this, dst_rank = f.dst_rank, src_rank = f.src_rank,
-                      tag = f.tag] { deliver(dst_rank, Mail{src_rank, tag}); });
-  };
-  if (gang != nullptr && gang->workers() > 0 &&
-      flights.size() >= kParallelInjectMin) {
-    // Pre-partition the sorted list by destination shard (a stable
-    // counting sort over the shard ids), then let one job per non-empty
-    // shard walk its slice. Each engine is touched by exactly one job and
-    // receives its flights in exactly the globally sorted order, so the
-    // injected streams are identical to the serial loop's.
-    flight_shard_.resize(flights.size());
-    shard_slice_.assign(shards_.size() + 1, 0);
-    for (std::size_t i = 0; i < flights.size(); ++i) {
-      const Task& dst =
-          tasks_.at(static_cast<std::size_t>(flights[i].dst_rank));
-      flight_shard_[i] = static_cast<std::uint32_t>(dst.shard);
-      ++shard_slice_[dst.shard + 1];
-    }
-    for (std::size_t s = 1; s <= shards_.size(); ++s) {
-      shard_slice_[s] += shard_slice_[s - 1];
-    }
-    flight_order_.resize(flights.size());
-    {
-      std::vector<std::size_t> fill(shard_slice_.begin(),
-                                    shard_slice_.end() - 1);
-      for (std::size_t i = 0; i < flights.size(); ++i) {
-        flight_order_[fill[flight_shard_[i]]++] =
-            static_cast<std::uint32_t>(i);
-      }
-    }
-    std::vector<std::uint32_t> busy;  // shards with flights this drain
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shard_slice_[s + 1] > shard_slice_[s]) {
-        busy.push_back(static_cast<std::uint32_t>(s));
-      }
-    }
-    gang->run(busy.size(), [&](std::size_t k) {
-      const std::size_t s = busy[k];
-      sim::Engine* eng = shard_engines[s];
-      for (std::size_t i = shard_slice_[s]; i < shard_slice_[s + 1]; ++i) {
-        inject(eng, flights[flight_order_[i]]);
-      }
-    });
-  } else {
-    for (const Flight& f : flights) {
-      const Task& dst = tasks_.at(static_cast<std::size_t>(f.dst_rank));
-      inject(shard_engines[dst.shard], f);
-    }
+  for (const Flight& f : flights) {
+    const Task& dst = tasks_.at(static_cast<std::size_t>(f.dst_rank));
+    shard_engines[dst.shard]->schedule_at(
+        f.delivery, [this, dst_rank = f.dst_rank, src_rank = f.src_rank,
+                     tag = f.tag] { deliver(dst_rank, Mail{src_rank, tag}); });
   }
 
   // 2. Barriers: fold this round's entries into the accumulated groups in

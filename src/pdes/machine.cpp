@@ -4,28 +4,22 @@
 #include <exception>
 #include <stdexcept>
 
-#include "exec/thread_pool.hpp"  // default_workers()
+#include "exec/thread_pool.hpp"  // resolve_workers()
 
 namespace ess::pdes {
 namespace {
 
-std::size_t resolve_workers(std::size_t jobs) {
-  const std::size_t w = jobs == 0 ? exec::default_workers() : jobs;
-  return std::max<std::size_t>(w, 1);
-}
-
 std::size_t resolve_shards(const MachineConfig& cfg) {
   if (cfg.nodes < 1) throw std::invalid_argument("pdes::Machine: no nodes");
   const std::size_t want =
-      cfg.shards != 0 ? cfg.shards : resolve_workers(cfg.jobs);
-  return std::min<std::size_t>(std::max<std::size_t>(want, 1),
-                               static_cast<std::size_t>(cfg.nodes));
+      cfg.shards != 0 ? cfg.shards : exec::resolve_workers(cfg.jobs);
+  return std::min<std::size_t>(want, static_cast<std::size_t>(cfg.nodes));
 }
 
 }  // namespace
 
 Machine::Machine(MachineConfig cfg)
-    : workers_(resolve_workers(cfg.jobs)),
+    : workers_(exec::resolve_workers(cfg.jobs)),
       // Computed once: fabric shard slots, engine partitions, and the
       // node->shard map below all derive from this one value and can
       // never diverge.
@@ -105,7 +99,7 @@ void Machine::ioctl_all(driver::TraceLevel level) {
 
 bool Machine::drain_unless_quiescent() {
   if (fabric_.quiescent()) return false;
-  fabric_.drain(engine_ptrs_, gang_.workers() > 0 ? &gang_ : nullptr);
+  fabric_.drain(engine_ptrs_);
   horizon_dirty_ = true;  // injections move shard horizons
   return true;
 }

@@ -393,10 +393,6 @@ void EsstFileSink::on_drops(std::uint64_t dropped) {
   if (impl_->writer) impl_->writer->set_dropped_records(dropped);
 }
 
-void EsstFileSink::set_encode_pool(exec::ThreadPool* pool) {
-  if (impl_->writer) impl_->writer->set_encode_pool(pool);
-}
-
 std::uint64_t EsstFileSink::records_written() const {
   return impl_->writer ? impl_->writer->records_written() : impl_->records;
 }

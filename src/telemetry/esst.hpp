@@ -184,11 +184,6 @@ class EsstFileSink final : public Sink {
   void on_finish(SimTime duration) override;
   void on_drops(std::uint64_t dropped) override;
 
-  /// Forwarded to EsstWriter::set_encode_pool: chunk payloads encode on
-  /// `pool` workers while this thread keeps draining records. Set before
-  /// the first record; bytes written are identical either way.
-  void set_encode_pool(exec::ThreadPool* pool);
-
   std::uint64_t records_written() const;
 
   /// True once a write failed; no further bytes are attempted.

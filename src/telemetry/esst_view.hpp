@@ -122,10 +122,8 @@ class EsstView {
   /// Every record of every decodable chunk, with the capture's duration.
   trace::TraceSet read_all() const { return read_filtered(Filter{}); }
 
-  /// Kernel readahead hints, forwarded to the mapping (no-ops on a heap
-  /// buffer).
-  void advise_sequential() const { map_.advise_sequential(); }
-  /// MADV_WILLNEED over the byte range of chunks [first, last).
+  /// Kernel readahead hint, forwarded to the mapping (a no-op on a heap
+  /// buffer): MADV_WILLNEED over the byte range of chunks [first, last).
   void advise_chunks(std::size_t first, std::size_t last) const;
 
  private:

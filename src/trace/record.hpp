@@ -24,7 +24,7 @@ struct Record {
   /// Originating node for multi-node (merged) record streams; 0 on a
   /// single-node capture, where the file-level node id (TraceSet /
   /// EsstMeta) identifies the disk. Carried per record only by the
-  /// multi-node ESST format; CSV and the legacy flat binary drop it.
+  /// multi-node ESST format; CSV drops it.
   std::int32_t node = 0;
 
   friend bool operator==(const Record&, const Record&) = default;

@@ -127,14 +127,6 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   return *this;
 }
 
-void MmapFile::advise_sequential() const {
-#if ESS_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::madvise(data_, size_, MADV_SEQUENTIAL);
-  }
-#endif
-}
-
 void MmapFile::advise_willneed(std::size_t offset, std::size_t len) const {
 #if ESS_HAVE_MMAP
   if (!mapped_ || data_ == nullptr || offset >= size_) return;

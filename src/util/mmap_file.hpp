@@ -48,9 +48,6 @@ class MmapFile {
   /// True when backed by a real mapping (false: heap-buffer fallback).
   bool mapped() const { return mapped_; }
 
-  /// madvise(MADV_SEQUENTIAL): tell the kernel a front-to-back pass is
-  /// coming so readahead runs ahead of the decode. No-op on the fallback.
-  void advise_sequential() const;
   /// madvise(MADV_WILLNEED) on [offset, offset+len): prefault the pages a
   /// worker is about to decode. No-op on the fallback.
   void advise_willneed(std::size_t offset, std::size_t len) const;

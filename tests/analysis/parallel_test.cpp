@@ -16,6 +16,7 @@
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,20 +104,53 @@ void expect_same_result(const telemetry::StreamSummary::Result& a,
   }
 }
 
+/// The scan's independent oracle: every chunk of the capture decoded in
+/// order into one StreamSummary on this thread, damaged chunks counted as
+/// lost, then the drops and the duration — the plain serial chunk loop,
+/// kept here so scan_esst at any job count (1 included) is checked
+/// against code it does not share.
+ScanResult serial_fold(const std::string& path) {
+  const telemetry::EsstView view(path);
+  ScanResult out;
+  out.experiment = view.meta().experiment;
+  out.salvaged = view.salvaged();
+  out.capture_dropped = view.capture_dropped();
+  out.lost_records = view.scan_losses().records_lost;
+  std::vector<trace::Record> recs;
+  for (std::size_t i = 0; i < view.chunks().size(); ++i) {
+    try {
+      view.decode_chunk(i, recs);
+      out.summary.on_records(recs.data(), recs.size());
+    } catch (const std::runtime_error&) {
+      out.lost_records += view.chunks()[i].records;
+    }
+  }
+  out.summary.on_drops(out.capture_dropped + out.lost_records);
+  out.summary.on_finish(view.duration());
+  return out;
+}
+
+void expect_scan_matches_oracle(const std::string& path) {
+  const auto want = serial_fold(path);
+  for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto got = scan_esst(path, jobs);
+    EXPECT_EQ(got.experiment, want.experiment);
+    EXPECT_EQ(got.salvaged, want.salvaged);
+    EXPECT_EQ(got.capture_dropped, want.capture_dropped);
+    EXPECT_EQ(got.lost_records, want.lost_records);
+    expect_same_result(got.summary.result("x"), want.summary.result("x"));
+  }
+}
+
 TEST(ParallelScan, IdenticalToSerialAtAnyJobCount) {
   const std::string path = tmp_path("scan.esst");
   write_chunked(sample_trace("scan", 0, 20'000, 3), path);
-
-  const auto serial = scan_esst(path, 1);
-  EXPECT_FALSE(serial.salvaged);
-  EXPECT_EQ(serial.lost_records, 0u);
-  EXPECT_EQ(serial.summary.records(), 20'000u);
-  for (const std::size_t jobs : {2u, 4u, 8u}) {
-    const auto par = scan_esst(path, jobs);
-    EXPECT_EQ(par.experiment, serial.experiment);
-    EXPECT_EQ(par.lost_records, serial.lost_records);
-    expect_same_result(par.summary.result("x"), serial.summary.result("x"));
-  }
+  const auto oracle = serial_fold(path);
+  EXPECT_FALSE(oracle.salvaged);
+  EXPECT_EQ(oracle.lost_records, 0u);
+  EXPECT_EQ(oracle.summary.records(), 20'000u);
+  expect_scan_matches_oracle(path);
   std::filesystem::remove(path);
 }
 
@@ -125,19 +159,25 @@ TEST(ParallelScan, DamagedChunkCostsSameRecordsAtAnyJobCount) {
   write_chunked(sample_trace("dmg", 0, 8'192, 4), path);
   // Flip a byte inside some mid-file chunk payload: its CRC fails, its
   // records count as dropped, everything else survives.
-  {
-    auto bytes = slurp(path);
-    bytes[bytes.size() / 2] ^= 0x5a;
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  }
-  const auto serial = scan_esst(path, 1);
-  EXPECT_GT(serial.lost_records, 0u);
-  EXPECT_TRUE(serial.summary.result("x").lossy);
-  for (const std::size_t jobs : {2u, 8u}) {
-    const auto par = scan_esst(path, jobs);
-    EXPECT_EQ(par.lost_records, serial.lost_records);
-    expect_same_result(par.summary.result("x"), serial.summary.result("x"));
-  }
+  auto bytes = slurp(path);
+  bytes[bytes.size() / 2] ^= 0x5a;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  const auto damaged = serial_fold(path);
+  EXPECT_FALSE(damaged.salvaged);
+  EXPECT_GT(damaged.lost_records, 0u);
+  EXPECT_TRUE(damaged.summary.result("x").lossy);
+  expect_scan_matches_oracle(path);
+
+  // The same flip with the trailer magic broken too (the last byte): the
+  // index is lost, the chunk list comes from the salvage scan, and the
+  // flipped chunk is still the only loss.
+  bytes.back() ^= 0xff;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  const auto salvaged = serial_fold(path);
+  EXPECT_TRUE(salvaged.salvaged);
+  EXPECT_GT(salvaged.lost_records, 0u);
+  EXPECT_TRUE(salvaged.summary.result("x").lossy);
+  expect_scan_matches_oracle(path);
   std::filesystem::remove(path);
 }
 
@@ -589,22 +629,6 @@ void expect_exact_cover(
   EXPECT_EQ(expect_lo, chunks);
 }
 
-TEST(ShardRanges, EdgeCasesCoverExactly) {
-  EXPECT_TRUE(shard_ranges(0, 8).empty());
-  for (const std::size_t workers : {0u, 1u, 3u, 8u, 1'000u}) {
-    for (const std::size_t chunks : {1u, 2u, 3u, 7u, 8u, 64u, 65u, 1'000u}) {
-      expect_exact_cover(shard_ranges(chunks, workers), chunks);
-    }
-  }
-  // chunks < workers: one chunk can never split.
-  EXPECT_EQ(shard_ranges(1, 64).size(), 1u);
-  // chunks not divisible by shards still tile exactly (checked above) and
-  // no shard count ever exceeds the chunk count.
-  for (const auto& r : {shard_ranges(7, 2), shard_ranges(65, 8)}) {
-    EXPECT_LE(r.size(), 65u);
-  }
-}
-
 TEST(ShardRangesWeighted, CoversExactlyAndBalancesBytes) {
   // Pin the per-shard byte floor so the expectations below cannot drift
   // with the production default (or an inherited ESS_SHARD_MIN_BYTES).
@@ -612,6 +636,15 @@ TEST(ShardRangesWeighted, CoversExactlyAndBalancesBytes) {
   const std::uint64_t floor_bytes = 4 * mb;
 
   EXPECT_TRUE(shard_ranges_weighted({}, 8, floor_bytes).empty());
+
+  // One worker (or "0") is one range over everything — the serial shard
+  // loop — however heavy the capture is.
+  const std::vector<std::uint64_t> heavy(64, 16 * mb);
+  for (const std::size_t workers : {0u, 1u}) {
+    const auto one = shard_ranges_weighted(heavy, workers, floor_bytes);
+    ASSERT_EQ(one.size(), 1u);
+    expect_exact_cover(one, heavy.size());
+  }
 
   // All-zero weights: one shard holding everything, still exact cover.
   expect_exact_cover(shard_ranges_weighted({0, 0, 0}, 4, floor_bytes), 3);
@@ -642,6 +675,26 @@ TEST(ShardRangesWeighted, CoversExactlyAndBalancesBytes) {
   tail.push_back(0);
   expect_exact_cover(shard_ranges_weighted(tail, 3, floor_bytes),
                      tail.size());
+}
+
+TEST(ShardRangesWeighted, ShardFloorFromTheEnvironmentIsDigitsOnly) {
+  // 16 x 1 MiB at 4 workers: the 4 MiB default floor gives 4 shards, a
+  // 1 MiB floor 16, a 8 MiB floor 2.
+  const std::vector<std::uint64_t> chunks(16, 1024 * 1024);
+  const auto shards_with = [&](const char* env) {
+    ::setenv("ESS_SHARD_MIN_BYTES", env, 1);
+    return shard_ranges_weighted(chunks, 4, 0).size();
+  };
+  EXPECT_EQ(shards_with("1048576"), 16u);
+  EXPECT_EQ(shards_with("8388608"), 2u);
+  EXPECT_EQ(shards_with("0004194304"), 4u);  // leading zeros: decimal
+  // Anything but plain digits keeps the default: "-1" is not a 2^64 - 1
+  // floor (one shard), nor " 64" / "+64" a 64-byte one (16 shards).
+  for (const char* bad : {"-1", " 64", "+64", "64 ", "64k", "0x40", "", "0",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(shards_with(bad), 4u) << "'" << bad << "'";
+  }
+  ::setenv("ESS_SHARD_MIN_BYTES", "1024", 1);  // as the rest of this file
 }
 
 TEST(ParallelVerify, FirstBadOffsetIsUnsetOnCleanAndExactOnDamage) {

@@ -50,13 +50,5 @@ TEST(Ethernet, BarrierScalesLogarithmically) {
   EXPECT_EQ(b16, b2 * 4);  // log2(16) rounds
 }
 
-TEST(Ethernet, ExchangeSerializesOnSharedMedium) {
-  EthernetModel net;
-  EXPECT_EQ(net.exchange_time(1, 1000), 0u);
-  const auto e4 = net.exchange_time(4, 1000);
-  const auto e8 = net.exchange_time(8, 1000);
-  EXPECT_GT(e8, e4);
-}
-
 }  // namespace
 }  // namespace ess::cluster

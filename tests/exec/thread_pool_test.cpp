@@ -4,15 +4,11 @@
 #include <sched.h>
 
 #include <atomic>
-#include <cstdint>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "exec/runner.hpp"
 
 namespace ess::exec {
 namespace {
@@ -56,55 +52,19 @@ TEST(ThreadPool, WaitIdleIsReusable) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(RunOrdered, ResultsComeBackInSubmissionOrder) {
-  // Jobs with inverted costs: later submissions finish first on a real
-  // pool, yet the result vector must follow submission order.
-  std::vector<std::function<int()>> jobs;
-  for (int i = 0; i < 32; ++i) {
-    jobs.emplace_back([i] {
-      volatile std::uint64_t spin = 0;
-      for (int k = 0; k < (32 - i) * 1000; ++k) {
-        spin = spin + static_cast<std::uint64_t>(k);
-      }
-      return i;
-    });
-  }
-  const auto results = run_ordered(std::move(jobs), 4);
-  std::vector<int> expected(32);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(results, expected);
-}
-
-TEST(RunOrdered, SerialAndParallelAgree) {
-  auto make = [] {
-    std::vector<std::function<int()>> jobs;
-    for (int i = 0; i < 16; ++i) jobs.emplace_back([i] { return i * i; });
-    return jobs;
-  };
-  EXPECT_EQ(run_ordered(make(), 0), run_ordered(make(), 4));
-}
-
-TEST(RunOrdered, FirstExceptionBySubmissionIndexWins) {
-  std::vector<std::function<int()>> jobs;
-  jobs.emplace_back([] { return 1; });
-  jobs.emplace_back([]() -> int { throw std::runtime_error("second"); });
-  jobs.emplace_back([]() -> int { throw std::runtime_error("third"); });
-  jobs.emplace_back([] { return 4; });
-  try {
-    run_ordered(std::move(jobs), 4);
-    FAIL() << "expected a throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "second");  // deterministic: by index, not time
-  }
-}
-
 TEST(DefaultWorkers, HonorsEssJobs) {
+  // resolve_workers: 0 takes the default, explicit counts pass through,
+  // and the result is never 0.
   setenv("ESS_JOBS", "3", 1);
   EXPECT_EQ(default_workers(), 3u);
+  EXPECT_EQ(resolve_workers(0), 3u);
+  EXPECT_EQ(resolve_workers(5), 5u);
   setenv("ESS_JOBS", "0", 1);
   EXPECT_EQ(default_workers(), 0u);
+  EXPECT_EQ(resolve_workers(0), 1u);
   unsetenv("ESS_JOBS");
   EXPECT_GE(default_workers(), 1u);
+  EXPECT_EQ(resolve_workers(0), default_workers());
 }
 
 TEST(DefaultWorkers, CountsTheAffinityMaskNotTheHost) {
@@ -139,6 +99,9 @@ TEST(DefaultWorkers, IgnoresMalformedEssJobs) {
 }
 
 TEST(ParseWorkerCount, DigitsOnlyUpToTheCap) {
+  // The one parser behind ESS_JOBS and esstrace's --jobs/--shards; the
+  // ParseJobs tests in tests/tools/esstrace_cli_test.cpp hold its full
+  // list of malformed and oversize inputs.
   EXPECT_EQ(parse_worker_count("0"), 0u);
   EXPECT_EQ(parse_worker_count("12"), 12u);
   EXPECT_EQ(parse_worker_count(std::to_string(kMaxWorkers)), kMaxWorkers);
@@ -153,10 +116,21 @@ TEST(ParallelFor, RunsEveryIndexOnceAtAnyWorkerCount) {
     for (const std::size_t n : {0u, 1u, 5u, 64u, 1000u}) {
       std::vector<std::atomic<int>> hits(n);
       parallel_for(pool, n, [&](std::size_t i) { ++hits[i]; });
+      // The one-shot form: `workers` threads in all, the caller included.
+      parallel_for(workers, n, [&](std::size_t i) { ++hits[i]; });
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << workers << " workers, index " << i;
+        EXPECT_EQ(hits[i].load(), 2) << workers << " workers, index " << i;
       }
     }
+  }
+  // 0 or 1 worker is the calling thread alone: the serial reference.
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t workers : {0u, 1u}) {
+    std::atomic<int> elsewhere{0};
+    parallel_for(workers, 8, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) ++elsewhere;
+    });
+    EXPECT_EQ(elsewhere.load(), 0) << workers << " workers";
   }
 }
 

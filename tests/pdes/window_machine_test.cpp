@@ -319,7 +319,7 @@ TEST(WindowMachine, WindowExceptionPropagatesLowestShardFirst) {
   // A shard runner that throws mid-window must surface on the coordinating
   // thread, and when several shards throw in one window the lowest shard
   // index wins — identically on the inline path (jobs=1) and the gang
-  // (jobs=8), mirroring run_ordered's convention.
+  // (jobs=8), mirroring exec::parallel_for's convention.
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
     Machine m(machine_cfg(2, 2, jobs, quiet_cfg()));
     ASSERT_NE(m.shard_of(0), m.shard_of(1));

@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,42 +209,6 @@ TEST(EsstFormat, EncodePoolAfterFirstAppendIsRejected) {
   EsstWriter w(os, {});
   w.append(sample(1).records()[0]);
   EXPECT_THROW(w.set_encode_pool(&pool), std::logic_error);
-}
-
-TEST(EsstFormat, FileSinkOffloadedEncodeWritesIdenticalFile) {
-  namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path();
-  const std::string serial_path =
-      (dir / ("esst_sink_serial_" + std::to_string(::getpid()) + ".esst"))
-          .string();
-  const std::string pooled_path =
-      (dir / ("esst_sink_pooled_" + std::to_string(::getpid()) + ".esst"))
-          .string();
-  const auto ts = sample(700);
-  EsstMeta meta;
-  meta.records_per_chunk = 128;
-  {
-    EsstFileSink sink(serial_path, meta);
-    sink.on_records(ts.records().data(), ts.size());
-    sink.on_finish(ts.duration());
-    EXPECT_FALSE(sink.failed());
-  }
-  {
-    exec::ThreadPool pool(2);
-    EsstFileSink sink(pooled_path, meta);
-    sink.set_encode_pool(&pool);
-    sink.on_records(ts.records().data(), ts.size());
-    sink.on_finish(ts.duration());
-    EXPECT_FALSE(sink.failed());
-  }
-  std::ifstream a(serial_path, std::ios::binary);
-  std::ifstream b(pooled_path, std::ios::binary);
-  std::ostringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
-  fs::remove(serial_path);
-  fs::remove(pooled_path);
 }
 
 TEST(EsstHardening, WriteFailureCarriesTheWriterErrorContext) {

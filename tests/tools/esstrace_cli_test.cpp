@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/esst.hpp"
 #include "telemetry/esst_view.hpp"
@@ -431,37 +432,32 @@ TEST_F(EsstraceCli, MergeRejectsNonEsstInput) {
 }
 
 // ---- option parsing: --jobs/--shards values ----
+// esstrace parses both options with exec::parse_worker_count; a rejected
+// value returns nullopt, so the caller's count stays as it was.
 
 TEST(ParseJobs, AcceptsPlainDecimalCounts) {
-  std::size_t jobs = 99;
-  EXPECT_TRUE(parse_jobs("0", jobs));  // 0 = "pick for me"
-  EXPECT_EQ(jobs, 0u);
-  EXPECT_TRUE(parse_jobs("1", jobs));
-  EXPECT_EQ(jobs, 1u);
-  EXPECT_TRUE(parse_jobs("64", jobs));
-  EXPECT_EQ(jobs, 64u);
-  EXPECT_TRUE(parse_jobs("007", jobs));  // leading zeros are still decimal
-  EXPECT_EQ(jobs, 7u);
-  EXPECT_TRUE(parse_jobs(std::to_string(kMaxJobs), jobs));
-  EXPECT_EQ(jobs, kMaxJobs);
+  using exec::parse_worker_count;
+  EXPECT_EQ(parse_worker_count("0"), 0u);  // 0 = "pick for me"
+  EXPECT_EQ(parse_worker_count("1"), 1u);
+  EXPECT_EQ(parse_worker_count("64"), 64u);
+  EXPECT_EQ(parse_worker_count("007"), 7u);  // leading zeros are still decimal
+  EXPECT_EQ(parse_worker_count(std::to_string(exec::kMaxWorkers)),
+            exec::kMaxWorkers);
 }
 
 TEST(ParseJobs, RejectsMalformedValuesAndLeavesJobsUntouched) {
-  std::size_t jobs = 42;
   for (const char* bad : {"", "-1", "-0", "+4", "4.5", "4x", "x4", " 8",
                           "8 ", "0b101", "0x10", "eight", "1e3"}) {
-    EXPECT_FALSE(parse_jobs(bad, jobs)) << "'" << bad << "'";
-    EXPECT_EQ(jobs, 42u) << "'" << bad << "'";
+    EXPECT_FALSE(exec::parse_worker_count(bad)) << "'" << bad << "'";
   }
 }
 
 TEST(ParseJobs, RejectsAbsurdCounts) {
-  std::size_t jobs = 42;
-  EXPECT_FALSE(parse_jobs(std::to_string(kMaxJobs + 1), jobs));
-  EXPECT_FALSE(parse_jobs("1000000", jobs));
-  EXPECT_FALSE(parse_jobs("18446744073709551616", jobs));  // > 2^64
-  EXPECT_FALSE(parse_jobs("99999999999999999999999999", jobs));
-  EXPECT_EQ(jobs, 42u);
+  using exec::parse_worker_count;
+  EXPECT_FALSE(parse_worker_count(std::to_string(exec::kMaxWorkers + 1)));
+  EXPECT_FALSE(parse_worker_count("1000000"));
+  EXPECT_FALSE(parse_worker_count("18446744073709551616"));  // > 2^64
+  EXPECT_FALSE(parse_worker_count("99999999999999999999999999"));
 }
 
 // ---- capture: golden-trace generation for the regression gate ----

@@ -41,7 +41,6 @@ TEST(MmapFile, SpanMatchesFileBytes) {
   EXPECT_FALSE(m.empty());
   EXPECT_EQ(std::memcmp(m.data(), bytes.data(), bytes.size()), 0);
   // Advice calls are hints; they must be safe at any range.
-  m.advise_sequential();
   m.advise_willneed(0, m.size());
   m.advise_willneed(5'000, 100);
   m.advise_willneed(m.size() + 10, 1);  // past the end: no-op, no crash
@@ -54,7 +53,7 @@ TEST(MmapFile, DefaultIsEmpty) {
   EXPECT_EQ(m.size(), 0u);
   EXPECT_TRUE(m.empty());
   EXPECT_FALSE(m.mapped());
-  m.advise_sequential();  // safe on nothing
+  m.advise_willneed(0, 1);  // safe on nothing
 }
 
 TEST(MmapFile, EmptyFileMapsToEmptySpanNotError) {

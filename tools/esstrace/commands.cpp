@@ -91,13 +91,6 @@ void render_result(const telemetry::StreamSummary::Result& r,
 
 }  // namespace
 
-bool parse_jobs(const std::string& text, std::size_t& jobs) {
-  const auto v = exec::parse_worker_count(text);
-  if (!v) return false;
-  jobs = *v;
-  return true;
-}
-
 TraceFormat sniff_format(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open " + path);
@@ -588,9 +581,8 @@ int cmd_capture_all(const std::string& dir, std::size_t jobs,
       specs.push_back(
           capture_spec(e, dir + "/" + exec::to_string(e) + ".esst"));
     }
-    const std::size_t workers =
-        jobs == 0 ? exec::default_workers() : jobs;
-    const int rc = run_captures(specs, workers, out, err);
+    const int rc =
+        run_captures(specs, exec::resolve_workers(jobs), out, err);
     const int cluster_rc = capture_cluster(dir, jobs, out, err);
     return rc != 0 ? rc : cluster_rc;
   } catch (const std::exception& ex) {

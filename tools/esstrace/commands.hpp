@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/esst.hpp"
 #include "telemetry/esst_view.hpp"
@@ -19,15 +18,6 @@
 namespace ess::esstrace {
 
 enum class TraceFormat { kEsst, kCsv };
-
-/// Upper bound a `--jobs`/`--shards` value may take (exec::kMaxWorkers).
-inline constexpr std::size_t kMaxJobs = exec::kMaxWorkers;
-
-/// Strict parse of a worker-count option value: decimal digits only (no
-/// sign, no whitespace, no trailing junk), at most kMaxJobs. 0 is valid
-/// and means "pick for me" (see analysis::resolve_jobs). Returns false —
-/// leaving `jobs` untouched — on anything else.
-bool parse_jobs(const std::string& text, std::size_t& jobs);
 
 /// Identify a file's format by its magic ("ESST0001"), not its name;
 /// anything else is treated as CSV. Throws std::runtime_error on the magic
@@ -64,7 +54,7 @@ int cmd_filter(const std::string& in, const std::string& out_path,
 /// and print the characterization. ESST input goes through the
 /// chunk-parallel scan engine (analysis/parallel.hpp): decoded chunk by
 /// chunk across `jobs` workers, never fully resident, output identical at
-/// any worker count. jobs: 0 = ESS_JOBS or the hardware concurrency.
+/// any worker count. jobs: 0 = ESS_JOBS or the affinity mask.
 int cmd_stats(const std::string& path, std::ostream& out, std::ostream& err,
               std::size_t jobs = 0);
 
@@ -131,7 +121,7 @@ int cmd_capture(const std::string& experiment, const std::string& out_path,
 
 /// `capture-all DIR` — regenerate every canonical golden capture into
 /// `DIR` in one pass, fanned out over `jobs` executor workers (0 =
-/// ESS_JOBS or the hardware concurrency): the five single-node
+/// ESS_JOBS or the affinity mask): the five single-node
 /// experiments (baseline, ppm, wavelet, nbody, combined) as
 /// `DIR/<experiment>.esst`, plus a 2-node reduced-scale cluster baseline
 /// as `DIR/cluster_node<N>.esst` per node and their `esstrace merge`
@@ -142,7 +132,7 @@ int cmd_capture_all(const std::string& dir, std::size_t jobs,
                     std::ostream& out, std::ostream& err);
 
 /// Shared by stats/diff: stream any-format input through a StreamSummary
-/// (ESST across `jobs` workers — 0 = ESS_JOBS or hardware concurrency;
+/// (ESST across `jobs` workers — 0 = ESS_JOBS or the affinity mask;
 /// the result never depends on the count). Damaged ESST chunks are
 /// skipped (their records counted as dropped), and capture-time drops
 /// from the trailer flow into the result's lossy annotation — a damaged

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "commands.hpp"
+#include "exec/thread_pool.hpp"
 #include "util/sim_time.hpp"
 
 namespace {
@@ -86,9 +87,12 @@ bool need_value(int argc, char** argv, int& i, const char* flag,
 }
 
 bool worker_count(const char* flag, const std::string& v, std::size_t& out) {
-  if (ess::esstrace::parse_jobs(v, out)) return true;
+  if (const auto n = ess::exec::parse_worker_count(v)) {
+    out = *n;
+    return true;
+  }
   std::cerr << "esstrace: invalid " << flag << " value '" << v
-            << "' (want an integer 0.." << ess::esstrace::kMaxJobs
+            << "' (want an integer 0.." << ess::exec::kMaxWorkers
             << "; 0 = auto)\n";
   return false;
 }
