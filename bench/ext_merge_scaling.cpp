@@ -1,6 +1,6 @@
-// Extension E-merge-scaling: the parallel ESST write/merge pipeline.
+// Extension E-merge-scaling: the parallel ESST merge.
 //
-// Three questions, one per phase:
+// Two questions, one per phase:
 //
 //   crc     — how much faster is the slicing-by-8 CRC32 than the bytewise
 //             table loop it replaced? This is the `verify --jobs 1` story:
@@ -8,26 +8,21 @@
 //             a >=2x CRC win is what the acceptance bar is made of.
 //   merge   — does `esstrace merge --jobs N` beat the serial merge on a
 //             many-node cluster capture set (256 nodes in full mode)? The
-//             loser tree core is identical at every level; the
-//             decode prefetch and encode offload are what jobs buys.
-//   rewrite — the encode-offload half in isolation: EsstWriter over an
-//             already-decoded record stream, serial vs with an encode
-//             pool. Two in-flight slots cap the speedup near 2x; the
-//             point is that the offload never costs and never changes a
-//             byte.
+//             merge cuts its output at chunk-aligned ranks into N parts,
+//             one loser tree each, each decoding and encoding its own
+//             share: that is what jobs buys.
 //
-// Gates: every jobs level byte-identical to jobs=1 (always); crc >= 2x
-// bytewise (always); merge/rewrite jobs=4 not slower than jobs=1 with
-// generous tolerance (always); on >=4-core hosts in full mode, merge
-// jobs=4 must win >= min(2.0, hw/2). Every time is the median of three
-// runs.
+// Gates: every jobs level byte-identical to jobs=1, and run in more than
+// one part at jobs >= 2 (always); crc >= 2x bytewise (always); merge
+// jobs=4 not slower than jobs=1 with generous tolerance (always); on
+// >=4-core hosts in full mode, merge jobs=4 must win >= min(2.0, hw/2).
+// Every time is the median of three runs.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,9 +30,7 @@
 
 #include "analysis/parallel.hpp"
 #include "bench/common.hpp"
-#include "exec/thread_pool.hpp"
 #include "telemetry/esst.hpp"
-#include "telemetry/esst_view.hpp"
 #include "trace/trace_set.hpp"
 #include "util/rng.hpp"
 
@@ -180,9 +173,8 @@ int main() {
   for (std::size_t n = 0; n < nodes; ++n) {
     const std::string path = dir + "/node" + std::to_string(n) + ".esst";
     telemetry::EsstMeta meta;
-    meta.records_per_chunk = 4096;  // several chunks per input: the decode
-                                    // prefetch needs chunk boundaries to
-                                    // pipeline across
+    meta.records_per_chunk = 4096;  // several chunks per input, as
+                                    // the trace_pipeline benchmark
     telemetry::write_esst_file(node_capture(static_cast<int>(n), per_node),
                                path, meta);
     inputs.push_back(path);
@@ -191,13 +183,14 @@ int main() {
   const std::size_t job_levels[] = {1, 2, 4, 8};
   double merge_secs[9] = {};
   bool identical = true;
+  bool parallel = true;
   std::string merge_ref_bytes;
   std::uint64_t merged_records = 0;
   double merged_mb = 0;
   std::printf("Merging %zu nodes (%zu records), %zu core%s:\n", nodes, total,
               hw, hw == 1 ? "" : "s");
-  std::printf("  %-8s %4s %10s %14s %10s\n", "phase", "jobs", "seconds",
-              "records/s", "MB/s");
+  std::printf("  %-8s %4s %10s %14s %10s %6s\n", "phase", "jobs", "seconds",
+              "records/s", "MB/s", "parts");
   for (const std::size_t jobs : job_levels) {
     const std::string out = dir + "/merged_j" + std::to_string(jobs) + ".esst";
     analysis::MergeResult mr;
@@ -214,9 +207,11 @@ int main() {
     } else {
       identical &= slurp(out) == merge_ref_bytes;
       identical &= mr.records_written == merged_records;
+      // A silent fallback to one part would still match byte for byte.
+      parallel &= mr.parts > 1;
     }
-    std::printf("  %-8s %4zu %10.3f %14.0f %10.1f\n", "merge", jobs, s,
-                total / s, mb / s);
+    std::printf("  %-8s %4zu %10.3f %14.0f %10.1f %6zu\n", "merge", jobs, s,
+                total / s, mb / s, mr.parts);
     if (csv != nullptr) {
       std::fprintf(csv, "merge,%zu,%.6f,%.0f,%.1f\n", jobs, s, total / s,
                    mb / s);
@@ -224,73 +219,30 @@ int main() {
     std::filesystem::remove(out);
   }
 
-  // ---- phase 3: capture rewrite, serial vs encode offload -----------------
-  // Feed the merged record stream straight into an EsstWriter: no merge
-  // logic, no decode on the timed path — just batch encode + CRC + write,
-  // with and without the worker-thread offload.
-  const std::vector<trace::Record> recs =
-      telemetry::EsstView(util::MmapFile::from_bytes(merge_ref_bytes))
-          .read_all()
-          .records();
-  telemetry::EsstMeta wmeta;
-  wmeta.experiment = "merge-scaling";
-  wmeta.node_id = -1;
-  wmeta.multi_node = true;
-  wmeta.records_per_chunk = 16'384;
-  double rewrite_secs[9] = {};
-  std::string rewrite_ref;
-  for (const std::size_t jobs : job_levels) {
-    std::string bytes;
-    std::optional<exec::ThreadPool> pool;  // outlives the timed region:
-    if (jobs > 1) pool.emplace(jobs);      // thread spawn is not encode cost
-    const double s = bench::median_seconds(reps, [&] {
-      std::ostringstream os;
-      telemetry::EsstWriter w(os, wmeta);
-      if (pool) w.set_encode_pool(&*pool);
-      w.append(recs.data(), recs.size());
-      w.finish();
-      bytes = std::move(os).str();
-    });
-    rewrite_secs[jobs] = s;
-    const double mb = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
-    if (jobs == 1) {
-      rewrite_ref = std::move(bytes);
-    } else {
-      identical &= bytes == rewrite_ref;
-    }
-    std::printf("  %-8s %4zu %10.3f %14.0f %10.1f\n", "rewrite", jobs, s,
-                recs.size() / s, mb / s);
-    if (csv != nullptr) {
-      std::fprintf(csv, "rewrite,%zu,%.6f,%.0f,%.1f\n", jobs, s,
-                   recs.size() / s, mb / s);
-    }
-  }
   if (csv != nullptr) std::fclose(csv);
 
   // ---- gates --------------------------------------------------------------
   std::printf("\nChecks:\n");
   ok &= bench::check("all jobs levels byte-identical to jobs=1", identical,
-                     identical ? "merge + rewrite match" : "MISMATCH");
+                     identical ? "merge matches" : "MISMATCH");
+  ok &= bench::check("every jobs >= 2 merge ran in more than one part",
+                     parallel,
+                     parallel ? "parts > 1" : "fell back to one part");
   ok &= bench::check("merge saw every input record",
                      merged_records == total,
                      bench::fmt("%.0f records, ", double(merged_records)) +
                          bench::fmt("%.1f MB", merged_mb));
   // The not-slower floor holds everywhere, single-core containers
-  // included: jobs > 1 adds a decode prefetcher and an encode offload,
-  // and if either one costs more than it hides, that is a regression this
-  // gate exists to catch. Generous slack — tripwire, not a claim.
+  // included: jobs > 1 adds the cut search and a re-decoded boundary
+  // chunk per input per cut, and if that costs more than the parts win,
+  // that is a regression this gate exists to catch. Generous slack —
+  // tripwire, not a claim.
   const double tol = hw >= 4 ? 1.35 : 2.0;
   char gate[96];
   std::snprintf(gate, sizeof gate,
                 "merge jobs=4 not slower than jobs=1 (tolerance %.2fx)", tol);
   ok &= bench::check(gate, merge_secs[4] <= merge_secs[1] * tol,
                      bench::fmt("%.2fx", merge_secs[4] / merge_secs[1]) +
-                         " of serial wall");
-  std::snprintf(gate, sizeof gate,
-                "rewrite jobs=4 not slower than jobs=1 (tolerance %.2fx)",
-                tol);
-  ok &= bench::check(gate, rewrite_secs[4] <= rewrite_secs[1] * tol,
-                     bench::fmt("%.2fx", rewrite_secs[4] / rewrite_secs[1]) +
                          " of serial wall");
   if (hw >= 4 && !bench::fast_mode()) {
     const double want = std::min(2.0, static_cast<double>(hw) / 2);

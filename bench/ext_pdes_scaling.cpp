@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "exec/thread_pool.hpp"
 #include "core/presets.hpp"
 #include "pvm/combined.hpp"
 
@@ -63,7 +64,14 @@ bool traces_identical(const std::vector<ess::trace::TraceSet>& a,
 int main() {
   using namespace ess;
   int nodes = bench::fast_mode() ? 8 : 256;
-  if (const char* v = std::getenv("ESS_NODES")) nodes = std::atoi(v);
+  if (const char* v = std::getenv("ESS_NODES")) {
+    const auto n = exec::parse_digits(v);
+    if (!n || *n > 1'000'000) {
+      std::fprintf(stderr, "ext_pdes_scaling: invalid ESS_NODES '%s'\n", v);
+      return 2;
+    }
+    nodes = static_cast<int>(*n);
+  }
   if (nodes < 2) nodes = 2;
   const std::size_t hw = std::thread::hardware_concurrency();
 

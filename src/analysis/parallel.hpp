@@ -100,6 +100,9 @@ struct MergeResult {
   std::uint64_t dropped_records = 0;
   std::size_t inputs = 0;
   SimTime duration = 0;  // max over the inputs
+  /// Parts the merge ran as: 1 is the serial path, or the fallback when
+  /// the inputs were not ordered as the cut search needs.
+  std::size_t parts = 1;
 };
 
 /// K-way streaming merge of per-node ESST captures into one multi-node
@@ -108,19 +111,30 @@ struct MergeResult {
 /// stream regardless of input order permutations of the same files or of
 /// `jobs`. Every record carries its origin: records from a v1 input are
 /// stamped with that input's header node id, v2 inputs keep their
-/// per-record ids. Memory is a couple of resident chunks per input, never
-/// a whole capture.
+/// per-record ids.
 ///
 /// The core is a loser tree over the k cursor fronts, keyed by the tuple
 /// packed into one 128-bit integer: one replay per emitted record. When
 /// the same cursor wins twice running, the records of its buffer that sort
 /// before every other cursor's front (the tree's runner-up key) are
 /// emitted as one batch — galloped in O(log run) comparisons when the
-/// chunk is sorted by (ts, node) — instead of one tournament each. The merge
-/// refuses 2^32 - 1 inputs or more (the key's input field). Workers
-/// (jobs > 1) prefetch input chunk decodes *and* encode+CRC output chunks
-/// off-thread; both sides preserve submission order, so every jobs value
-/// writes identical bytes, and jobs == 1 remains the plain serial path.
+/// chunk is sorted by (ts, node) — instead of one tournament each. The
+/// merge refuses 2^32 - 1 inputs or more (the key's input field).
+///
+/// With jobs > 1 the output is cut into up to `jobs` parts at ranks that
+/// are multiples of the output's records_per_chunk, found by k-way rank
+/// selection over the chunk index and a few decoded chunks per input.
+/// A chunk's bytes depend only on its records, so each part — its own
+/// loser tree, decoding and encoding inline — frames whole chunks the
+/// serial writer would have written, and the parts are written in order.
+/// The merge runs exactly `jobs` threads. Memory: each part holds one
+/// decoded chunk per input; the earliest unwritten part writes as it
+/// goes, and a later part holds its encoded chunks until every earlier
+/// part is written (at worst (jobs - 1) / jobs of the output). The cuts
+/// hold only for inputs non-decreasing by (ts, node) whose chunks decode
+/// as indexed; when a part finds otherwise, the merge reruns as one part
+/// from the start of the file, so the bytes never depend on `jobs`.
+/// jobs == 1 is that one part, the plain serial path.
 MergeResult merge_esst(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::size_t jobs = 0);
 

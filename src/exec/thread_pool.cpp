@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -128,16 +129,23 @@ void parallel_for(std::size_t workers, std::size_t n,
   parallel_for(pool, n, fn);
 }
 
-std::optional<std::size_t> parse_worker_count(const std::string& text) {
+std::optional<std::uint64_t> parse_digits(const std::string& text) {
   // Digits only: "-1", "4x", " 8" and "" all fail the same way instead of
-  // whatever strtol salvages. 19 digits cannot overflow stoull.
-  if (text.empty() || text.size() > 19) return std::nullopt;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
+  // whatever strtoull salvages; from_chars reports overflow past 2^64 - 1.
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
+    return std::nullopt;
   }
-  const unsigned long long v = std::stoull(text);
-  if (v > kMaxWorkers) return std::nullopt;  // a typo, not a request
-  return static_cast<std::size_t>(v);
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
+}
+
+std::optional<std::size_t> parse_worker_count(const std::string& text) {
+  const auto v = parse_digits(text);
+  if (!v || *v > kMaxWorkers) return std::nullopt;  // a typo, not a request
+  return static_cast<std::size_t>(*v);
 }
 
 std::size_t default_workers() {

@@ -13,6 +13,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -78,9 +79,13 @@ void parallel_for(std::size_t workers, std::size_t n,
 /// enough that a mistyped value cannot ask for a million threads.
 inline constexpr std::size_t kMaxWorkers = 4096;
 
-/// Strict parse of a worker count (ESS_JOBS, esstrace's --jobs): decimal
-/// digits only — no sign, whitespace or trailing junk — at most
-/// kMaxWorkers. Anything else is nullopt.
+/// Strict parse of a decimal count: digits only — no sign, whitespace or
+/// trailing junk — and at most 2^64 - 1. Anything else is nullopt. Every
+/// numeric command-line flag and environment override goes through it.
+std::optional<std::uint64_t> parse_digits(const std::string& text);
+
+/// Strict parse of a worker count (ESS_JOBS, esstrace's --jobs):
+/// parse_digits, at most kMaxWorkers. Anything else is nullopt.
 std::optional<std::size_t> parse_worker_count(const std::string& text);
 
 /// Worker-count default for experiment fan-out: the ESS_JOBS environment

@@ -5,12 +5,10 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "exec/thread_pool.hpp"
 #include "telemetry/esst_codec.hpp"
 
 namespace ess::telemetry {
@@ -95,8 +93,7 @@ namespace {
 
 /// The chunk CRC as it goes on the wire: payload first, then the 24-byte
 /// footer summary chained on, so a corrupted count or range is also
-/// detected. Computed where the payload is encoded — on a worker in
-/// offload mode — since it is by far the most expensive part of framing.
+/// detected.
 std::uint32_t chunk_wire_crc(const ChunkInfo& info,
                              const std::uint8_t* payload, std::size_t len) {
   std::uint8_t ftr[kChunkFooterBytes];
@@ -106,27 +103,11 @@ std::uint32_t chunk_wire_crc(const ChunkInfo& info,
 
 }  // namespace
 
-/// One in-flight encode job: a chunk's raw records, its encoded payload,
-/// and the summary + CRC the worker computed. Buffers live for the whole
-/// merge and swap with the writer's batch, so steady state allocates
-/// nothing.
-struct EsstWriter::EncodeSlot {
-  std::vector<trace::Record> recs;
-  std::vector<std::uint8_t> payload;
-  std::size_t payload_len = 0;
-  ChunkInfo info;
-  std::uint32_t crc = 0;
-  SimTime max_ts = 0;
-  std::future<void> done;
-  bool pending = false;
-};
-
 EsstWriter::EsstWriter(std::ostream& os, EsstMeta meta,
                        std::string error_context)
-    : os_(os), meta_(std::move(meta)),
-      error_context_(std::move(error_context)) {
-  if (meta_.records_per_chunk == 0) meta_.records_per_chunk = 1;
-  batch_.reserve(meta_.records_per_chunk);
+    : EsstWriter(std::move(meta)) {
+  os_ = &os;
+  error_context_ = std::move(error_context);
   std::uint8_t h[kHeaderBytes] = {};
   std::memcpy(h, kMagic, sizeof kMagic);
   put_u16(h + 8, meta_.multi_node ? kVersionMulti : kVersion);
@@ -142,8 +123,13 @@ EsstWriter::EsstWriter(std::ostream& os, EsstMeta meta,
   put_u32(h + 48, static_cast<std::uint32_t>(name_len));
   std::memcpy(h + 52, meta_.experiment.data(), name_len);
   put_u32(h + kHeaderBytes - 4, crc32(h, kHeaderBytes - 4));
-  write_bytes(os_, h, kHeaderBytes, error_context_);
+  put(h, kHeaderBytes);
   offset_ = kHeaderBytes;
+}
+
+EsstWriter::EsstWriter(EsstMeta meta) : meta_(std::move(meta)) {
+  if (meta_.records_per_chunk == 0) meta_.records_per_chunk = 1;
+  batch_.reserve(meta_.records_per_chunk);
 }
 
 EsstWriter::~EsstWriter() {
@@ -153,28 +139,13 @@ EsstWriter::~EsstWriter() {
     // A destructor cannot usefully report a write failure; finish() directly
     // to observe errors.
   }
-  // If finish() threw mid-drain, in-flight encode jobs still reference the
-  // slot buffers about to be destroyed — wait them out (without writing).
-  abandon_slots();
-}
-
-void EsstWriter::set_encode_pool(exec::ThreadPool* pool) {
-  if (total_records_ != 0 || !index_.empty()) {
-    throw std::logic_error("esst: set_encode_pool after first append");
-  }
-  pool_ = pool;
-  if (pool_ != nullptr && slots_.empty()) {
-    // Two slots: one encoding while the previous one drains to the stream —
-    // deeper pipelines only add memory, the stream write is the sync point.
-    slots_.resize(2);
-  }
 }
 
 void EsstWriter::append(const trace::Record& r) {
   if (finished_) throw std::logic_error("esst: append after finish");
   batch_.push_back(r);
   ++total_records_;
-  if (batch_.size() >= meta_.records_per_chunk) close_chunk();
+  if (batch_.size() >= meta_.records_per_chunk) flush_chunk();
 }
 
 void EsstWriter::append(const trace::Record* r, std::size_t n) {
@@ -186,20 +157,37 @@ void EsstWriter::append(const trace::Record* r, std::size_t n) {
     total_records_ += take;
     r += take;
     n -= take;
-    if (batch_.size() >= meta_.records_per_chunk) close_chunk();
+    if (batch_.size() >= meta_.records_per_chunk) flush_chunk();
   }
 }
 
-void EsstWriter::close_chunk() {
-  if (batch_.empty()) return;
-  if (pool_ != nullptr) {
-    submit_chunk();
-  } else {
-    flush_chunk();
+FramedChunks EsstWriter::take_chunks() {
+  FramedChunks out = std::move(framed_);
+  out.index = std::move(index_);
+  out.max_ts = max_ts_;
+  framed_ = FramedChunks();
+  index_.clear();
+  offset_ = 0;
+  return out;
+}
+
+void EsstWriter::append_chunks(const FramedChunks& chunks) {
+  if (finished_) throw std::logic_error("esst: append after finish");
+  if (!batch_.empty()) {
+    throw std::logic_error("esst: append_chunks inside an open chunk");
   }
+  put(chunks.bytes.data(), chunks.bytes.size());
+  for (ChunkInfo info : chunks.index) {
+    info.offset += offset_;
+    total_records_ += info.records;
+    index_.push_back(info);
+  }
+  offset_ += chunks.bytes.size();
+  max_ts_ = std::max(max_ts_, chunks.max_ts);
 }
 
 void EsstWriter::flush_chunk() {
+  if (batch_.empty()) return;
   ChunkInfo info;
   const auto enc = encode_payload_into(batch_.data(), batch_.size(),
                                        meta_.multi_node, payload_, info);
@@ -209,47 +197,12 @@ void EsstWriter::flush_chunk() {
   batch_.clear();
 }
 
-void EsstWriter::submit_chunk() {
-  auto& s = slots_[next_slot_];
-  next_slot_ = (next_slot_ + 1) % slots_.size();
-  // The ring is the ordering mechanism: a slot is written (and only then
-  // reused) in the order chunks were submitted, so offloaded output is
-  // byte-identical to the serial path.
-  retire_slot(s);
-  s.recs.swap(batch_);
-  batch_.clear();
-  const bool multi = meta_.multi_node;
-  auto task = std::make_shared<std::packaged_task<void()>>([&s, multi] {
-    const auto enc =
-        encode_payload_into(s.recs.data(), s.recs.size(), multi, s.payload,
-                            s.info);
-    s.payload_len = enc.payload_len;
-    s.max_ts = enc.max_ts;
-    s.crc = chunk_wire_crc(s.info, s.payload.data(), enc.payload_len);
-  });
-  s.done = task->get_future();
-  s.pending = true;
-  pool_->submit([task] { (*task)(); });
-}
-
-void EsstWriter::retire_slot(EncodeSlot& s) {
-  if (!s.pending) return;
-  s.done.get();
-  s.pending = false;
-  max_ts_ = std::max(max_ts_, s.max_ts);
-  write_chunk(s.info, s.payload.data(), s.payload_len, s.crc);
-  s.recs.clear();
-}
-
-void EsstWriter::abandon_slots() noexcept {
-  for (auto& s : slots_) {
-    if (s.pending) {
-      try {
-        s.done.wait();
-      } catch (...) {
-      }
-      s.pending = false;
-    }
+void EsstWriter::put(const void* p, std::size_t n) {
+  if (os_ != nullptr) {
+    write_bytes(*os_, p, n, error_context_);
+  } else {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    framed_.bytes.insert(framed_.bytes.end(), b, b + n);
   }
 }
 
@@ -259,13 +212,13 @@ void EsstWriter::write_chunk(ChunkInfo info, const std::uint8_t* payload,
   std::uint8_t hdr[kChunkHeaderBytes];
   put_u32(hdr, kChunkMagic);
   put_u32(hdr + 4, static_cast<std::uint32_t>(len));
-  write_bytes(os_, hdr, sizeof hdr, error_context_);
-  write_bytes(os_, payload, len, error_context_);
+  put(hdr, sizeof hdr);
+  put(payload, len);
 
   std::uint8_t ftr[kChunkFooterBytes];
   put_chunk_footer_summary(ftr, info);
   put_u32(ftr + kChunkFooterBytes - 4, crc);
-  write_bytes(os_, ftr, sizeof ftr, error_context_);
+  put(ftr, sizeof ftr);
 
   offset_ += kChunkHeaderBytes + len + kChunkFooterBytes;
   index_.push_back(info);
@@ -273,11 +226,9 @@ void EsstWriter::write_chunk(ChunkInfo info, const std::uint8_t* payload,
 
 void EsstWriter::finish(SimTime duration) {
   if (finished_) return;
-  close_chunk();
-  // Drain the offload ring in submission order (oldest slot first).
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    retire_slot(slots_[(next_slot_ + i) % slots_.size()]);
-  }
+  flush_chunk();
+  finished_ = true;
+  if (os_ == nullptr) return;  // stream-less: the chunks are all there is
   const std::uint64_t index_offset = offset_;
   std::vector<std::uint8_t> entries;
   entries.reserve(index_.size() * kIndexEntryBytes);
@@ -291,7 +242,7 @@ void EsstWriter::finish(SimTime duration) {
     put_u32(e + 32, c.sector_max);
     entries.insert(entries.end(), e, e + sizeof e);
   }
-  write_bytes(os_, entries.data(), entries.size(), error_context_);
+  put(entries.data(), entries.size());
 
   std::uint8_t t[kTrailer2Bytes];
   put_u32(t, static_cast<std::uint32_t>(index_.size()));
@@ -301,13 +252,12 @@ void EsstWriter::finish(SimTime duration) {
   put_u64(t + 24, index_offset);
   put_u64(t + 32, dropped_);
   std::memcpy(t + 40, kIndexMagic2, sizeof kIndexMagic2);
-  write_bytes(os_, t, sizeof t, error_context_);
+  put(t, sizeof t);
   errno = 0;
-  os_.flush();
+  os_->flush();
   // The final flush is the last chance to see a buffered failure; report
   // it with the same context a mid-stream write would carry.
-  if (!os_) throw_write_failed(error_context_, errno);
-  finished_ = true;
+  if (!*os_) throw_write_failed(error_context_, errno);
 }
 
 // ---------------------------------------------------------------- file sink

@@ -48,10 +48,6 @@
 #include "telemetry/sink.hpp"
 #include "trace/trace_set.hpp"
 
-namespace ess::exec {
-class ThreadPool;  // optional chunk-encode offload target (exec/thread_pool.hpp)
-}
-
 namespace ess::telemetry {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial). `seed` chains partial blocks:
@@ -86,23 +82,36 @@ struct ChunkInfo {
   std::uint32_t sector_max = 0;
 };
 
+/// Whole chunks framed by a stream-less EsstWriter: the bytes exactly as a
+/// stream writer writes them, and each chunk's index entry with its offset
+/// counted from bytes.front(). A chunk's framing holds no file offset, so
+/// the bytes can go anywhere in a file; the index entries move with them.
+struct FramedChunks {
+  std::vector<std::uint8_t> bytes;
+  std::vector<ChunkInfo> index;
+  SimTime max_ts = 0;  // largest record timestamp framed so far
+};
+
 /// Streaming writer: append records as they are emitted; chunks flush when
 /// full, the index and trailer are written by finish(). Safe to use as the
 /// back-end of a long capture — memory held is one chunk's record batch
-/// plus the index (plus two in-flight chunk buffers in offload mode).
+/// plus the index.
 ///
 /// Encoding is batched: records accumulate raw in a chunk-sized batch and
-/// are varint-encoded + CRC'd in one pass when the chunk closes. With
-/// set_encode_pool() that pass runs on a worker thread — the owning thread
-/// keeps appending the next batch while up to two chunks encode in flight,
-/// and completed chunks are written strictly in submission order, so the
-/// output bytes are identical to the serial path at any worker count.
+/// are varint-encoded + CRC'd in one pass when the chunk closes. A chunk's
+/// bytes depend only on its own records, so chunks framed apart (by a
+/// stream-less writer, one per part of a parallel merge) and spliced in
+/// order with append_chunks() give the same file as one writer would.
 class EsstWriter {
  public:
   /// `error_context` (usually the output path) is woven into write-failure
   /// messages along with errno, so "disk full" on node 900 of a 1024-node
   /// merge names the file that hit it.
   EsstWriter(std::ostream& os, EsstMeta meta, std::string error_context = {});
+  /// A writer with no stream: no header, and each closed chunk is framed
+  /// into memory until take_chunks() hands it over. finish() only closes
+  /// the open batch.
+  explicit EsstWriter(EsstMeta meta);
   ~EsstWriter();
 
   EsstWriter(const EsstWriter&) = delete;
@@ -113,12 +122,14 @@ class EsstWriter {
   /// per-record call — the merge fast path hands over whole runs.
   void append(const trace::Record* r, std::size_t n);
 
-  /// Offload chunk encoding (varint deltas + CRC) to `pool`. Must be set
-  /// before the first append — chunks already written serially cannot be
-  /// retroactively ordered against in-flight ones. nullptr returns to
-  /// inline encoding. The writer never blocks the pool on itself: workers
-  /// only fill buffers, all stream writes stay on the owning thread.
-  void set_encode_pool(exec::ThreadPool* pool);
+  /// Stream-less writers: whether closed chunks wait in memory, and the
+  /// hand-over of them (offsets restart at 0 for the next take).
+  bool has_framed_chunks() const { return !framed_.bytes.empty(); }
+  FramedChunks take_chunks();
+  /// Write chunks a stream-less writer with the same meta framed, after
+  /// the chunks already written. The open batch must be empty, so chunk
+  /// boundaries fall where one writer would have put them.
+  void append_chunks(const FramedChunks& chunks);
 
   /// Capture-loss accounting: records that overflowed out of the kernel
   /// ring before reaching this writer. Persisted in the trailer so readers
@@ -134,26 +145,19 @@ class EsstWriter {
   std::uint64_t records_written() const { return total_records_; }
 
  private:
-  struct EncodeSlot;
-
-  void close_chunk();                    // route batch_ to flush or submit
-  void flush_chunk();                    // serial: encode + write inline
-  void submit_chunk();                   // offload: hand batch_ to a worker
-  void retire_slot(EncodeSlot& s);       // wait for a slot, write its chunk
-  void abandon_slots() noexcept;         // wait only — teardown safety
+  void flush_chunk();  // encode the open batch, write (or frame) it
   void write_chunk(ChunkInfo info, const std::uint8_t* payload,
                    std::size_t len, std::uint32_t crc);
+  void put(const void* p, std::size_t n);  // to the stream or framed_
 
-  std::ostream& os_;
+  std::ostream* os_ = nullptr;  // null: stream-less, chunks go to framed_
   EsstMeta meta_;
   std::string error_context_;
-  exec::ThreadPool* pool_ = nullptr;
   std::vector<trace::Record> batch_;   // open chunk, raw records
-  std::vector<std::uint8_t> payload_;  // serial-mode encode scratch
-  std::vector<EncodeSlot> slots_;      // offload ring (submission order)
-  std::size_t next_slot_ = 0;
+  std::vector<std::uint8_t> payload_;  // encode scratch
+  FramedChunks framed_;                // stream-less: closed, not taken
   std::vector<ChunkInfo> index_;
-  std::uint64_t offset_ = 0;  // bytes written so far
+  std::uint64_t offset_ = 0;  // bytes written (framed) so far
   std::uint64_t total_records_ = 0;
   std::uint64_t dropped_ = 0;
   SimTime max_ts_ = 0;

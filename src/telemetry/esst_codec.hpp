@@ -271,8 +271,7 @@ inline EncodeResult encode_payload_into(const trace::Record* recs,
 }
 
 /// Serialize a chunk footer's 24-byte summary (everything but the CRC slot)
-/// from its index entry — shared by the writer's serial and offloaded
-/// paths, which must frame chunks identically.
+/// from its index entry.
 inline void put_chunk_footer_summary(std::uint8_t* ftr,
                                      const ChunkInfo& info) {
   put_u32(ftr, info.records);

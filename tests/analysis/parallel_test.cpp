@@ -469,7 +469,7 @@ TEST(MergeOrder, PackedKeyKeepsTheTupleOrderAtExtremes) {
                      return a.input < b.input;
                    });
   const std::string out = tmp_path("extremes_merged.esst");
-  for (const std::size_t jobs : {1u, 4u}) {
+  for (const std::size_t jobs : {1u, 2u, 3u, 8u}) {
     const auto res = merge_esst(inputs, out, jobs);
     ASSERT_EQ(res.records_written, all.size()) << "jobs=" << jobs;
     const auto merged_ts = telemetry::read_esst_file(out);
@@ -481,6 +481,172 @@ TEST(MergeOrder, PackedKeyKeepsTheTupleOrderAtExtremes) {
   }
   for (const auto& p : inputs) std::filesystem::remove(p);
   std::filesystem::remove(out);
+}
+
+// ---- the multi-part merge ----
+// merge_esst cuts its output at multiples of records_per_chunk and runs
+// one loser tree per part. Tiny chunks give every case below several
+// cuts; each must write the serial (jobs = 1) bytes at jobs 2, 3 and 8.
+
+/// Write `recs` as one input with `per_chunk`-record chunks (v2 when the
+/// node ids differ within it).
+std::string write_input(const std::string& name, const std::string& exp,
+                        std::int32_t node, bool multi,
+                        const std::vector<trace::Record>& recs,
+                        std::uint32_t per_chunk) {
+  trace::TraceSet ts(exp, node);
+  for (const auto& r : recs) ts.add(r);
+  ts.set_duration(sec(1));
+  const std::string path = tmp_path(name);
+  telemetry::EsstMeta meta;
+  meta.node_id = node;
+  meta.multi_node = multi;
+  meta.records_per_chunk = per_chunk;
+  telemetry::write_esst_file(ts, path, meta);
+  return path;
+}
+
+/// Merge at jobs 1, 2, 3 and 8: the same bytes, records and losses every
+/// time. Returns the serial result and each level's part count.
+MergeResult expect_parts_match_serial(const std::vector<std::string>& inputs,
+                                      std::vector<std::size_t>* parts =
+                                          nullptr) {
+  const std::string out = tmp_path("parts_merged.esst");
+  const auto want = merge_esst(inputs, out, 1);
+  EXPECT_EQ(want.parts, 1u);
+  const auto want_bytes = slurp(out);
+  for (const std::size_t jobs : {2u, 3u, 8u}) {
+    const auto got = merge_esst(inputs, out, jobs);
+    EXPECT_EQ(slurp(out), want_bytes) << "jobs=" << jobs;
+    EXPECT_EQ(got.records_written, want.records_written) << "jobs=" << jobs;
+    EXPECT_EQ(got.dropped_records, want.dropped_records) << "jobs=" << jobs;
+    EXPECT_LE(got.parts, jobs);
+    if (parts != nullptr) parts->push_back(got.parts);
+  }
+  std::filesystem::remove(out);
+  return want;
+}
+
+TEST(MergeParts, CutsInsideRunsOfEqualKeysAcrossAndWithinInputs) {
+  // Runs of 40 equal (ts, node) keys inside each input, and the same
+  // timestamps in every input, two of which share a node id: with 16-record
+  // chunks most cuts land inside a run, where only the input field and
+  // the position order the records.
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<trace::Record> recs;
+    for (std::uint32_t k = 0; k < 600; ++k) {
+      trace::Record r;
+      r.timestamp = (k / 40) * 100;
+      r.sector = k + 1'000u * static_cast<std::uint32_t>(i);
+      r.size_bytes = 1024;
+      recs.push_back(r);
+    }
+    inputs.push_back(write_input("runs" + std::to_string(i) + ".esst",
+                                 "runs", i < 2 ? 7 : 9, false, recs, 16));
+  }
+  std::vector<std::size_t> parts;
+  const auto res = expect_parts_match_serial(inputs, &parts);
+  EXPECT_EQ(res.records_written, 1'800u);
+  EXPECT_EQ(parts, (std::vector<std::size_t>{2, 3, 8}));
+  for (const auto& p : inputs) std::filesystem::remove(p);
+}
+
+TEST(MergeParts, DamagedChunkOnEitherSideOfACutCountsOnce) {
+  // One CRC-damaged chunk of 16 records, in turn near the start (before
+  // the first cut), in the middle and in the last chunk: whichever part
+  // or cut search decodes it, its records count once.
+  const std::size_t kChunks = 40;
+  for (const std::size_t bad :
+       {std::size_t{1}, std::size_t{19}, std::size_t{20}, kChunks - 1}) {
+    SCOPED_TRACE("damaged chunk " + std::to_string(bad));
+    std::vector<std::string> inputs;
+    for (int i = 0; i < 3; ++i) {
+      const auto ts = sample_trace("dmg", i + 1, kChunks * 16,
+                                   300 + static_cast<std::uint64_t>(i));
+      inputs.push_back(write_input("dmg" + std::to_string(i) + ".esst",
+                                   "dmg", i + 1, false, ts.records(), 16));
+    }
+    std::uint64_t at = 0;
+    {
+      const telemetry::EsstView view(inputs[1]);
+      ASSERT_EQ(view.chunks().size(), kChunks);
+      at = view.chunks()[bad].offset + 8 + 5;  // inside the payload
+    }
+    auto bytes = slurp(inputs[1]);
+    bytes[at] ^= 0x5a;
+    std::ofstream(inputs[1], std::ios::binary | std::ios::trunc) << bytes;
+    const auto res = expect_parts_match_serial(inputs);
+    EXPECT_EQ(res.dropped_records, 16u);
+    EXPECT_EQ(res.records_written, 3 * kChunks * 16 - 16);
+    for (const auto& p : inputs) std::filesystem::remove(p);
+  }
+}
+
+TEST(MergeParts, SalvagedInputMergesInPartsAndCountsItsLossesOnce) {
+  // Input 1 loses its index and one chunk: the view's salvage scan drops
+  // that chunk, and the merge still cuts the rest.
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 3; ++i) {
+    const auto ts = sample_trace("salv", i + 1, 800,
+                                 500 + static_cast<std::uint64_t>(i));
+    inputs.push_back(write_input("salv" + std::to_string(i) + ".esst",
+                                 "salv", i + 1, false, ts.records(), 16));
+  }
+  std::uint64_t at = 0;
+  {
+    const telemetry::EsstView view(inputs[1]);
+    at = view.chunks()[10].offset + 8 + 5;
+  }
+  auto bytes = slurp(inputs[1]);
+  bytes[at] ^= 0x5a;
+  bytes.back() ^= 0x5a;  // the trailer magic
+  std::ofstream(inputs[1], std::ios::binary | std::ios::trunc) << bytes;
+  ASSERT_TRUE(telemetry::EsstView(inputs[1]).salvaged());
+  std::vector<std::size_t> parts;
+  const auto res = expect_parts_match_serial(inputs, &parts);
+  const auto losses = telemetry::EsstView(inputs[1]).scan_losses();
+  EXPECT_GE(losses.records_lost, 16u);
+  EXPECT_EQ(res.dropped_records, losses.records_lost);
+  EXPECT_EQ(parts, (std::vector<std::size_t>{2, 3, 8}));
+  for (const auto& p : inputs) std::filesystem::remove(p);
+}
+
+TEST(MergeParts, UnsortedChunkAfterTheFirstCutGivesTheSerialBytes) {
+  // Sorted inputs but for one chunk of input 2, late in the file, whose
+  // inner records are out of order while its first and last timestamps
+  // (all the index shows) still fit: the part that decodes it sends the
+  // merge back to one part.
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 3; ++i) {
+    auto recs = sample_trace("unsorted", i + 1, 640,
+                             700 + static_cast<std::uint64_t>(i))
+                    .records();
+    if (i == 2) std::swap(recs[600 + 3], recs[600 + 5]);  // chunk 37
+    inputs.push_back(write_input("unsorted" + std::to_string(i) + ".esst",
+                                 "unsorted", i + 1, false, recs, 16));
+  }
+  std::vector<std::size_t> parts;
+  expect_parts_match_serial(inputs, &parts);
+  EXPECT_EQ(parts, (std::vector<std::size_t>{1, 1, 1}));
+  for (const auto& p : inputs) std::filesystem::remove(p);
+}
+
+TEST(MergeParts, FewerOutputChunksThanWorkers) {
+  // 3 x 12 records in 16-record output chunks: 3 chunks, so at most 3
+  // parts however many workers there are.
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 3; ++i) {
+    const auto ts = sample_trace("few", i + 1, 12,
+                                 900 + static_cast<std::uint64_t>(i));
+    inputs.push_back(write_input("few" + std::to_string(i) + ".esst", "few",
+                                 i + 1, false, ts.records(), 16));
+  }
+  std::vector<std::size_t> parts;
+  const auto res = expect_parts_match_serial(inputs, &parts);
+  EXPECT_EQ(res.records_written, 36u);
+  EXPECT_EQ(parts, (std::vector<std::size_t>{2, 3, 3}));
+  for (const auto& p : inputs) std::filesystem::remove(p);
 }
 
 TEST(MergeGolden, ClusterNodeGoldensMergeToTheCommittedClusterGolden) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "analysis/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/esst_codec.hpp"
 #include "telemetry/esst_view.hpp"
@@ -156,11 +155,11 @@ TEST(EsstFormat, FastVarintEncoderMatchesReferenceEncoder) {
   }
 }
 
-TEST(EsstFormat, OffloadedEncodeWritesIdenticalBytes) {
-  // The chunk-encode offload must be invisible in the output: same trace,
-  // same meta, any worker count → identical files. Cover v1 and v2, a
-  // partial final chunk, a single-record capture, and an empty one.
-  exec::ThreadPool pool(4);
+TEST(EsstFormat, SplicedFramedChunksWriteIdenticalBytes) {
+  // A parallel merge frames chunk-aligned pieces of one record stream in
+  // stream-less writers and splices them in order: the file must be the
+  // one writer's bytes. Cover v1 and v2, a partial final chunk, a
+  // single-record capture, an empty one and empty pieces.
   for (const bool multi : {false, true}) {
     for (const std::size_t n : {0u, 1u, 100u, 1000u, 1025u}) {
       auto ts = sample(n);
@@ -184,31 +183,39 @@ TEST(EsstFormat, OffloadedEncodeWritesIdenticalBytes) {
         w.append(ts.records().data(), ts.records().size());
         w.finish(ts.duration());
       }
-      std::ostringstream offloaded;
+      std::ostringstream spliced;
       {
-        EsstWriter w(offloaded, meta);
-        w.set_encode_pool(&pool);
-        // Mixed single/batch appends: chunk boundaries must not care how
-        // records arrived.
-        std::size_t i = 0;
-        for (; i < std::min<std::size_t>(10, ts.size()); ++i) {
-          w.append(ts.records()[i]);
+        EsstWriter out(spliced, meta);
+        // Pieces cut at multiples of 64 records: [0, 128), [128, 128),
+        // [128, 512), [512, n); mixed single and batch appends.
+        std::size_t lo = 0;
+        for (const std::size_t cut : {128u, 128u, 512u, 1u << 20}) {
+          const std::size_t hi = std::min(cut, ts.size());
+          if (hi < lo) continue;
+          EsstWriter piece(meta);
+          std::size_t i = lo;
+          for (; i < std::min(lo + 3, hi); ++i) piece.append(ts.records()[i]);
+          piece.append(ts.records().data() + i, hi - i);
+          piece.finish();
+          EXPECT_EQ(piece.has_framed_chunks(), hi > lo);
+          out.append_chunks(piece.take_chunks());
+          EXPECT_FALSE(piece.has_framed_chunks());
+          lo = hi;
         }
-        w.append(ts.records().data() + i, ts.size() - i);
-        w.finish(ts.duration());
+        EXPECT_EQ(out.records_written(), ts.size());
+        out.finish(ts.duration());
       }
-      EXPECT_EQ(offloaded.str(), serial.str())
+      EXPECT_EQ(spliced.str(), serial.str())
           << "multi=" << multi << " n=" << n;
     }
   }
 }
 
-TEST(EsstFormat, EncodePoolAfterFirstAppendIsRejected) {
-  exec::ThreadPool pool(1);
+TEST(EsstFormat, AppendChunksInsideAnOpenChunkIsRejected) {
   std::ostringstream os;
   EsstWriter w(os, {});
   w.append(sample(1).records()[0]);
-  EXPECT_THROW(w.set_encode_pool(&pool), std::logic_error);
+  EXPECT_THROW(w.append_chunks({}), std::logic_error);
 }
 
 TEST(EsstHardening, WriteFailureCarriesTheWriterErrorContext) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -326,6 +329,7 @@ TEST_F(EsstraceCli, MergeProducesAMultiNodeFileStatsBreakDownPerNode) {
     ts.set_duration(base.duration() + 2000);
     telemetry::EsstMeta meta;
     meta.node_id = n;
+    meta.records_per_chunk = 32;  // 8 output chunks: room for 2 parts
     telemetry::write_esst_file(ts, n == 1 ? n1 : n2, meta);
   }
   const auto merged = tmp_path("cli_merged.esst");
@@ -334,6 +338,7 @@ TEST_F(EsstraceCli, MergeProducesAMultiNodeFileStatsBreakDownPerNode) {
       << err.str();
   EXPECT_NE(out.str().find("merged 2 captures"), std::string::npos);
   EXPECT_NE(out.str().find("240 records"), std::string::npos);
+  EXPECT_NE(out.str().find("2 parts"), std::string::npos) << out.str();
 
   // The merged characterization carries per-node rows; single-node stats
   // never print that section.
@@ -458,6 +463,51 @@ TEST(ParseJobs, RejectsAbsurdCounts) {
   EXPECT_FALSE(parse_worker_count("1000000"));
   EXPECT_FALSE(parse_worker_count("18446744073709551616"));  // > 2^64
   EXPECT_FALSE(parse_worker_count("99999999999999999999999999"));
+}
+
+// ---- option parsing: the other numeric flags ----
+// --nodes, --sector-min and --sector-max go through exec::parse_digits too:
+// the binary must refuse a malformed value with a non-zero exit before it
+// touches a file, instead of running with whatever atoi/strtoull salvaged.
+
+int run_esstrace(const std::string& args) {
+  const std::string cmd =
+      std::string(ESSTRACE_BIN) + " " + args + " > /dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(ParseCounts, ParseDigitsTakesTheWholeUint64RangeAndNothingElse) {
+  EXPECT_EQ(exec::parse_digits("0"), 0u);
+  EXPECT_EQ(exec::parse_digits("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "3x", "-1", "+5", " 7", "7 ", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(exec::parse_digits(bad)) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseCounts, NumericFlagsRejectMalformedValuesWithNonZeroExit) {
+  const std::string dir = tmp_path("cli_nodes_dir");
+  const std::string in = tmp_path("cli_flags_in.esst");
+  const std::string out = tmp_path("cli_flags_out.esst");
+  telemetry::write_esst_file(sample(), in);
+  for (const char* bad : {"3x", "-1", "+5", "''", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(run_esstrace("capture-pdes " + dir + " --nodes " + bad), 0);
+    EXPECT_NE(run_esstrace("filter " + in + " " + out + " --sector-min " +
+                           bad),
+              0);
+    EXPECT_NE(run_esstrace("filter " + in + " " + out + " --sector-max " +
+                           bad),
+              0);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));  // refused before any run
+  // A well-formed range still filters.
+  EXPECT_EQ(run_esstrace("filter " + in + " " + out + " --sector-min 40000" +
+                         " --sector-max 18446744073709551615"),
+            0);
+  std::filesystem::remove(in);
+  std::filesystem::remove(out);
 }
 
 // ---- capture: golden-trace generation for the regression gate ----

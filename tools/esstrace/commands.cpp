@@ -473,11 +473,14 @@ int cmd_merge(const std::vector<std::string>& raw_inputs,
       }
     }
     const auto res = analysis::merge_esst(inputs, out_path, jobs);
-    put(out, "merged %zu captures -> %s: %llu records, %.1f s (%llu bytes)\n",
+    put(out,
+        "merged %zu captures -> %s: %llu records, %.1f s (%llu bytes), "
+        "%zu part%s\n",
         res.inputs, out_path.c_str(),
         static_cast<unsigned long long>(res.records_written),
         to_seconds(res.duration),
-        static_cast<unsigned long long>(file_size(out_path)));
+        static_cast<unsigned long long>(file_size(out_path)), res.parts,
+        res.parts == 1 ? "" : "s");
     if (res.dropped_records > 0) {
       put(out, "carried %llu dropped record(s) into the output trailer\n",
           static_cast<unsigned long long>(res.dropped_records));

@@ -10,6 +10,8 @@
 //   esstrace verify  trace.esst           (exit 0 clean / 1 lossy / 2 bad)
 //   esstrace merge   node1.esst node2.esst cluster.esst
 //   esstrace capture baseline golden.esst (reduced-scale study run)
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +99,19 @@ bool worker_count(const char* flag, const std::string& v, std::size_t& out) {
   return false;
 }
 
+/// A digits-only flag value (exec::parse_digits) no larger than `max`.
+bool count_value(const char* flag, const std::string& v, std::uint64_t max,
+                 std::uint64_t& out) {
+  const auto n = ess::exec::parse_digits(v);
+  if (n && *n <= max) {
+    out = *n;
+    return true;
+  }
+  std::cerr << "esstrace: invalid " << flag << " value '" << v
+            << "' (want an integer 0.." << max << ")\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,7 +135,9 @@ int main(int argc, char** argv) {
       if (!worker_count("--jobs", v, jobs)) return usage(std::cerr, 2);
     } else if (arg == "--nodes") {
       if (!need_value(argc, argv, i, "--nodes", v)) return 2;
-      nodes = std::atoi(v.c_str());
+      std::uint64_t n = 0;
+      if (!count_value("--nodes", v, INT_MAX, n)) return usage(std::cerr, 2);
+      nodes = static_cast<int>(n);
     } else if (arg == "--shards") {
       if (!need_value(argc, argv, i, "--shards", v)) return 2;
       if (!worker_count("--shards", v, shards)) return usage(std::cerr, 2);
@@ -132,10 +149,14 @@ int main(int argc, char** argv) {
       filter.ts_max = static_cast<ess::SimTime>(std::atof(v.c_str()) * 1e6);
     } else if (arg == "--sector-min") {
       if (!need_value(argc, argv, i, "--sector-min", v)) return 2;
-      filter.sector_min = std::strtoull(v.c_str(), nullptr, 10);
+      if (!count_value("--sector-min", v, UINT64_MAX, filter.sector_min)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--sector-max") {
       if (!need_value(argc, argv, i, "--sector-max", v)) return 2;
-      filter.sector_max = std::strtoull(v.c_str(), nullptr, 10);
+      if (!count_value("--sector-max", v, UINT64_MAX, filter.sector_max)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--reads") {
       filter.rw = 0;
     } else if (arg == "--writes") {
