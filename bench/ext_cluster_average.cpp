@@ -11,11 +11,20 @@
 #include "bench/common.hpp"
 #include "bench/targets.hpp"
 #include "cluster/cluster.hpp"
+#include "exec/thread_pool.hpp"
 
 int ext_cluster_average() {
   using namespace ess;
   int nodes = 4;
-  if (const char* v = std::getenv("ESS_NODES")) nodes = std::atoi(v);
+  if (const char* v = std::getenv("ESS_NODES")) {
+    const auto n = exec::parse_digits(v);
+    if (!n || *n > 1'000'000) {
+      std::fprintf(stderr, "ext_cluster_average: invalid ESS_NODES '%s'\n",
+                   v);
+      return 2;
+    }
+    nodes = static_cast<int>(*n);
+  }
   if (nodes < 1) nodes = 1;
 
   cluster::ClusterConfig cfg;

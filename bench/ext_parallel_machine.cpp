@@ -15,12 +15,21 @@
 #include "bench/common.hpp"
 #include "bench/targets.hpp"
 #include "cluster/cluster.hpp"
+#include "exec/thread_pool.hpp"
 #include "pvm/combined.hpp"
 
 int ext_parallel_machine() {
   using namespace ess;
   int nodes = 4;
-  if (const char* v = std::getenv("ESS_NODES")) nodes = std::atoi(v);
+  if (const char* v = std::getenv("ESS_NODES")) {
+    const auto n = exec::parse_digits(v);
+    if (!n || *n > 1'000'000) {
+      std::fprintf(stderr, "ext_parallel_machine: invalid ESS_NODES '%s'\n",
+                   v);
+      return 2;
+    }
+    nodes = static_cast<int>(*n);
+  }
   if (nodes < 2) nodes = 2;
 
   const auto run = pvm::run_combined(bench::study_config(), nodes, 1, 1);

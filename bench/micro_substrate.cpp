@@ -1,10 +1,14 @@
 // Substrate microbenchmarks (google-benchmark): throughput of the building
 // blocks the study runs on — event engine, disk service model, elevator,
 // buffer cache, fs read, VM fault path, RNG, wavelet transform, oct-tree
-// build/force, PPM step.
+// build/force, PPM step, and the ESST integrity layer (CRC-32, chunk
+// decode against the framing check verify runs instead).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/nbody/octree.hpp"
 #include "apps/ppm/euler2d.hpp"
@@ -15,6 +19,9 @@
 #include "fs/ext2lite.hpp"
 #include "mm/vm.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/crc32_impl.hpp"
+#include "telemetry/esst.hpp"
+#include "telemetry/esst_view.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -258,6 +265,76 @@ void BM_PpmStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kNx * kNy);
 }
 BENCHMARK(BM_PpmStep)->Arg(0)->Arg(4)->UseRealTime();
+
+// CRC-32 over Arg bytes of random data: a chunk-sized and a 64 KB buffer.
+// The label names the implementation crc32() dispatched to.
+void BM_Crc32(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buf(len);
+  Rng rng(32);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(len));
+  state.SetLabel(telemetry::crc::clmul_supported() ? "clmul" : "slicing8");
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(64 * 1024);
+
+/// One multi-node chunk of 4096 records shaped like a merged cluster
+/// capture (interleaved nodes, jittered timestamps, hot and cold sectors).
+telemetry::EsstView merged_chunk() {
+  constexpr std::size_t kRecords = 4096;
+  trace::TraceSet ts("micro", -1);
+  Rng rng(71);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    trace::Record r;
+    r.timestamp = static_cast<SimTime>(i) * 3 + rng.uniform(3);
+    r.sector = rng.uniform(100) < 40
+                   ? 4'000u * static_cast<std::uint32_t>(rng.uniform(64))
+                   : 25u * static_cast<std::uint32_t>(rng.uniform(40'000));
+    r.size_bytes = 1024u << rng.uniform(5);
+    r.is_write = static_cast<std::uint8_t>(rng.uniform(3) != 0);
+    r.outstanding = static_cast<std::uint16_t>(rng.uniform(8));
+    r.node = static_cast<std::int32_t>(rng.uniform(256));
+    ts.add(r);
+  }
+  telemetry::EsstMeta meta;
+  meta.multi_node = true;
+  meta.records_per_chunk = kRecords;
+  std::ostringstream os;
+  telemetry::write_esst(ts, os, meta);
+  return telemetry::EsstView(util::MmapFile::from_bytes(os.str()));
+}
+
+// The read side's per-chunk integrity cost, two ways: decode_chunk (CRC,
+// then every record decoded, as scan and merge read) and check_chunk (CRC,
+// then the varint framing walk, as verify reads). Items are records,
+// bytes the chunk's payload and framing.
+void BM_ChunkDecode(benchmark::State& state) {
+  const telemetry::EsstView view = merged_chunk();
+  std::vector<trace::Record> recs;
+  for (auto _ : state) {
+    view.decode_chunk(0, recs);
+    benchmark::DoNotOptimize(recs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * view.chunks()[0].records);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(view.chunk_bytes(0)));
+}
+BENCHMARK(BM_ChunkDecode);
+
+void BM_ChunkCheck(benchmark::State& state) {
+  const telemetry::EsstView view = merged_chunk();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(view.check_chunk(0));
+  }
+  state.SetItemsProcessed(state.iterations() * view.chunks()[0].records);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(view.chunk_bytes(0)));
+}
+BENCHMARK(BM_ChunkCheck);
 
 }  // namespace
 

@@ -173,13 +173,10 @@ telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
   exec::parallel_for(workers, ranges.size(), [&](std::size_t s) {
     const auto [lo, hi] = ranges[s];
     telemetry::SalvageReport& shard = shards[s];
-    std::vector<trace::Record> recs;
-    recs.reserve(view.meta().records_per_chunk);
     for (std::size_t i = lo; i < hi; ++i) {
       try {
-        view.decode_chunk(i, recs);
+        shard.records_kept += view.check_chunk(i);
         ++shard.chunks_kept;
-        shard.records_kept += recs.size();
       } catch (const std::runtime_error&) {
         ++shard.chunks_lost;
         shard.records_lost += view.chunks()[i].records;
@@ -576,7 +573,7 @@ struct Cut {
 /// bracket — one or two per input — are decoded, and a bisection over
 /// the packed key finds the exact split among them.
 Cut find_cut(const std::vector<MergeInput>& ins, const Prefix& prefix,
-             std::uint64_t rank, std::size_t workers) {
+             std::uint64_t rank, exec::ThreadPool& pool) {
   using Wide = unsigned __int128;  // timestamps and one past the largest
   const std::size_t k = ins.size();
   // The first chunk of input j whose ts_last (`last`) or ts_first is not
@@ -637,7 +634,7 @@ Cut find_cut(const std::vector<MergeInput>& ins, const Prefix& prefix,
     skipped += prefix[j][first[j]];
   }
   if (skipped > rank) cut.ok = false;
-  exec::parallel_for(workers, k, [&](std::size_t j) {
+  exec::parallel_for(pool, k, [&](std::size_t j) {
     const std::size_t stop = first_chunk(j, t_hi, false);
     std::vector<trace::Record> recs;
     for (std::size_t c = first[j]; c < stop; ++c) {
@@ -724,12 +721,13 @@ bool boundary_ordered(const MergeInput& in, std::size_t c) {
 }
 
 /// Cut the merge into at most `workers` parts at output ranks that are
-/// multiples of `per_chunk`. The cut search holds only when every input
-/// is non-decreasing by (ts, node); whatever it can see against that (the
-/// chunk index, the chunks it decodes) gives the one-part plan, and the
-/// parts check the rest as they decode.
+/// multiples of `per_chunk`, searching on `pool`. The cut search holds
+/// only when every input is non-decreasing by (ts, node); whatever it can
+/// see against that (the chunk index, the chunks it decodes) gives the
+/// one-part plan, and the parts check the rest as they decode.
 MergePlan plan_merge(const std::vector<MergeInput>& ins,
-                     std::uint32_t per_chunk, std::size_t workers) {
+                     std::uint32_t per_chunk, std::size_t workers,
+                     exec::ThreadPool& pool) {
   const std::size_t k = ins.size();
   if (workers <= 1) return whole_plan(ins);
   Prefix prefix(k);
@@ -756,13 +754,12 @@ MergePlan plan_merge(const std::vector<MergeInput>& ins,
     plan.ranks.assign(parts + 1, total);
     plan.ranks[0] = 0;
     plan.bounds[parts] = plan.bounds[1];
-    // The cuts search side by side; each spreads its decodes over the
-    // workers it is left, so the plan never runs more than `workers`.
+    // The cuts search side by side, and each spreads its decodes over
+    // the same pool, so the plan never runs more than `workers` threads.
     std::vector<Cut> cuts(parts - 1);
-    exec::parallel_for(workers, parts - 1, [&](std::size_t i) {
+    exec::parallel_for(pool, parts - 1, [&](std::size_t i) {
       plan.ranks[i + 1] = out_chunks * (i + 1) / parts * per_chunk;
-      cuts[i] = find_cut(ins, prefix, plan.ranks[i + 1],
-                         std::max<std::size_t>(workers / (parts - 1), 1));
+      cuts[i] = find_cut(ins, prefix, plan.ranks[i + 1], pool);
     });
     std::vector<std::pair<std::size_t, std::size_t>> damaged;
     for (std::size_t p = 1; p < parts; ++p) {
@@ -843,7 +840,7 @@ class PartWriter {
 /// search's premise (out of order, or fewer records than the index
 /// promised before a cut): the bytes written are then not the merge.
 bool run_plan(const std::vector<MergeInput>& ins, const MergePlan& plan,
-              const telemetry::EsstMeta& meta, std::size_t workers,
+              const telemetry::EsstMeta& meta, exec::ThreadPool& pool,
               telemetry::EsstWriter& out,
               std::vector<std::pair<std::size_t, std::size_t>>& damaged) {
   const std::size_t parts = plan.parts();
@@ -854,7 +851,7 @@ bool run_plan(const std::vector<MergeInput>& ins, const MergePlan& plan,
   } else {
     PartWriter writer(out, parts);
     std::atomic<bool> abort{false};
-    exec::parallel_for(workers, parts, [&](std::size_t p) {
+    exec::parallel_for(pool, parts, [&](std::size_t p) {
       telemetry::EsstWriter w(meta);
       reports[p] = merge_part(ins, plan.bounds[p].data(),
                               plan.bounds[p + 1].data(), w,
@@ -907,13 +904,16 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
   meta.multi_node = true;
   meta.records_per_chunk = std::max<std::uint32_t>(meta.records_per_chunk, 1);
 
-  MergePlan plan = plan_merge(ins, meta.records_per_chunk, workers);
+  // One pool for the whole merge: `workers - 1` threads beside this one
+  // run the cut searches and the parts.
+  exec::ThreadPool pool(workers - 1);
+  MergePlan plan = plan_merge(ins, meta.records_per_chunk, workers, pool);
   for (;;) {
     std::ofstream out_file(out_path, std::ios::binary | std::ios::trunc);
     if (!out_file) throw std::runtime_error("cannot open " + out_path);
     telemetry::EsstWriter writer(out_file, meta, out_path);
     std::vector<std::pair<std::size_t, std::size_t>> damaged;
-    if (!run_plan(ins, plan, meta, workers, writer, damaged)) {
+    if (!run_plan(ins, plan, meta, pool, writer, damaged)) {
       // The inputs broke the cuts' premise: merge again as one part,
       // from the start of the file.
       plan = whole_plan(ins);

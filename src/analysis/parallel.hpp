@@ -80,12 +80,14 @@ struct ScanResult {
 ScanResult scan_esst(const std::string& path, std::size_t jobs = 0,
                      const telemetry::StreamSummary::Options& opts = {});
 
-/// The integrity pass: decode + CRC every chunk of the view across `jobs`
-/// workers and account for what survived, folding in the damage the
-/// view's salvage scan already discarded. Never throws for damaged chunks
-/// — damage becomes report fields — and the report is identical at any
-/// worker count. Loss figures are exact while the index survived; for a
-/// salvaged file they are a lower bound (`records_lost_exact` false).
+/// The integrity pass: check every chunk of the view across `jobs`
+/// workers (EsstView::check_chunk: its CRC, then its varint framing, which
+/// succeeds exactly where decoding would) and account for what survived,
+/// folding in the damage the view's salvage scan already discarded. Never
+/// throws for damaged chunks — damage becomes report fields — and the
+/// report is identical at any worker count. Loss figures are exact while
+/// the index survived; for a salvaged file they are a lower bound
+/// (`records_lost_exact` false).
 telemetry::SalvageReport verify_esst(const telemetry::EsstView& view,
                                      std::size_t jobs = 0);
 telemetry::SalvageReport verify_esst(const std::string& path,
@@ -127,13 +129,15 @@ struct MergeResult {
 /// A chunk's bytes depend only on its records, so each part — its own
 /// loser tree, decoding and encoding inline — frames whole chunks the
 /// serial writer would have written, and the parts are written in order.
-/// The merge runs exactly `jobs` threads. Memory: each part holds one
-/// decoded chunk per input; the earliest unwritten part writes as it
-/// goes, and a later part holds its encoded chunks until every earlier
-/// part is written (at worst (jobs - 1) / jobs of the output). The cuts
-/// hold only for inputs non-decreasing by (ts, node) whose chunks decode
-/// as indexed; when a part finds otherwise, the merge reruns as one part
-/// from the start of the file, so the bytes never depend on `jobs`.
+/// The merge runs exactly `jobs` threads: the caller and one pool of
+/// jobs - 1, built once per merge, run the cut searches and the parts.
+/// Memory: each part holds one decoded chunk per input; the earliest
+/// unwritten part writes as it goes, and a later part holds its encoded
+/// chunks until every earlier part is written (at worst (jobs - 1) / jobs
+/// of the output). The cuts hold only for inputs non-decreasing by
+/// (ts, node) whose chunks decode as indexed; when a part finds
+/// otherwise, the merge reruns as one part from the start of the file, so
+/// the bytes never depend on `jobs`.
 /// jobs == 1 is that one part, the plain serial path.
 MergeResult merge_esst(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::size_t jobs = 0);

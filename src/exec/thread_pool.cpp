@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -139,6 +140,23 @@ std::optional<std::uint64_t> parse_digits(const std::string& text) {
   const char* const end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_real(const std::string& text) {
+  // The first character rules out a sign, whitespace, "inf" and "nan";
+  // from_chars (general format: no "0x") must then consume every byte,
+  // and reports a value out of double's range.
+  if (text.empty() ||
+      !((text.front() >= '0' && text.front() <= '9') || text.front() == '.')) {
+    return std::nullopt;
+  }
+  double v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 

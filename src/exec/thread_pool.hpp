@@ -84,6 +84,13 @@ inline constexpr std::size_t kMaxWorkers = 4096;
 /// numeric command-line flag and environment override goes through it.
 std::optional<std::uint64_t> parse_digits(const std::string& text);
 
+/// Strict parse of a non-negative real: a plain decimal number — digits
+/// with at most one '.', then an optional exponent ("2", "0.5", ".5",
+/// "1e-3") — that is finite. No sign, whitespace, trailing junk, hex,
+/// "inf" or "nan". Anything else is nullopt. Every real-valued
+/// command-line flag goes through it.
+std::optional<double> parse_real(const std::string& text);
+
 /// Strict parse of a worker count (ESS_JOBS, esstrace's --jobs):
 /// parse_digits, at most kMaxWorkers. Anything else is nullopt.
 std::optional<std::size_t> parse_worker_count(const std::string& text);

@@ -1,7 +1,6 @@
 #include "telemetry/esst.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -42,50 +41,6 @@ void write_bytes(std::ostream& os, const void* p, std::size_t n,
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  // Slicing-by-8: eight derived tables let the loop fold eight input bytes
-  // per iteration — one table load per byte still, but 1/8th the loop
-  // carried dependency length of the classic bytewise form, which is the
-  // difference between ~400 MB/s and multi-GB/s on the verify path. Same
-  // polynomial (IEEE 802.3 / zlib, reflected 0xedb88320), same pre/post
-  // conditioning, bit-identical results for every input and seed.
-  static const auto tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (std::size_t s = 1; s < 8; ++s) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        const std::uint32_t c = t[s - 1][i];
-        t[s][i] = t[0][c & 0xff] ^ (c >> 8);
-      }
-    }
-    return t;
-  }();
-  const auto& t = tables;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = seed ^ 0xffffffffu;
-  // Word loads composed byte-by-byte (get_u32) stay endian-correct and
-  // alignment-safe; compilers collapse them to single loads on LE targets.
-  while (len >= 8) {
-    const std::uint32_t lo = c ^ get_u32(p);
-    const std::uint32_t hi = get_u32(p + 4);
-    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
-        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
-    p += 8;
-    len -= 8;
-  }
-  for (std::size_t i = 0; i < len; ++i) {
-    c = t[0][(c ^ p[i]) & 0xff] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
 
 // ---------------------------------------------------------------- writer
 

@@ -51,7 +51,9 @@
 namespace ess::telemetry {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial). `seed` chains partial blocks:
-/// crc32(b, crc32(a)) == crc32(a+b).
+/// crc32(b, crc32(a)) == crc32(a+b). A carry-less-multiply fold where the
+/// CPU has PCLMULQDQ, slicing-by-8 elsewhere (crc32_impl.hpp); the same
+/// result either way.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
 /// Fixed-header metadata. The geometry/sim fields let an analysis tool

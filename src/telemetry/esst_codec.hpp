@@ -21,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -67,14 +68,23 @@ inline void put_u64(std::uint8_t* p, std::uint64_t v) {
 inline std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
+// Loads are one unaligned memcpy, byte-swapped on big-endian hosts: a
+// byte-composing loop is not reliably folded into one load inside hot
+// loops (the CRC table loop, the framing walk).
 inline std::uint32_t get_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
   return v;
 }
 inline std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
@@ -235,8 +245,10 @@ inline EncodeResult encode_payload_impl(const trace::Record* recs,
   trace::Record prev;  // chunks decode independently: delta base resets
   for (std::size_t i = 0; i < n; ++i) {
     const trace::Record& r = recs[i];
-    q = put_svarint_fast(q, static_cast<std::int64_t>(r.timestamp) -
-                                static_cast<std::int64_t>(prev.timestamp));
+    // Timestamp deltas wrap modulo 2^64 (no signed overflow at extreme
+    // timestamps); the decoder adds them back the same way.
+    q = put_svarint_fast(q, static_cast<std::int64_t>(r.timestamp -
+                                                      prev.timestamp));
     q = put_svarint_fast(q, static_cast<std::int64_t>(r.sector) -
                                 static_cast<std::int64_t>(prev.sector));
     q = put_svarint_fast(q, static_cast<std::int64_t>(r.size_bytes) -
@@ -290,17 +302,18 @@ namespace detail {
 inline trace::Record apply_deltas(const trace::Record& prev, std::int64_t dts,
                                   std::int64_t dsec, std::int64_t dsize,
                                   std::uint64_t flags, std::int64_t dnode) {
+  // Unsigned sums: the same bits as signed ones wherever those are
+  // defined, and no overflow on whatever deltas a damaged payload holds.
   trace::Record r;
-  r.timestamp =
-      static_cast<SimTime>(static_cast<std::int64_t>(prev.timestamp) + dts);
-  r.sector =
-      static_cast<std::uint32_t>(static_cast<std::int64_t>(prev.sector) + dsec);
+  r.timestamp = prev.timestamp + static_cast<std::uint64_t>(dts);
+  r.sector = static_cast<std::uint32_t>(prev.sector +
+                                        static_cast<std::uint64_t>(dsec));
   r.size_bytes = static_cast<std::uint32_t>(
-      static_cast<std::int64_t>(prev.size_bytes) + dsize);
+      prev.size_bytes + static_cast<std::uint64_t>(dsize));
   r.is_write = static_cast<std::uint8_t>(flags & 1);
   r.outstanding = static_cast<std::uint16_t>(flags >> 1);
-  r.node =
-      static_cast<std::int32_t>(static_cast<std::int64_t>(prev.node) + dnode);
+  r.node = static_cast<std::int32_t>(static_cast<std::uint32_t>(prev.node) +
+                                     static_cast<std::uint32_t>(dnode));
   return r;
 }
 
@@ -310,11 +323,14 @@ template <bool MultiNode>
 inline void decode_payload_impl(const std::uint8_t* p, std::size_t len,
                                 std::uint32_t count,
                                 std::vector<trace::Record>& out) {
+  constexpr std::size_t fields = MultiNode ? 5 : 4;
+  constexpr std::size_t per_record_max = kMaxVarintBytes * fields;
   out.clear();
+  // Every varint takes a byte at least: a count the payload cannot hold
+  // underruns, and must not size the reservation first.
+  if (std::uint64_t{count} * fields > len) throw_underrun();
   out.reserve(count);
   trace::Record prev;
-  constexpr std::size_t per_record_max =
-      kMaxVarintBytes * (MultiNode ? 5 : 4);
   std::size_t pos = 0;
   std::uint32_t i = 0;
   // Fast path: while a worst-case record fits in the remaining span, every
@@ -369,6 +385,78 @@ inline void decode_payload_into(const std::uint8_t* p, std::size_t len,
   } else {
     detail::decode_payload_impl<false>(p, len, count, out);
   }
+}
+
+// ---- framing check ---------------------------------------------------------
+
+namespace detail {
+
+/// Bit k set when byte k of the 8 at `p` is a varint continuation byte
+/// (high bit set). The multiply gathers the eight high bits into the top
+/// byte: every partial product lands on its own bit, so nothing carries.
+inline std::uint64_t continuation_bits8(const std::uint8_t* p) {
+  return ((get_u64(p) & 0x8080808080808080u) * 0x0002040810204081u) >> 56;
+}
+
+/// Continuation bits of 64 bytes, byte k at bit k.
+inline std::uint64_t continuation_bits64(const std::uint8_t* p) {
+  std::uint64_t m = 0;
+  for (int i = 0; i < 8; ++i) m |= continuation_bits8(p + 8 * i) << (8 * i);
+  return m;
+}
+
+/// std::popcount without a library call: baseline x86-64 has no POPCNT.
+inline int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555u;
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<int>((x * 0x0101010101010101u) >> 56);
+}
+
+}  // namespace detail
+
+/// Whether decode_payload_into would accept the payload, without decoding
+/// it. The decoder reads `count` records of 4 varints (5 multi-node) and
+/// succeeds exactly when those varints cover the payload — every one
+/// present (no underrun), none longer than kMaxVarintBytes (no overlong
+/// encoding), no byte left after the last (no trailing bytes). Varints end
+/// at terminator bytes (high bit clear), so that is: count × fields
+/// terminators, a terminator as the last byte, and no run of
+/// kMaxVarintBytes continuation bytes. The walk takes 64 bytes per step
+/// as one bit mask (SWAR over 64-bit words) and carries the run of
+/// continuation bytes that ends each step into the next.
+inline bool payload_frames(const std::uint8_t* p, std::size_t len,
+                           std::uint32_t count, bool multi_node) {
+  const std::uint64_t varints =
+      std::uint64_t{count} * (multi_node ? 5u : 4u);
+  if (len == 0) return varints == 0;
+  if ((p[len - 1] & 0x80) != 0) return false;
+  std::uint64_t continuations = 0;
+  int run = 0;  // continuation bytes ending the previous step
+  const auto step = [&](std::uint64_t m) {
+    continuations += static_cast<std::uint64_t>(detail::popcount64(m));
+    // Bit i of r8 & (r2 >> 8): bytes i .. i+9 all continue.
+    const std::uint64_t r2 = m & (m >> 1);
+    const std::uint64_t r4 = r2 & (r2 >> 2);
+    const std::uint64_t r8 = r4 & (r4 >> 4);
+    const bool ok = run + std::countr_one(m) <
+                        static_cast<int>(kMaxVarintBytes) &&
+                    (r8 & (r2 >> 8)) == 0;
+    run = std::countl_one(m);
+    return ok;
+  };
+  std::size_t pos = 0;
+  for (; len - pos >= 64; pos += 64) {
+    if (!step(detail::continuation_bits64(p + pos))) return false;
+  }
+  if (pos < len) {
+    // The last partial step, zero-padded: a zero byte is a terminator
+    // that no run crosses, and the padding adds no continuation count.
+    std::uint8_t tail[64] = {};
+    std::memcpy(tail, p + pos, len - pos);
+    if (!step(detail::continuation_bits64(tail))) return false;
+  }
+  return len - continuations == varints;
 }
 
 // ---- header / index / trailer ---------------------------------------------

@@ -153,16 +153,33 @@ std::uint64_t EsstView::chunk_bytes(std::size_t idx) const {
   return kChunkHeaderBytes + payload + kChunkFooterBytes;
 }
 
-void EsstView::decode_chunk(std::size_t idx,
-                            std::vector<trace::Record>& out) const {
+EsstView::ChunkSpan EsstView::crc_checked_span(std::size_t idx,
+                                               std::uint32_t& records) const {
   const ChunkSpan s = chunk_span(idx);
   ChunkInfo info;
   const std::uint32_t want = parse_chunk_footer(s.footer, info);
   if (chunk_crc(s.payload, s.payload_len, s.footer) != want) {
     throw std::runtime_error("esst: chunk CRC mismatch");
   }
-  decode_payload_into(s.payload, s.payload_len, info.records,
-                      meta_.multi_node, out);
+  records = info.records;
+  return s;
+}
+
+void EsstView::decode_chunk(std::size_t idx,
+                            std::vector<trace::Record>& out) const {
+  std::uint32_t records = 0;
+  const ChunkSpan s = crc_checked_span(idx, records);
+  decode_payload_into(s.payload, s.payload_len, records, meta_.multi_node,
+                      out);
+}
+
+std::uint32_t EsstView::check_chunk(std::size_t idx) const {
+  std::uint32_t records = 0;
+  const ChunkSpan s = crc_checked_span(idx, records);
+  if (!payload_frames(s.payload, s.payload_len, records, meta_.multi_node)) {
+    throw std::runtime_error("esst: chunk payload does not frame its records");
+  }
+  return records;
 }
 
 bool EsstView::Filter::chunk_may_match(const ChunkInfo& c) const {

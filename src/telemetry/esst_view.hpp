@@ -103,6 +103,14 @@ class EsstView {
   /// errors. Const and thread-safe: all scratch is caller-owned.
   void decode_chunk(std::size_t idx, std::vector<trace::Record>& out) const;
 
+  /// Check chunk `idx` as decode_chunk would, without decoding it: the
+  /// same CRC check, then a walk over the payload's varint framing that
+  /// accepts exactly the payloads decode_chunk decodes (codec's
+  /// payload_frames). Returns the footer's record count — decode_chunk's
+  /// out.size() — and throws where decode_chunk throws. Const and
+  /// thread-safe.
+  std::uint32_t check_chunk(std::size_t idx) const;
+
   struct Filter {
     SimTime ts_min = 0;
     SimTime ts_max = std::numeric_limits<SimTime>::max();
@@ -132,6 +140,9 @@ class EsstView {
   /// in-bounds payload, footer) starts at `offset`. kTorn means the chunk
   /// magic is there but the frame runs past the end of the file.
   Frame frame_at(std::uint64_t offset, ChunkSpan& span) const;
+  /// chunk_span(idx) once its CRC matches; `records` gets the footer's
+  /// record count. Throws like decode_chunk.
+  ChunkSpan crc_checked_span(std::size_t idx, std::uint32_t& records) const;
   bool load_index();
   void salvage_scan();
 

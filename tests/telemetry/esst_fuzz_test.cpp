@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 
 #include "analysis/parallel.hpp"
 #include "commands.hpp"
+#include "telemetry/esst_codec.hpp"
 #include "telemetry/esst_view.hpp"
 #include "util/rng.hpp"
 
@@ -165,6 +167,31 @@ Mutant mutate(const Capture& c, Rng& rng) {
   return m;
 }
 
+/// verify_esst as it was before the framing walk: decode every listed
+/// chunk, and count what decodes as kept.
+SalvageReport decode_reference(const EsstView& view) {
+  SalvageReport rep = view.scan_losses();
+  std::vector<trace::Record> recs;
+  for (std::size_t i = 0; i < view.chunks().size(); ++i) {
+    try {
+      view.decode_chunk(i, recs);
+      ++rep.chunks_kept;
+      rep.records_kept += recs.size();
+    } catch (const std::runtime_error&) {
+      const ChunkInfo& c = view.chunks()[i];
+      ++rep.chunks_lost;
+      rep.records_lost += c.records;
+      if (!rep.first_bad_offset || c.offset < *rep.first_bad_offset) {
+        rep.first_bad_offset = c.offset;
+      }
+    }
+  }
+  if (view.trailer_records() > rep.records_kept + rep.records_lost) {
+    rep.records_lost = view.trailer_records() - rep.records_kept;
+  }
+  return rep;
+}
+
 /// `got` is `want` with whole elements removed, order kept.
 bool is_subsequence(const std::vector<trace::Record>& got,
                     const std::vector<trace::Record>& want) {
@@ -213,6 +240,8 @@ void check_mutant(const Capture& c, const Mutant& m, const std::string& path,
 
   // verify: identical at every jobs value, honest about damage.
   const SalvageReport rep = analysis::verify_esst(path, 1);
+  EXPECT_TRUE(rep == decode_reference(*view))
+      << "the framing walk must report what decoding reports";
   EXPECT_EQ(rep.records_kept, kept.size());
   // Every chunk is accounted for once: listed ones kept or lost by the
   // decode pass, plus the ones the salvage scan already dropped.
@@ -322,6 +351,180 @@ TEST(EsstSalvage, TornTailAfterALostChunkCountsOnce) {
     EXPECT_EQ(rep.chunks_lost, 2u);
     EXPECT_EQ(rep.records_lost, c.chunks[1].records);
   }
+}
+
+// ---- the framing walk against the decoder ----
+// EsstView::check_chunk must accept exactly the chunks decode_chunk
+// decodes, with the same record count. Each case is one chunk whose
+// payload is damaged and then re-CRC'd, so the walk (not the CRC) judges
+// it: truncated, a high bit flipped, a varint widened to 10 bytes (still
+// valid) or 11 (overlong), a widened varint's continuation run laid across
+// a 64-byte step of the walk, bytes appended, the footer's count off by 1.
+
+/// A capture holding one chunk: `payload` framed with a footer claiming
+/// `records`, its CRC made to match. There is no index, so the view finds
+/// the chunk by its salvage scan.
+std::string one_chunk_capture(const std::string& header,
+                              const std::vector<std::uint8_t>& payload,
+                              std::uint32_t records) {
+  std::vector<std::uint8_t> frame(8 + payload.size() + 28);
+  codec::put_u32(frame.data(), codec::kChunkMagic);
+  codec::put_u32(frame.data() + 4, static_cast<std::uint32_t>(payload.size()));
+  std::copy(payload.begin(), payload.end(), frame.begin() + 8);
+  std::uint8_t* ftr = frame.data() + 8 + payload.size();
+  ChunkInfo info;
+  info.records = records;
+  codec::put_chunk_footer_summary(ftr, info);
+  codec::put_u32(ftr + 24, codec::chunk_crc(frame.data() + 8, payload.size(),
+                                            ftr));
+  return header + std::string(frame.begin(), frame.end());
+}
+
+/// Records whose deltas take every varint width, 1 to 10 bytes.
+std::vector<trace::Record> framing_records(Rng& rng, std::size_t n,
+                                           bool multi_node) {
+  std::vector<trace::Record> recs(n);
+  for (auto& r : recs) {
+    const auto wide = [&](int bits) {
+      return rng.next_u64() >> (64 - 1 - rng.uniform(bits));
+    };
+    r.timestamp = wide(64);
+    r.sector = static_cast<std::uint32_t>(wide(32));
+    r.size_bytes = static_cast<std::uint32_t>(wide(32));
+    r.is_write = static_cast<std::uint8_t>(rng.uniform(2));
+    r.outstanding = static_cast<std::uint16_t>(wide(16));
+    if (multi_node) r.node = static_cast<std::int32_t>(wide(32));
+  }
+  return recs;
+}
+
+/// Byte ranges [begin, end) of the payload's varints, in order.
+std::vector<std::pair<std::size_t, std::size_t>> varint_spans(
+    const std::vector<std::uint8_t>& payload) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    if ((payload[i] & 0x80) == 0) {
+      spans.emplace_back(begin, i + 1);
+      begin = i + 1;
+    }
+  }
+  return spans;
+}
+
+/// Widen the varint at [b, e) to `width` bytes: its bytes all continue,
+/// padded with 0x80 and closed by a zero terminator. The value is
+/// unchanged; from 11 bytes on the decoder calls it overlong.
+void widen(std::vector<std::uint8_t>& payload, std::size_t b, std::size_t e,
+           std::size_t width) {
+  if (e - b >= width) return;
+  std::vector<std::uint8_t> wide(payload.begin() + b, payload.begin() + e);
+  for (auto& x : wide) x |= 0x80;
+  wide.resize(width - 1, 0x80);
+  wide.push_back(0x00);
+  payload.erase(payload.begin() + b, payload.begin() + e);
+  payload.insert(payload.begin() + b, wide.begin(), wide.end());
+}
+
+TEST(EsstFraming, CheckChunkSucceedsExactlyWhenDecodeChunkDoes) {
+  Rng rng(0xf4a3e);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const bool multi_node : {false, true}) {
+    EsstMeta meta;
+    meta.multi_node = multi_node;
+    std::ostringstream os;
+    write_esst(trace::TraceSet("framing", 0), os, meta);
+    const std::string header = os.str().substr(0, kHeaderBytes);
+    for (int trial = 0; trial < 1500; ++trial) {
+      const auto recs = framing_records(
+          rng, static_cast<std::size_t>(rng.uniform(120)), multi_node);
+      std::vector<std::uint8_t> payload;
+      ChunkInfo info;
+      const auto enc = codec::encode_payload_into(recs.data(), recs.size(),
+                                                  multi_node, payload, info);
+      payload.resize(enc.payload_len);
+      std::uint32_t records = info.records;
+      const auto spans = varint_spans(payload);
+      const auto pick = [&] {
+        return spans[static_cast<std::size_t>(rng.uniform(spans.size()))];
+      };
+      std::string what;
+      switch (payload.empty() ? 0 : rng.uniform(8)) {
+        case 0:
+          what = "intact";
+          break;
+        case 1:
+          what = "truncated";
+          payload.resize(static_cast<std::size_t>(rng.uniform(payload.size())));
+          break;
+        case 2: {
+          const auto at = static_cast<std::size_t>(rng.uniform(payload.size()));
+          payload[at] ^= 0x80;
+          what = "high bit flipped at " + std::to_string(at);
+          break;
+        }
+        case 3: {
+          const std::size_t width = rng.chance(0.5) ? 10 : 11;
+          const auto [b, e] = pick();
+          widen(payload, b, e, width);
+          what = std::to_string(width) + "-byte varint at " + std::to_string(b);
+          break;
+        }
+        case 4: {
+          // The varint that holds a 64-byte step boundary, or the last one
+          // before it, widened so its run reaches across the boundary.
+          const std::size_t boundary =
+              64 * (1 + rng.uniform(payload.size() / 64 + 1));
+          std::pair<std::size_t, std::size_t> at = spans.front();
+          for (const auto& sp : spans) {
+            if (sp.first <= boundary && sp.first + 8 >= boundary) at = sp;
+          }
+          const std::size_t width = 9 + rng.uniform(3);
+          widen(payload, at.first, at.second, width);
+          what = std::to_string(width) + "-byte varint across step at " +
+                 std::to_string(at.first);
+          break;
+        }
+        case 5:
+          for (std::uint64_t n = 1 + rng.uniform(3); n > 0; --n) {
+            payload.push_back(static_cast<std::uint8_t>(rng.uniform(256)));
+          }
+          what = "bytes appended";
+          break;
+        case 6:
+          ++records;
+          what = "count + 1";
+          break;
+        default:
+          --records;
+          what = "count - 1";
+          break;
+      }
+      SCOPED_TRACE(std::string(multi_node ? "v2 " : "v1 ") + what);
+      const std::string bytes = one_chunk_capture(header, payload, records);
+      const EsstView view(util::MmapFile::from_bytes(bytes));
+      ASSERT_EQ(view.chunks().size(), 1u);
+      std::optional<std::size_t> decoded;
+      std::vector<trace::Record> out;
+      try {
+        view.decode_chunk(0, out);
+        decoded = out.size();
+      } catch (const std::runtime_error&) {
+      }
+      std::optional<std::size_t> checked;
+      try {
+        checked = view.check_chunk(0);
+      } catch (const std::runtime_error&) {
+      }
+      EXPECT_EQ(checked, decoded);
+      ++(decoded ? accepted : rejected);
+    }
+  }
+  // Both outcomes are well represented, so the walk's equivalence is
+  // tested on both sides.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EsstFuzzTest,

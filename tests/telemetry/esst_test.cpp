@@ -11,6 +11,7 @@
 
 #include "analysis/parallel.hpp"
 #include "fault/fault.hpp"
+#include "telemetry/crc32_impl.hpp"
 #include "telemetry/esst_codec.hpp"
 #include "telemetry/esst_view.hpp"
 #include "trace/io.hpp"
@@ -63,8 +64,9 @@ TEST(EsstFormat, Crc32MatchesKnownVector) {
   EXPECT_EQ(crc32(fox, sizeof fox - 1), 0x414fa339u);
 }
 
-/// The retired bytewise loop, kept here as the reference the slicing-by-8
-/// production implementation must match bit for bit.
+/// The retired bytewise loop, kept here as the reference both production
+/// implementations (slicing-by-8 and the carry-less-multiply fold) must
+/// match bit for bit.
 std::uint32_t crc32_bytewise(const void* data, std::size_t len,
                              std::uint32_t seed = 0) {
   static std::uint32_t table[256];
@@ -88,7 +90,8 @@ std::uint32_t crc32_bytewise(const void* data, std::size_t len,
 TEST(EsstFormat, Crc32SlicingMatchesBytewiseOnAwkwardLengthsAndAlignments) {
   // Lengths straddling the 8-byte fold boundary and the chunk sizes the
   // format actually uses, at every alignment offset — the cases where a
-  // word-at-a-time implementation can go wrong.
+  // word-at-a-time implementation can go wrong. Both slicing-by-8 itself
+  // and crc32() (whichever implementation this host dispatches to).
   Rng rng(0xc7c32);
   std::vector<std::uint8_t> buf(4097 + 8);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
@@ -98,11 +101,15 @@ TEST(EsstFormat, Crc32SlicingMatchesBytewiseOnAwkwardLengthsAndAlignments) {
       const std::uint8_t* p = buf.data() + align;
       EXPECT_EQ(crc32(p, len), crc32_bytewise(p, len))
           << "len=" << len << " align=" << align;
+      EXPECT_EQ(crc::slicing8(p, len, 0), crc32_bytewise(p, len))
+          << "len=" << len << " align=" << align;
       // Seed chaining has to agree too — the chunk CRC chains payload into
       // footer, so a seeded mismatch would corrupt every capture.
       const std::uint32_t seed = static_cast<std::uint32_t>(
           rng.uniform(0xffffffffu));
       EXPECT_EQ(crc32(p, len, seed), crc32_bytewise(p, len, seed))
+          << "len=" << len << " align=" << align;
+      EXPECT_EQ(crc::slicing8(p, len, seed), crc32_bytewise(p, len, seed))
           << "len=" << len << " align=" << align;
     }
   }
@@ -112,6 +119,73 @@ TEST(EsstFormat, Crc32SlicingMatchesBytewiseOnAwkwardLengthsAndAlignments) {
     const std::uint32_t part = crc32(buf.data(), cut);
     EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, part), whole)
         << "cut=" << cut;
+  }
+}
+
+TEST(EsstFormat, Crc32ClmulMatchesSlicingAndBytewise) {
+  if (!crc::clmul_supported()) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ";
+  }
+  Rng rng(0xc1a55);
+  std::vector<std::uint8_t> buf(65537 + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
+  const auto random_seed = [&] {
+    return static_cast<std::uint32_t>(rng.uniform(0xffffffffu));
+  };
+  const auto expect_all_agree = [&](std::size_t off, std::size_t len,
+                                    std::uint32_t seed) {
+    const std::uint8_t* p = buf.data() + off;
+    const std::uint32_t want = crc32_bytewise(p, len, seed);
+    EXPECT_EQ(crc::clmul(p, len, seed), want)
+        << "off=" << off << " len=" << len << " seed=" << seed;
+    EXPECT_EQ(crc::slicing8(p, len, seed), want)
+        << "off=" << off << " len=" << len << " seed=" << seed;
+  };
+
+  // Every length up to 300 (under, at and past the 64-byte fold and the
+  // 16-byte blocks), page- and 64 KB-sized ones, every multiple of 16 and
+  // 64 ± 1 up to 1 KB; each at 16 alignments, seed 0 and a random seed.
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 300; ++len) lens.push_back(len);
+  for (const std::size_t len : {4095u, 4096u, 4097u, 65535u, 65536u, 65537u}) {
+    lens.push_back(len);
+  }
+  for (std::size_t len = 16; len <= 1024; len += 16) lens.push_back(len);
+  for (std::size_t len = 64; len <= 1024; len += 64) {
+    lens.push_back(len - 1);
+    lens.push_back(len + 1);
+  }
+  for (const std::size_t len : lens) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      expect_all_agree(align, len, 0);
+      expect_all_agree(align, len, random_seed());
+    }
+  }
+
+  // Random (offset, length, seed) triples.
+  for (int i = 0; i < 2000; ++i) {
+    const auto len = static_cast<std::size_t>(rng.uniform(8192));
+    const auto off = static_cast<std::size_t>(rng.uniform(buf.size() - len));
+    expect_all_agree(off, len, random_seed());
+  }
+
+  // Seed chaining with the split on either side of the first 64-byte block
+  // and of the 16-byte blocks after it: the fold takes the seed in its
+  // first lane, slicing-by-8 in its running state, and either may carry
+  // the other's result.
+  for (const std::size_t total : {128u, 200u, 1000u}) {
+    const std::uint32_t whole = crc32_bytewise(buf.data(), total);
+    for (std::size_t cut = 48; cut <= 144 && cut <= total; ++cut) {
+      const std::uint8_t* p = buf.data();
+      EXPECT_EQ(crc::clmul(p + cut, total - cut, crc::clmul(p, cut, 0)), whole)
+          << "total=" << total << " cut=" << cut;
+      EXPECT_EQ(crc::clmul(p + cut, total - cut, crc::slicing8(p, cut, 0)),
+                whole)
+          << "total=" << total << " cut=" << cut;
+      EXPECT_EQ(crc::slicing8(p + cut, total - cut, crc::clmul(p, cut, 0)),
+                whole)
+          << "total=" << total << " cut=" << cut;
+    }
   }
 }
 

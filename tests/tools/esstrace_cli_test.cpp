@@ -510,6 +510,57 @@ TEST(ParseCounts, NumericFlagsRejectMalformedValuesWithNonZeroExit) {
   std::filesystem::remove(out);
 }
 
+// ---- option parsing: the real-valued flags and --topk ----
+// --after, --before, --pct-tol, --rel-tol and --overlap go through
+// exec::parse_real, --topk through parse_digits: `diff --overlap x` must
+// not drop the top-K gate to 0, nor `--after -5` wrap to a huge time.
+
+TEST(ParseReals, ParseRealTakesPlainFiniteNonNegativeNumbersOnly) {
+  EXPECT_EQ(exec::parse_real("0"), 0.0);
+  EXPECT_EQ(exec::parse_real("2"), 2.0);
+  EXPECT_EQ(exec::parse_real("0.5"), 0.5);
+  EXPECT_EQ(exec::parse_real(".5"), 0.5);
+  EXPECT_EQ(exec::parse_real("5."), 5.0);
+  EXPECT_EQ(exec::parse_real("1e-3"), 1e-3);
+  EXPECT_EQ(exec::parse_real("2.5E2"), 250.0);
+  for (const char* bad : {"", "x", "-5", "-0", "+1", " 1", "1 ", "1x", "1e",
+                          "0x10", "inf", "nan", "1e999", ".", "1..2",
+                          "1,5"}) {
+    EXPECT_FALSE(exec::parse_real(bad)) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseReals, RealAndTopkFlagsRejectMalformedValuesWithExitTwo) {
+  const std::string in = tmp_path("cli_reals_in.esst");
+  const std::string out = tmp_path("cli_reals_out.esst");
+  telemetry::write_esst_file(sample(), in);
+  const std::string diff = "diff " + in + " " + in;
+  const std::string filter = "filter " + in + " " + out;
+  for (const char* bad : {"x", "-5", "+1", "''", "nan", "inf", "1e999",
+                          "0x10"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(run_esstrace(filter + " --after " + bad), 2);
+    EXPECT_EQ(run_esstrace(filter + " --before " + bad), 2);
+    EXPECT_EQ(run_esstrace(diff + " --pct-tol " + bad), 2);
+    EXPECT_EQ(run_esstrace(diff + " --rel-tol " + bad), 2);
+    EXPECT_EQ(run_esstrace(diff + " --overlap " + bad), 2);
+    EXPECT_EQ(run_esstrace(diff + " --topk " + bad), 2);
+  }
+  // Past the flag's range: an overlap fraction above 1, a time whose
+  // microseconds overflow, a top-K count past 2^64 - 1.
+  EXPECT_EQ(run_esstrace(diff + " --overlap 1.5"), 2);
+  EXPECT_EQ(run_esstrace(filter + " --after 1e14"), 2);
+  EXPECT_EQ(run_esstrace(diff + " --topk 18446744073709551616"), 2);
+  EXPECT_EQ(run_esstrace(diff + " --topk 2.5"), 2);
+  // Well-formed values still run.
+  EXPECT_EQ(run_esstrace(diff + " --pct-tol 2.5 --rel-tol .1 --overlap 1" +
+                         " --topk 3"),
+            0);
+  EXPECT_EQ(run_esstrace(filter + " --after 0.05 --before 1e3"), 0);
+  std::filesystem::remove(in);
+  std::filesystem::remove(out);
+}
+
 // ---- capture: golden-trace generation for the regression gate ----
 
 TEST_F(EsstraceCli, CaptureRejectsUnknownExperiment) {

@@ -10,10 +10,9 @@
 //   esstrace verify  trace.esst           (exit 0 clean / 1 lossy / 2 bad)
 //   esstrace merge   node1.esst node2.esst cluster.esst
 //   esstrace capture baseline golden.esst (reduced-scale study run)
+#include <cfloat>
 #include <climits>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -112,6 +111,31 @@ bool count_value(const char* flag, const std::string& v, std::uint64_t max,
   return false;
 }
 
+/// A real flag value (exec::parse_real: plain decimal, finite,
+/// non-negative) no larger than `max`.
+bool real_value(const char* flag, const std::string& v, double max,
+                double& out) {
+  const auto x = ess::exec::parse_real(v);
+  if (x && *x <= max) {
+    out = *x;
+    return true;
+  }
+  std::cerr << "esstrace: invalid " << flag << " value '" << v
+            << "' (want a number 0.." << max << ")\n";
+  return false;
+}
+
+/// Seconds on the command line, as simulated microseconds.
+bool seconds_value(const char* flag, const std::string& v,
+                   ess::SimTime& out) {
+  // Below 2^64 microseconds, so the conversion cannot overflow.
+  constexpr double kMaxSeconds = 1.8e13;
+  double s = 0;
+  if (!real_value(flag, v, kMaxSeconds, s)) return false;
+  out = static_cast<ess::SimTime>(s * 1e6);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,10 +167,14 @@ int main(int argc, char** argv) {
       if (!worker_count("--shards", v, shards)) return usage(std::cerr, 2);
     } else if (arg == "--after") {
       if (!need_value(argc, argv, i, "--after", v)) return 2;
-      filter.ts_min = static_cast<ess::SimTime>(std::atof(v.c_str()) * 1e6);
+      if (!seconds_value("--after", v, filter.ts_min)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--before") {
       if (!need_value(argc, argv, i, "--before", v)) return 2;
-      filter.ts_max = static_cast<ess::SimTime>(std::atof(v.c_str()) * 1e6);
+      if (!seconds_value("--before", v, filter.ts_max)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--sector-min") {
       if (!need_value(argc, argv, i, "--sector-min", v)) return 2;
       if (!count_value("--sector-min", v, UINT64_MAX, filter.sector_min)) {
@@ -163,17 +191,25 @@ int main(int argc, char** argv) {
       filter.rw = 1;
     } else if (arg == "--pct-tol") {
       if (!need_value(argc, argv, i, "--pct-tol", v)) return 2;
-      tol.pct_points = std::atof(v.c_str());
+      if (!real_value("--pct-tol", v, DBL_MAX, tol.pct_points)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--rel-tol") {
       if (!need_value(argc, argv, i, "--rel-tol", v)) return 2;
-      tol.scalar_rel = std::atof(v.c_str());
+      if (!real_value("--rel-tol", v, DBL_MAX, tol.scalar_rel)) {
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--topk") {
       if (!need_value(argc, argv, i, "--topk", v)) return 2;
-      tol.topk = static_cast<std::size_t>(std::strtoull(v.c_str(), nullptr,
-                                                        10));
+      std::uint64_t k = 0;
+      if (!count_value("--topk", v, SIZE_MAX, k)) return usage(std::cerr, 2);
+      tol.topk = static_cast<std::size_t>(k);
     } else if (arg == "--overlap") {
       if (!need_value(argc, argv, i, "--overlap", v)) return 2;
-      tol.topk_min_overlap = std::atof(v.c_str());
+      // A fraction: above 1, no pair of top-K sets could pass.
+      if (!real_value("--overlap", v, 1.0, tol.topk_min_overlap)) {
+        return usage(std::cerr, 2);
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "esstrace: unknown option " << arg << "\n";
       return usage(std::cerr, 2);
